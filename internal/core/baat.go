@@ -24,6 +24,8 @@ type baat struct {
 	// to emit an EventDoDTarget only when planned aging actually moves the
 	// target (a per-control-period event would drown the trace ring).
 	lastDoDGoal float64
+	// view is Control's candidate snapshot, kept for its columns' storage.
+	view candidateView
 }
 
 // balanceImbalanceFactor is how far above the fleet-average weighted aging
@@ -83,8 +85,15 @@ func (p *baat) Restore(data []byte) error {
 // workload per Table 3, evaluate Eq 6 on every candidate, and place on the
 // slowest-aging node.
 func (*baat) PlaceVM(ctx *Context, v *vm.VM) (*node.Node, error) {
-	if best := minWeightedAging(ctx.Nodes, v, nil, aging.DeepDischargeSoC); best != nil {
-		return best, nil
+	sens := aging.DemandSensitivity(v.Profile().DemandClass())
+	pick := newAgingPick(aging.DeepDischargeSoC)
+	for i, n := range ctx.Nodes {
+		if n.Server().CanHost(v) {
+			pick.offer(i, n.MetricsSuspect(), n.SoC(), aging.WeightedAging(n.Metrics(), sens))
+		}
+	}
+	if i := pick.best(); i >= 0 {
+		return ctx.Nodes[i], nil
 	}
 	return nil, ErrNoCapacity
 }
@@ -107,10 +116,12 @@ func (p *baat) Control(ctx *Context) error {
 	}
 	slowCfg := p.cfg.Slowdown
 	slowCfg.TriggerSoC = trigger
+	cv := &p.view
+	cv.load(ctx.Nodes)
 
 	// Slowdown arm (Fig 9): migration first, DVFS as the fallback when
 	// resources elsewhere are constrained.
-	for _, n := range ctx.Nodes {
+	for i, n := range ctx.Nodes {
 		if !slowdownNeeded(n, slowCfg) {
 			if recovered(n, slowCfg) {
 				restoreFrequency(ctx, n)
@@ -118,8 +129,8 @@ func (p *baat) Control(ctx *Context) error {
 			continue
 		}
 		if v := migratableVM(n); v != nil {
-			if dst := minWeightedAging(ctx.Nodes, v, n, slowCfg.TriggerSoC+slowCfg.Hysteresis); dst != nil {
-				if err := migrate(ctx, n, dst, v.ID(), p.cfg.MigrationTime); err != nil {
+			if dst := cv.minWeightedAging(v, i, slowCfg.TriggerSoC+slowCfg.Hysteresis); dst >= 0 {
+				if err := cv.migrate(ctx, i, dst, v, p.cfg.MigrationTime); err != nil {
 					return err
 				}
 				continue
@@ -139,14 +150,12 @@ func (p *baat) Control(ctx *Context) error {
 		sens := aging.DemandSensitivity(aging.DemandClass{LargePower: true, MoreEnergy: true})
 		var sum float64
 		var trusted int
-		scores := make([]float64, len(ctx.Nodes))
-		suspect := make([]bool, len(ctx.Nodes))
-		for i, n := range ctx.Nodes {
-			suspect[i] = n.MetricsSuspect()
+		scores, suspect := cv.scores, cv.suspect
+		for i := range ctx.Nodes {
 			if suspect[i] {
 				continue
 			}
-			scores[i] = aging.WeightedAging(n.Metrics(), sens)
+			scores[i] = aging.WeightedAging(cv.metrics[i], sens)
 			sum += scores[i]
 			trusted++
 		}
@@ -162,18 +171,18 @@ func (p *baat) Control(ctx *Context) error {
 			if v == nil {
 				continue
 			}
-			dst := minWeightedAging(ctx.Nodes, v, src, p.cfg.Slowdown.TriggerSoC)
-			if dst == nil || dst.MetricsSuspect() {
+			dst := cv.minWeightedAging(v, i, p.cfg.Slowdown.TriggerSoC)
+			if dst < 0 || suspect[dst] {
 				continue
 			}
 			// Only move if the destination is actually meaningfully
 			// healthier; otherwise the migration cost buys nothing. A
 			// suspect source has no comparable score — moving off it is
 			// the point.
-			if !suspect[i] && aging.WeightedAging(dst.Metrics(), sens) >= scores[i] {
+			if !suspect[i] && scores[dst] >= scores[i] {
 				continue
 			}
-			if err := migrate(ctx, src, dst, v.ID(), p.cfg.MigrationTime); err != nil {
+			if err := cv.migrate(ctx, i, dst, v, p.cfg.MigrationTime); err != nil {
 				return err
 			}
 		}
@@ -217,8 +226,10 @@ func (p *baat) plannedTrigger(ctx *Context) float64 {
 		// the shape of the Eq 7 trajectory rather than its sampling rate.
 		if diff := goal - p.lastDoDGoal; diff > 0.01 || diff < -0.01 {
 			p.lastDoDGoal = goal
-			ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDoDTarget, "",
-				fmt.Sprintf("DoD goal %.3f, trigger %.3f", goal, trigger))
+			if ctx.Telemetry != nil {
+				ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDoDTarget, "",
+					fmt.Sprintf("DoD goal %.3f, trigger %.3f", goal, trigger))
+			}
 		}
 	}
 	return trigger

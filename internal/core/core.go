@@ -31,7 +31,6 @@ import (
 	"github.com/green-dc/baat/internal/signal"
 	"github.com/green-dc/baat/internal/telemetry"
 	"github.com/green-dc/baat/internal/vm"
-	"github.com/green-dc/baat/internal/workload"
 )
 
 // Context is the fleet view a policy acts on. The simulator owns the nodes;
@@ -199,7 +198,9 @@ func migrate(ctx *Context, src, dst *node.Node, vmID string, transfer time.Durat
 		return err
 	}
 	ctx.Telemetry.Counter(telemetry.MetricMigrations).Inc()
-	ctx.Telemetry.Emit(ctx.Clock, telemetry.EventMigration, src.ID(), vmID+" -> "+dst.ID())
+	if ctx.Telemetry != nil { // build the detail only when it is recorded
+		ctx.Telemetry.Emit(ctx.Clock, telemetry.EventMigration, src.ID(), vmID+" -> "+dst.ID())
+	}
 	return nil
 }
 
@@ -208,8 +209,10 @@ func migrate(ctx *Context, src, dst *node.Node, vmID string, transfer time.Durat
 func capFrequency(ctx *Context, n *node.Node) {
 	if n.Server().StepDownFrequency() {
 		ctx.Telemetry.Counter(telemetry.MetricDVFSCaps).Inc()
-		ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDVFSCap, n.ID(),
-			fmt.Sprintf("freq index %d", n.Server().FrequencyIndex()))
+		if ctx.Telemetry != nil {
+			ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDVFSCap, n.ID(),
+				fmt.Sprintf("freq index %d", n.Server().FrequencyIndex()))
+		}
 	}
 }
 
@@ -218,8 +221,10 @@ func capFrequency(ctx *Context, n *node.Node) {
 func restoreFrequency(ctx *Context, n *node.Node) {
 	if n.Server().StepUpFrequency() {
 		ctx.Telemetry.Counter(telemetry.MetricDVFSRestores).Inc()
-		ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDVFSRestore, n.ID(),
-			fmt.Sprintf("freq index %d", n.Server().FrequencyIndex()))
+		if ctx.Telemetry != nil {
+			ctx.Telemetry.Emit(ctx.Clock, telemetry.EventDVFSRestore, n.ID(),
+				fmt.Sprintf("freq index %d", n.Server().FrequencyIndex()))
+		}
 	}
 }
 
@@ -261,7 +266,7 @@ func leastReserved(nodes []*node.Node, v *vm.VM) *node.Node {
 		if !n.Server().CanHost(v) {
 			continue
 		}
-		load := reservedLoad(n)
+		load := n.Server().ReservedUtilization()
 		if best == nil || load < bestLoad {
 			best, bestLoad = n, load
 		}
@@ -269,64 +274,63 @@ func leastReserved(nodes []*node.Node, v *vm.VM) *node.Node {
 	return best
 }
 
-// reservedLoad sums hosted VM peak demands.
-func reservedLoad(n *node.Node) float64 {
-	var u float64
-	for _, v := range n.Server().VMs() {
-		if v.State() != vm.Completed {
-			u += v.Profile().PeakUtilization
-		}
-	}
-	return u
-}
+// agingTie is the Eq 6 score band inside which two candidates count as
+// tied; the one with the higher present state of charge wins.
+const agingTie = 1e-3
 
-// weightedAgingOf evaluates Eq 6 for a node against a workload profile's
-// Table 3 demand class.
-func weightedAgingOf(n *node.Node, p workload.Profile) float64 {
-	return aging.WeightedAging(n.Metrics(), aging.DemandSensitivity(p.DemandClass()))
-}
-
-// minWeightedAging returns the hostable node with the lowest Eq 6 score —
-// "the aging slowest battery node" of §IV-B — or nil. Candidates whose
-// battery is currently below minSoC are considered only if nothing better
-// exists (moving load onto an at-risk battery would just mint a new victim),
-// and candidates whose aging metrics are quarantined rank below everything
-// else: a suspect score may be garbage, so the scheduler treats the node as
+// agingPick finds "the aging slowest battery node" of §IV-B — the hostable
+// candidate with the lowest Eq 6 score — in one sweep. Candidates whose
+// battery is below minSoC count only if nothing better exists (moving load
+// onto an at-risk battery would just mint a new victim), and candidates
+// whose aging metrics are quarantined rank below everything else: a
+// suspect score may be garbage, so the scheduler treats the node as
 // worst-aged and places there only when no trusted node has capacity.
-// Near-ties are broken by the highest present state of charge.
-func minWeightedAging(nodes []*node.Node, v *vm.VM, exclude *node.Node, minSoC float64) *node.Node {
-	const tie = 1e-3
-	pick := func(requireSoC, requireTrusted bool) *node.Node {
-		var best *node.Node
-		bestScore, bestSoC := 0.0, 0.0
-		for _, n := range nodes {
-			if n == exclude || !n.Server().CanHost(v) {
-				continue
-			}
-			if requireTrusted && n.MetricsSuspect() {
-				continue
-			}
-			soc := n.Battery().SoC()
-			if requireSoC && soc < minSoC {
-				continue
-			}
-			score := weightedAgingOf(n, v.Profile())
-			better := best == nil ||
-				score < bestScore-tie ||
-				(score < bestScore+tie && soc > bestSoC)
-			if better {
-				best, bestScore, bestSoC = n, score, soc
-			}
+// The pick therefore keeps the best candidate of three fallback tiers —
+// trusted and at or above minSoC, trusted, any — and answers with the
+// first tier that has one.
+type agingPick struct {
+	minSoC float64
+	tiers  [3]struct {
+		idx        int // -1 while the tier is empty
+		score, soc float64
+	}
+}
+
+func newAgingPick(minSoC float64) agingPick {
+	p := agingPick{minSoC: minSoC}
+	for t := range p.tiers {
+		p.tiers[t].idx = -1
+	}
+	return p
+}
+
+// offer submits hostable candidate i. Candidates must be offered in fleet
+// order: the tie rule favors the earlier of two equal candidates.
+func (p *agingPick) offer(i int, suspect bool, soc, score float64) {
+	first := 2
+	if !suspect {
+		first = 1
+		if !(soc < p.minSoC) { // only a SoC known to be low demotes
+			first = 0
 		}
-		return best
 	}
-	if best := pick(true, true); best != nil {
-		return best
+	for t := first; t < len(p.tiers); t++ {
+		b := &p.tiers[t]
+		if b.idx < 0 || score < b.score-agingTie || (score < b.score+agingTie && soc > b.soc) {
+			b.idx, b.score, b.soc = i, score, soc
+		}
 	}
-	if best := pick(false, true); best != nil {
-		return best
+}
+
+// best returns the index of the picked candidate, or -1 when none was
+// offered.
+func (p *agingPick) best() int {
+	for _, b := range p.tiers {
+		if b.idx >= 0 {
+			return b.idx
+		}
 	}
-	return pick(false, false)
+	return -1
 }
 
 // LifetimePrediction is one node's projected battery end-of-life.

@@ -61,7 +61,7 @@ func (*baatH) PlaceVM(ctx *Context, v *vm.VM) (*node.Node, error) {
 				continue
 			}
 			ddt := n.Metrics().DDT
-			load := reservedLoad(n)
+			load := n.Server().ReservedUtilization()
 			better := best == nil ||
 				ddt < bestDDT-tie ||
 				(ddt < bestDDT+tie && load < bestLoad)
@@ -141,8 +141,9 @@ func (p *baatH) Control(ctx *Context) error {
 
 // migratableVM returns a running or paused VM on the node, or nil.
 func migratableVM(n *node.Node) *vm.VM {
-	for _, v := range n.Server().VMs() {
-		if s := v.State(); s == vm.Running || s == vm.Paused {
+	srv := n.Server()
+	for i := range srv.VMCount() {
+		if v := srv.VMAt(i); v.State() == vm.Running || v.State() == vm.Paused {
 			return v
 		}
 	}

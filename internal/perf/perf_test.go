@@ -1,10 +1,13 @@
 package perf
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/green-dc/baat/internal/core"
 )
 
 func baseReport() Report {
@@ -139,6 +142,13 @@ func TestBaselineParses(t *testing.T) {
 		}
 		if !e.Pinned {
 			t.Errorf("per-tier entry %s is not pinned; the tier's alloc gate is inert", name)
+		}
+	}
+	// Every registered policy's control pass is gated as its own stage.
+	for _, info := range core.Registered() {
+		name := fmt.Sprintf("policy_control/policy=%s/nodes=%d", info.Name, suitePolicyNodes)
+		if e, ok := r.Lookup(name); !ok || !e.Pinned {
+			t.Errorf("baseline lacks a pinned %s entry", name)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package perf
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -28,6 +29,11 @@ const suiteWarehouseNodes = 65536
 // suiteTick is the simulated tick the fleet-stepping entries use; it sets
 // the ticks-per-day factor in the node-steps/s derivation.
 const suiteTick = 5 * time.Minute
+
+// suitePolicyNodes sizes the policy_control entries: the fleet of the
+// repository benchmark's aging-stress workload, where the policy's fleet
+// scans dominate the simulated day.
+const suitePolicyNodes = 256
 
 // suiteSweepID is the experiment the sweep benchmarks run in quick mode:
 // fig18 fans four policy kinds across the variant pool, so the parallel
@@ -105,6 +111,12 @@ func RunSuite() (Report, error) {
 	add("soc_column/model=leadacid", true, socColumnBench(battery.KindLeadAcid))
 	add("soc_column/model=lfp", true, socColumnBench(battery.KindLFP))
 	add("soc_column/model=linear", true, socColumnBench(battery.KindLinear))
+	// The policy stage of the tick pipeline, one entry per registered
+	// policy: one Control pass per op over a stressed fleet.
+	for _, info := range core.Registered() {
+		add(fmt.Sprintf("policy_control/policy=%s/nodes=%d", info.Name, suitePolicyNodes), true,
+			policyControlBench(info.Name, suitePolicyNodes))
+	}
 	add("tracker_observe", true, trackerObserveBench)
 	add("battery_step", true, batteryStepBench(battery.KindLeadAcid))
 	add("battery_step/model=linear", true, batteryStepBench(battery.KindLinear))
@@ -156,6 +168,52 @@ func fleetStepBench(nodes, workers int, model battery.Kind) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.RunDay(solar.Cloudy); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// policyControlBench measures one Control pass of the named policy, with no
+// telemetry attached, on a fleet starved of solar with a job backlog: the
+// repository benchmark's aging-stress set-up (scarce sun, 1.2 jobs per node
+// per day, a quarter of the nodes hosting a service) run under the policy
+// for four days. The warmed fleet is built once and shared by the
+// benchmark's calibration rounds; passes after the first run on the state
+// earlier passes left, which is the steady state of a control period whose
+// fleet has not stepped since.
+func policyControlBench(name string, nodes int) func(b *testing.B) {
+	var ctx *core.Context
+	return func(b *testing.B) {
+		if ctx == nil {
+			cfg := sim.DefaultConfig()
+			cfg.Policy = core.PolicySpec{Name: name}
+			cfg.Nodes = nodes
+			cfg.Solar.Scale = 0.5 * float64(nodes) / 6
+			cfg.JobsPerDay = nodes * 6 / 5
+			cfg.ServiceVMs = nodes / 4
+			cfg.Node.TableCapacity = 64
+			s, err := sim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, w := range []solar.Weather{solar.Rainy, solar.Cloudy, solar.Rainy, solar.Rainy} {
+				if _, err := s.RunDay(w); err != nil {
+					b.Fatal(err)
+				}
+			}
+			ctx = &core.Context{Nodes: s.Nodes(), Clock: s.Clock(), Rng: rand.New(rand.NewPCG(1, 0))}
+		}
+		p, err := core.Build(core.PolicySpec{Name: name})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := p.Control(ctx); err != nil { // sizes any reusable scratch
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := p.Control(ctx); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -69,6 +69,10 @@ type Server struct {
 	freqIdx int
 	powered bool
 	vms     []*vm.VM
+	// reserved is the peak utilization held by the hosted VMs that have
+	// not completed. Whatever changes the VM list, or completes a VM on
+	// it, must call refreshReserved.
+	reserved float64
 
 	throughput float64 // accumulated work units (Fig 20's metric)
 	downtime   time.Duration
@@ -159,6 +163,13 @@ func (s *Server) VMs() []*vm.VM {
 	return append([]*vm.VM(nil), s.vms...)
 }
 
+// VMCount returns the number of hosted VMs, completed ones included.
+func (s *Server) VMCount() int { return len(s.vms) }
+
+// VMAt returns the i-th hosted VM, in attach order, without copying the
+// list the way VMs does.
+func (s *Server) VMAt(i int) *vm.VM { return s.vms[i] }
+
 // ActiveVMCount returns the number of hosted VMs that still need the server
 // (anything not completed). A server with none can be scheduled off to save
 // its idle power.
@@ -182,16 +193,31 @@ func (s *Server) ActiveUtilization() float64 {
 	return math.Min(u, s.spec.CPUCapacity)
 }
 
-// reservedUtilization is the placement-time view: VM peak demands, so a
-// momentarily idle VM still holds its slot.
-func (s *Server) reservedUtilization() float64 {
+// ReservedUtilization is the placement-time view: the peak demands of the
+// hosted VMs that have not completed, so a momentarily idle VM still holds
+// its slot.
+func (s *Server) ReservedUtilization() float64 { return s.reserved }
+
+// refreshReserved recomputes the reservation from scratch, in VM-list
+// order. It is never updated incrementally: a running add and subtract
+// would round differently from the sum and could flip a placement that
+// sits on Fits' tolerance edge.
+func (s *Server) refreshReserved() {
 	var u float64
 	for _, v := range s.vms {
 		if v.State() != vm.Completed {
 			u += v.Profile().PeakUtilization
 		}
 	}
-	return u
+	s.reserved = u
+}
+
+// Fits reports whether a VM of the given peak demand fits next to the
+// reserved utilization on a server of the given capacity. It is the one
+// statement of the rule CanHost applies, for callers holding the three
+// numbers in columns.
+func Fits(reserved, peak, capacity float64) bool {
+	return reserved+peak <= capacity+1e-9
 }
 
 // CanHost reports whether the server has CPU headroom for the VM at its
@@ -200,7 +226,7 @@ func (s *Server) CanHost(v *vm.VM) bool {
 	if v == nil {
 		return false
 	}
-	return s.reservedUtilization()+v.Profile().PeakUtilization <= s.spec.CPUCapacity+1e-9
+	return Fits(s.reserved, v.Profile().PeakUtilization, s.spec.CPUCapacity)
 }
 
 // Attach places a VM on the server.
@@ -215,9 +241,10 @@ func (s *Server) Attach(v *vm.VM) error {
 	}
 	if !s.CanHost(v) {
 		return fmt.Errorf("server %s: no capacity for VM %s (reserved %.2f + %.2f > %.2f)",
-			s.id, v.ID(), s.reservedUtilization(), v.Profile().PeakUtilization, s.spec.CPUCapacity)
+			s.id, v.ID(), s.reserved, v.Profile().PeakUtilization, s.spec.CPUCapacity)
 	}
 	s.vms = append(s.vms, v)
+	s.refreshReserved()
 	return nil
 }
 
@@ -237,6 +264,7 @@ func (s *Server) DetachCompleted() int {
 		s.vms[i] = nil
 	}
 	s.vms = kept
+	s.refreshReserved()
 	return removed
 }
 
@@ -245,6 +273,7 @@ func (s *Server) Detach(id string) (*vm.VM, error) {
 	for i, cur := range s.vms {
 		if cur.ID() == id {
 			s.vms = append(s.vms[:i], s.vms[i+1:]...)
+			s.refreshReserved()
 			return cur, nil
 		}
 	}
@@ -275,17 +304,20 @@ func (s *Server) PeakPowerAt(idx int) (units.Watt, error) {
 
 // SetPowered powers the node on or off. Powering off checkpoints (pauses)
 // all hosted VMs, as the prototype does when solar power disappears (§V-B);
-// powering on resumes them.
+// powering on resumes them. Migrating and completed VMs are left alone; the
+// state is checked first because Pause and Resume build an error for them,
+// and the engine's demand probe toggles dark servers every tick.
 func (s *Server) SetPowered(on bool) {
 	if s.powered == on {
 		return
 	}
 	s.powered = on
 	for _, v := range s.vms {
-		if on {
-			_ = v.Resume() // migrating/completed VMs are left alone
-		} else {
-			_ = v.Pause()
+		switch st := v.State(); {
+		case on && st == vm.Paused:
+			_ = v.Resume() // cannot fail from Paused
+		case !on && st == vm.Running:
+			_ = v.Pause() // cannot fail from Running
 		}
 	}
 }
@@ -298,6 +330,7 @@ func (s *Server) Step(dt time.Duration) float64 {
 		return 0
 	}
 	if !s.powered {
+		// At speed 0 no VM completes, so the reservation holds.
 		s.downtime += dt
 		for _, v := range s.vms {
 			v.Advance(dt, 0)
@@ -307,8 +340,14 @@ func (s *Server) Step(dt time.Duration) float64 {
 	s.uptime += dt
 	speed := s.Frequency()
 	var done float64
+	completed := false
 	for _, v := range s.vms {
+		wasDone := v.State() == vm.Completed
 		done += v.Advance(dt, speed)
+		completed = completed || !wasDone && v.State() == vm.Completed
+	}
+	if completed {
+		s.refreshReserved()
 	}
 	s.throughput += done
 	return done

@@ -64,5 +64,6 @@ func (s *Server) Restore(st State) error {
 	s.downtime = st.Downtime
 	s.uptime = st.Uptime
 	s.vms = vms
+	s.refreshReserved()
 	return nil
 }

@@ -756,25 +756,30 @@ func (s *Simulator) submitJobs() error {
 	return s.placePending()
 }
 
-// placePending drains the job queue as far as current capacity allows.
+// placePending drains the job queue as far as current capacity allows. It
+// compacts the queue in place, keeping the order of the jobs left waiting;
+// on an error the jobs not yet offered stay queued behind them.
 func (s *Simulator) placePending() error {
-	var remaining []*vm.VM
-	for _, v := range s.pending {
+	kept := 0
+	for i, v := range s.pending {
 		target, err := s.policy.PlaceVM(s.ctx(), v)
-		if err != nil {
-			if err == core.ErrNoCapacity {
-				remaining = append(remaining, v)
-				s.telDeferred.Inc()
-				continue
-			}
-			return err
+		if err == core.ErrNoCapacity {
+			s.pending[kept] = v
+			kept++
+			s.telDeferred.Inc()
+			continue
 		}
-		if err := target.Server().Attach(v); err != nil {
+		if err == nil {
+			err = target.Server().Attach(v)
+		}
+		if err != nil {
+			s.pending = append(s.pending[:kept], s.pending[i:]...)
 			return err
 		}
 		s.telPlacements.Inc()
 	}
-	s.pending = remaining
+	clear(s.pending[kept:])
+	s.pending = s.pending[:kept]
 	return nil
 }
 

@@ -89,53 +89,71 @@ type Profile struct {
 //	Web Serving      — Small power, More energy (long-running service)
 //	Data Analytics   — Small power, More energy (sustained scan-heavy job)
 func Profiles() map[Kind]Profile {
-	return map[Kind]Profile{
-		NutchIndexing: {
-			Kind:            NutchIndexing,
-			PeakUtilization: 0.9,
-			WorkUnits:       3.5,
-			Phases:          []float64{0.6, 0.9, 1.0, 1.0, 0.8, 0.5},
-		},
-		KMeans: {
-			Kind:            KMeans,
-			PeakUtilization: 0.95,
-			WorkUnits:       1.2,
-			Phases:          []float64{1.0, 0.4, 1.0, 0.4, 1.0, 0.3},
-		},
-		WordCount: {
-			Kind:            WordCount,
-			PeakUtilization: 0.45,
-			WorkUnits:       0.8,
-			Phases:          []float64{0.8, 1.0, 0.9, 0.6},
-		},
-		SoftwareTesting: {
-			Kind:            SoftwareTesting,
-			PeakUtilization: 0.95,
-			WorkUnits:       5.0,
-			Phases:          []float64{0.9, 1.0, 1.0, 0.95, 1.0, 0.9},
-		},
-		WebServing: {
-			Kind:            WebServing,
-			PeakUtilization: 0.5,
-			Service:         true,
-			Phases:          []float64{0.5, 0.7, 0.9, 1.0, 0.9, 0.8, 0.6, 0.5},
-		},
-		DataAnalytics: {
-			Kind:            DataAnalytics,
-			PeakUtilization: 0.55,
-			WorkUnits:       4.0,
-			Phases:          []float64{0.7, 1.0, 0.9, 1.0, 0.8, 0.9},
-		},
+	kinds := Kinds()
+	m := make(map[Kind]Profile, len(kinds))
+	for _, k := range kinds {
+		m[k], _ = builtin(k)
 	}
+	return m
 }
 
 // ProfileFor returns the built-in profile for a workload kind.
 func ProfileFor(k Kind) (Profile, error) {
-	p, ok := Profiles()[k]
+	p, ok := builtin(k)
 	if !ok {
 		return Profile{}, fmt.Errorf("workload: unknown kind %v", k)
 	}
 	return p, nil
+}
+
+// builtin builds the library profile of one kind, so a lookup pays for
+// that profile alone rather than the whole library.
+func builtin(k Kind) (Profile, bool) {
+	switch k {
+	case NutchIndexing:
+		return Profile{
+			Kind:            NutchIndexing,
+			PeakUtilization: 0.9,
+			WorkUnits:       3.5,
+			Phases:          []float64{0.6, 0.9, 1.0, 1.0, 0.8, 0.5},
+		}, true
+	case KMeans:
+		return Profile{
+			Kind:            KMeans,
+			PeakUtilization: 0.95,
+			WorkUnits:       1.2,
+			Phases:          []float64{1.0, 0.4, 1.0, 0.4, 1.0, 0.3},
+		}, true
+	case WordCount:
+		return Profile{
+			Kind:            WordCount,
+			PeakUtilization: 0.45,
+			WorkUnits:       0.8,
+			Phases:          []float64{0.8, 1.0, 0.9, 0.6},
+		}, true
+	case SoftwareTesting:
+		return Profile{
+			Kind:            SoftwareTesting,
+			PeakUtilization: 0.95,
+			WorkUnits:       5.0,
+			Phases:          []float64{0.9, 1.0, 1.0, 0.95, 1.0, 0.9},
+		}, true
+	case WebServing:
+		return Profile{
+			Kind:            WebServing,
+			PeakUtilization: 0.5,
+			Service:         true,
+			Phases:          []float64{0.5, 0.7, 0.9, 1.0, 0.9, 0.8, 0.6, 0.5},
+		}, true
+	case DataAnalytics:
+		return Profile{
+			Kind:            DataAnalytics,
+			PeakUtilization: 0.55,
+			WorkUnits:       4.0,
+			Phases:          []float64{0.7, 1.0, 0.9, 1.0, 0.8, 0.9},
+		}, true
+	}
+	return Profile{}, false
 }
 
 // Validate checks a profile.
