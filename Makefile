@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke docs-check policy-registry-check golden-update
+.PHONY: check fmt vet build test test-race bench-test bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke docs-check policy-registry-check golden-update
 
 check: ## gofmt -l + vet + build + race tests
 	./check.sh
@@ -21,6 +21,9 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+bench-test: ## vet + test the nested benchmark module (root ./... skips it)
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench: ## quick-mode experiment benchmarks
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

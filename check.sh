@@ -26,6 +26,11 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== bench module tests =="
+# bench/ is a nested module, so the root ./... above skips it. Its tests
+# replay every registered policy across a checkpoint and resume.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== bench smoke =="
 # Sub-warehouse sizes only: the 65536-node entry runs (gated) in the
 # bench-regression step right below; repeating it here would double its

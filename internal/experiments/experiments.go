@@ -273,8 +273,8 @@ func runSweep(workers, n int, run func(i int) error) error {
 // workloads statically deployed as services (§V-B), a few batch jobs per
 // day, and a PV array sized so sunny days recharge the bank while rainy
 // days force battery cycling.
-func prototypeSim(cfg Config, spec core.PolicySpec) (*sim.Simulator, error) {
-	return prototypeSimWithScale(cfg, spec, 1.5)
+func prototypeSim(cfg Config, spec core.PolicySpec, tweaks ...func(*sim.Config)) (*sim.Simulator, error) {
+	return prototypeSimWithScale(cfg, spec, 1.5, tweaks...)
 }
 
 // tightScale is the PV sizing for single-day measurements: close to the
@@ -282,8 +282,9 @@ func prototypeSim(cfg Config, spec core.PolicySpec) (*sim.Simulator, error) {
 const tightScale = 1.3
 
 // prototypeSimWithScale builds the prototype fleet with an explicit PV
-// array scale.
-func prototypeSimWithScale(cfg Config, spec core.PolicySpec, scale float64) (*sim.Simulator, error) {
+// array scale. Tweaks adjust the finished engine config, in order, for the
+// harnesses whose scenario differs from the prototype's operating day.
+func prototypeSimWithScale(cfg Config, spec core.PolicySpec, scale float64, tweaks ...func(*sim.Config)) (*sim.Simulator, error) {
 	scfg := sim.DefaultConfig()
 	scfg.Policy = spec
 	scfg.Seed = cfg.Seed
@@ -305,6 +306,9 @@ func prototypeSimWithScale(cfg Config, spec core.PolicySpec, scale float64) (*si
 	scfg.Telemetry = cfg.Telemetry
 	scfg.Workers = cfg.simWorkers()
 	scfg.Faults = cfg.Faults
+	for _, tweak := range tweaks {
+		tweak(&scfg)
+	}
 	return sim.New(scfg)
 }
 

@@ -60,6 +60,9 @@ const (
 	// ExpMixedFleet draws the mixed-chemistry fleet experiment's weather
 	// sequence (shared across policies, §VI-B's matched-scenario method).
 	ExpMixedFleet = "experiments/mixed-fleet-weather"
+	// ExpDemandResponse draws the demand-response experiment's weather
+	// sequence (shared by the reference and every discharge floor).
+	ExpDemandResponse = "experiments/demand-response-weather"
 	// SignalForecast drives the solar forecaster's noise draws
 	// (internal/signal). The forecaster owns its substream so that adding
 	// or querying forecasts never perturbs the weather, jobs, or policy

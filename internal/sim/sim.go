@@ -265,6 +265,11 @@ type DayStats struct {
 	LowSoCTime time.Duration
 	// SolarEnergy is fleet solar consumption for the day.
 	SolarEnergy units.WattHour
+	// UtilityEnergy is fleet utility (grid-backup) draw for the day, and
+	// UtilityCost what it cost at the policy context's tariff. Both stay
+	// zero — and out of the JSON — unless Node.UtilityBackup is set.
+	UtilityEnergy units.WattHour `json:",omitempty"`
+	UtilityCost   float64        `json:",omitempty"`
 }
 
 // NodeSummary is the end-of-run state of one node.
@@ -865,11 +870,23 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 	startSolar := s.daySolar
 	lowSoC := s.dayLow
 	clear(lowSoC)
+	// Utility metering: the fleet's utility energy is sampled at the start
+	// of the day, wherever the tariff price changes, and at the end, so each
+	// segment between samples is priced at one rate. Fleets without utility
+	// backup draw none, and skip the per-tick price check entirely.
+	meter := s.cfg.Node.UtilityBackup
+	tariff := s.pctx.Signals.Price
+	var utilStart, utilMark, utilEnd units.WattHour
+	var utilPrice float64
 	for i, n := range s.nodes {
 		st := n.Stats()
 		startThroughput[i] = st.Throughput
 		startDowntime[i] = st.Downtime
 		startSolar[i] = st.SolarEnergy
+		utilStart += st.UtilityEnergy
+	}
+	if meter {
+		utilMark, utilPrice = utilStart, tariff.PriceAt(0)
 	}
 
 	if err := s.submitJobs(); err != nil {
@@ -878,6 +895,13 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 
 	var sinceControl time.Duration
 	for tod := time.Duration(0); tod < 24*time.Hour; tod += s.cfg.Tick {
+		if meter {
+			if p := tariff.PriceAt(tod); p != utilPrice {
+				u := s.fleetUtilityEnergy()
+				ds.UtilityCost += float64(u-utilMark) / 1000 * utilPrice
+				utilMark, utilPrice = u, p
+			}
+		}
 		inWindow := tod >= s.cfg.WindowStart && tod < s.cfg.WindowEnd
 		power := day.PowerAt(tod)
 		if s.inj != nil {
@@ -967,9 +991,23 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 			ds.LowSoCTime = lowSoC[i]
 		}
 		ds.SolarEnergy += st.SolarEnergy - startSolar[i]
+		utilEnd += st.UtilityEnergy
+	}
+	if meter {
+		ds.UtilityEnergy = utilEnd - utilStart
+		ds.UtilityCost += float64(utilEnd-utilMark) / 1000 * utilPrice
 	}
 	s.history = append(s.history, ds)
 	return ds, nil
+}
+
+// fleetUtilityEnergy sums the fleet's lifetime utility draw in node order,
+// so the total is the same at any worker count or shard size.
+func (s *Simulator) fleetUtilityEnergy() (total units.WattHour) {
+	for _, n := range s.nodes {
+		total += n.Stats().UtilityEnergy
+	}
+	return total
 }
 
 // History returns the per-day stats of every day this simulator has ever
