@@ -2,15 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
-	"github.com/green-dc/baat/internal/rack"
+	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/rng"
-	"github.com/green-dc/baat/internal/solar"
-	"github.com/green-dc/baat/internal/units"
-	"github.com/green-dc/baat/internal/vm"
-	"github.com/green-dc/baat/internal/workload"
+	"github.com/green-dc/baat/internal/sim"
 )
 
 // AblationFloor isolates the protective-discharge-floor mechanism: full
@@ -128,11 +126,38 @@ func AblationMigration(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// rackServers is how many servers share one pooled battery in the
+// per-rack arm of ArchitectureComparison: the prototype's six servers
+// become two racks, and each pool holds six of the twelve 35 Ah units.
+const rackServers = 3
+
+// asRacks turns each engine node into a rack of rackServers servers on one
+// pooled battery. Server power is linear in hosted utilization
+// (Idle + (Peak−Idle)·util·f³), so a node with k times the idle draw, the
+// same dynamic range and k times the CPU capacity draws exactly what k
+// powered servers do. The pool is k nodes' packs in parallel on whatever
+// tier the node template runs, and it averages away the independent
+// manufacturing variation of its k packs.
+func asRacks(c *sim.Config) {
+	const k = rackServers
+	c.Nodes /= k
+	c.Node.BatterySpec = battery.Parallel(c.Node.BatterySpec, k)
+	s := &c.Node.ServerSpec
+	dynamic := s.PeakPower - s.IdlePower
+	s.IdlePower *= k
+	s.PeakPower = s.IdlePower + dynamic
+	s.CPUCapacity *= k
+	c.ManufacturingSigma /= math.Sqrt(k)
+}
+
 // ArchitectureComparison contrasts the two distributed energy-storage
 // architectures of Fig 7 under identical capacity, weather, and load:
 // per-server batteries (two 35 Ah units per server, the Google style) vs
 // per-rack pools (three servers sharing six units, the Open Rack style),
 // both used aggressively (no aging management), over a multi-day window.
+// Both arms are the same engine run; the per-rack arm only reshapes the
+// fleet with asRacks, so a rack goes dark as a unit when its pool cannot
+// carry it.
 func ArchitectureComparison(cfg Config) (*Table, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -150,27 +175,22 @@ func ArchitectureComparison(cfg Config) (*Table, error) {
 		Values:  map[string]float64{},
 	}
 
-	// The two architectures are independent runs; slot 0 is per-server,
-	// slot 1 the per-rack pools.
+	// The two architectures are independent runs of the same prototype;
+	// slot 0 is per-server, slot 1 the per-rack pools.
+	arches := []struct {
+		name, key string
+		tweaks    []func(*sim.Config)
+	}{
+		{"per-server (6 × 2 units)", "server", nil},
+		{"per-rack (2 × 6-unit pool)", "rack", []func(*sim.Config){asRacks}},
+	}
 	type arch struct {
 		thr, worst, spread float64
 		down               time.Duration
 	}
-	cells := make([]arch, 2)
-	if err := runSweep(cfg.sweepWorkers(), 2, func(i int) error {
-		if i == 1 {
-			// Per-rack: two racks of three servers, each sharing a six-unit
-			// pool — the same twelve units total — driven through the same
-			// weather.
-			thr, worst, spread, down, err := runRacks(cfg, seq)
-			if err != nil {
-				return err
-			}
-			cells[1] = arch{thr, worst, spread, down}
-			return nil
-		}
-		// Per-server: the standard simulated prototype under e-Buff.
-		s, err := prototypeSimWithScale(cfg, specEBuff, tightScale)
+	cells := make([]arch, len(arches))
+	if err := runSweep(cfg.sweepWorkers(), len(arches), func(i int) error {
+		s, err := prototypeSimWithScale(cfg, specEBuff, tightScale, arches[i].tweaks...)
 		if err != nil {
 			return err
 		}
@@ -191,126 +211,31 @@ func ArchitectureComparison(cfg Config) (*Table, error) {
 				worstDown = n.Downtime
 			}
 		}
-		cells[0] = arch{res.Throughput, worst, best - worst, worstDown}
+		cells[i] = arch{res.Throughput, worst, best - worst, worstDown}
 		return nil
 	}); err != nil {
 		return nil, err
 	}
 
-	server := cells[0]
-	t.Rows = append(t.Rows, []string{
-		"per-server (6 × 2 units)",
-		fmt.Sprintf("%.1f", server.thr),
-		f3(server.worst), f3(server.spread), server.down.Round(time.Minute).String(),
-	})
-	t.Values["server_throughput"] = server.thr
-	t.Values["server_worst_health"] = server.worst
-	t.Values["server_spread"] = server.spread
-
-	rackThr, rackWorst, rackSpread, rackDown := cells[1].thr, cells[1].worst, cells[1].spread, cells[1].down
-	t.Rows = append(t.Rows, []string{
-		"per-rack (2 × 6-unit pool)",
-		fmt.Sprintf("%.1f", rackThr),
-		f3(rackWorst), f3(rackSpread), rackDown.Round(time.Minute).String(),
-	})
-	t.Values["rack_throughput"] = rackThr
-	t.Values["rack_worst_health"] = rackWorst
-	t.Values["rack_spread"] = rackSpread
+	for i, a := range arches {
+		c := cells[i]
+		t.Rows = append(t.Rows, []string{
+			a.name,
+			fmt.Sprintf("%.1f", c.thr),
+			f3(c.worst), f3(c.spread), c.down.Round(time.Minute).String(),
+		})
+		t.Values[a.key+"_throughput"] = c.thr
+		t.Values[a.key+"_worst_health"] = c.worst
+		t.Values[a.key+"_spread"] = c.spread
+		t.Values[a.key+"_downtime_hours"] = c.down.Hours()
+	}
 
 	t.Notes = append(t.Notes,
-		"pooling smooths unit-to-unit aging variation (smaller spread) but couples",
-		"failure domains: a deep pool event sheds several servers at once (§II-A)")
+		"a rack is one engine node: three servers on one bus sharing a six-unit pool;",
+		"the pool averages its packs' variation and its servers' loads (smaller spread)",
+		"but couples failure domains: when it cannot carry the rack, all three servers",
+		"go dark at once (§II-A); stratification and water loss are booked per absolute",
+		"Ah, not per unit of capacity, so a pool three node-packs deep takes three times",
+		"a node's fade from them — that model term, not pooling, lowers its worst health")
 	return t, nil
-}
-
-// runRacks drives two shared-pool racks through the weather sequence with a
-// simple aggressive (e-Buff-like) allocator mirroring the node simulator's
-// operating window.
-func runRacks(cfg Config, seq []solar.Weather) (thr, worstHealth, spread float64, worstDown time.Duration, err error) {
-	rcfg := rack.DefaultConfig()
-	rcfg.AgingConfig.AccelFactor = cfg.Accel
-	racks := make([]*rack.Rack, 2)
-	for i := range racks {
-		racks[i], err = rack.New(fmt.Sprintf("rack-%d", i), rcfg)
-		if err != nil {
-			return 0, 0, 0, 0, err
-		}
-	}
-	// The six prototype services, one per server across the racks.
-	services := workload.PrototypeServices()
-	for i, p := range services {
-		v, verr := vm.New(fmt.Sprintf("svc-%d", i), p)
-		if verr != nil {
-			return 0, 0, 0, 0, verr
-		}
-		if aerr := racks[i/3].Servers()[i%3].Attach(v); aerr != nil {
-			return 0, 0, 0, 0, aerr
-		}
-	}
-
-	scfg := solar.DefaultConfig()
-	scfg.Scale = tightScale
-	wx := rng.New(cfg.Seed, rng.ExpRacks)
-	const (
-		tick        = time.Minute
-		windowStart = 8*time.Hour + 30*time.Minute
-		windowEnd   = 18*time.Hour + 30*time.Minute
-	)
-	for _, w := range seq {
-		day, derr := solar.NewDay(w, scfg, wx.Rand)
-		if derr != nil {
-			return 0, 0, 0, 0, derr
-		}
-		for tod := time.Duration(0); tod < 24*time.Hour; tod += tick {
-			power := float64(day.PowerAt(tod))
-			inWindow := tod >= windowStart && tod < windowEnd
-			if !inWindow {
-				// Overnight: servers are off by schedule; split any
-				// generation between the pools.
-				for _, r := range racks {
-					grant := max(0, min(power, float64(r.ChargeRequest())))
-					if _, serr := r.StepOffline(tick, units.Watt(grant)); serr != nil {
-						return 0, 0, 0, 0, serr
-					}
-					power -= grant
-				}
-				continue
-			}
-			// Loads first, proportional to demand; surplus charges pools.
-			demands := [2]float64{}
-			var total float64
-			for i, r := range racks {
-				demands[i] = float64(r.Demand()) / rcfg.Losses.SolarDirectEfficiency
-				total += demands[i]
-			}
-			scale := 1.0
-			if total > power && total > 0 {
-				scale = power / total
-			}
-			surplus := max(0, power-total*scale)
-			for i, r := range racks {
-				charge := max(0, min(surplus/2, float64(r.ChargeRequest())))
-				if _, serr := r.Step(tick, units.Watt(demands[i]*scale), units.Watt(charge)); serr != nil {
-					return 0, 0, 0, 0, serr
-				}
-			}
-		}
-	}
-
-	worstHealth = 1
-	best := 0.0
-	for _, r := range racks {
-		st := r.Stats()
-		thr += st.Throughput
-		if st.Health < worstHealth {
-			worstHealth = st.Health
-		}
-		if st.Health > best {
-			best = st.Health
-		}
-		if st.WorstServerDowntime > worstDown {
-			worstDown = st.WorstServerDowntime
-		}
-	}
-	return thr, worstHealth, best - worstHealth, worstDown, nil
 }

@@ -1,6 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"math"
+	"testing"
+	"time"
+
+	"github.com/green-dc/baat/internal/server"
+	"github.com/green-dc/baat/internal/sim"
+	"github.com/green-dc/baat/internal/vm"
+	"github.com/green-dc/baat/internal/workload"
+)
 
 func TestAblationFloorShape(t *testing.T) {
 	tab, err := AblationFloor(quickCfg())
@@ -37,6 +47,96 @@ func TestArchitectureComparisonShape(t *testing.T) {
 	// Both architectures must actually do work.
 	if tab.Values["rack_throughput"] <= 0 || tab.Values["server_throughput"] <= 0 {
 		t.Errorf("throughput missing: %v", tab.Values)
+	}
+}
+
+func TestArchitectureComparisonSameWork(t *testing.T) {
+	// Both arms host the same services and jobs under the same weather on
+	// the same engine; only the battery topology differs. With no downtime
+	// in either arm, they must complete the same work.
+	compared := 0
+	for _, seed := range []int64{1, 2, 3, 42} {
+		cfg := quickCfg()
+		cfg.Seed = seed
+		tab, err := ArchitectureComparison(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := tab.Values
+		if v["server_downtime_hours"] != 0 || v["rack_downtime_hours"] != 0 {
+			continue
+		}
+		compared++
+		server, rack := v["server_throughput"], v["rack_throughput"]
+		if rel := math.Abs(rack-server) / server; rel > 1e-9 {
+			t.Errorf("seed %d: rack throughput %v vs per-server %v (relative difference %.3g) with no downtime in either arm",
+				seed, rack, server, rel)
+		}
+	}
+	if compared == 0 {
+		t.Fatal("every seed had downtime; no downtime-free run to compare")
+	}
+}
+
+func TestAsRacksDrawsLikeItsServers(t *testing.T) {
+	// A rack node hosting its k servers' VMs draws exactly what the k
+	// powered servers draw, at every DVFS level and through the services'
+	// phase patterns, and its pool is k node packs.
+	base := sim.DefaultConfig()
+	rackCfg := base
+	asRacks(&rackCfg)
+	if rackCfg.Nodes*rackServers != base.Nodes {
+		t.Fatalf("%d racks of %d servers, want %d servers", rackCfg.Nodes, rackServers, base.Nodes)
+	}
+	if got, want := rackCfg.Node.BatterySpec.NominalCapacity, base.Node.BatterySpec.NominalCapacity*rackServers; math.Abs(float64(got-want)) > 1e-9 {
+		t.Errorf("pool capacity %v, want %v", got, want)
+	}
+	if err := rackCfg.Validate(); err != nil {
+		t.Fatalf("rack config invalid: %v", err)
+	}
+
+	rackSrv, err := server.New("rack", rackCfg.Node.ServerSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := make([]*server.Server, rackServers)
+	services := workload.PrototypeServices()
+	for i := range servers {
+		if servers[i], err = server.New(fmt.Sprintf("server-%d", i), base.Node.ServerSpec); err != nil {
+			t.Fatal(err)
+		}
+		for _, host := range []*server.Server{servers[i], rackSrv} {
+			v, err := vm.New(fmt.Sprintf("%s/svc-%d", host.ID(), i), services[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := host.Attach(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	all := append([]*server.Server{rackSrv}, servers...)
+	for _, s := range all {
+		s.SetPowered(true)
+	}
+	for tick := 0; tick < 8*60; tick += 37 {
+		for idx := 0; idx <= rackSrv.TopFrequencyIndex(); idx++ {
+			var sum float64
+			for _, s := range all {
+				if err := s.SetFrequencyIndex(idx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, s := range servers {
+				sum += float64(s.Power())
+			}
+			if got := float64(rackSrv.Power()); math.Abs(got-sum) > 1e-9*sum {
+				t.Fatalf("minute %d, DVFS level %d: rack draws %v W, its servers %v W", tick, idx, got, sum)
+			}
+		}
+		for _, s := range all {
+			s.Step(37 * time.Minute)
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/green-dc/baat/internal/battery"
 )
 
 // quickCfg runs experiments in reduced form; the full-fidelity checks live
@@ -141,6 +143,41 @@ func TestLifetimeVsSunshineShape(t *testing.T) {
 	// And the full scheme beats its ablations.
 	if tab.Values["baat_gain_avg"] < tab.Values["baat_s_gain_avg"] {
 		t.Errorf("BAAT gain %v below BAAT-s %v", tab.Values["baat_gain_avg"], tab.Values["baat_s_gain_avg"])
+	}
+}
+
+// renderQuick runs experiment id in quick mode on the given battery tier.
+func renderQuick(t *testing.T, id string, model battery.Kind) string {
+	t.Helper()
+	runner, err := Lookup(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := quickCfg()
+	cfg.BatteryModel = model
+	tab, err := runner(cfg)
+	if err != nil {
+		t.Fatalf("%s on %s: %v", id, model, err)
+	}
+	return tab.Render()
+}
+
+func TestBatteryModelReachesEveryHarness(t *testing.T) {
+	// The planned-aging window (fig21) and the lifetime search
+	// (ablation-floor) build their simulators the same way every harness
+	// does, so the selected tier must show in their tables.
+	for _, id := range []string{"fig21", "ablation-floor"} {
+		if renderQuick(t, id, battery.KindLeadAcid) == renderQuick(t, id, battery.KindLinear) {
+			t.Errorf("%s renders identically on the lead-acid and linear tiers", id)
+		}
+	}
+}
+
+func TestLifetimeVsRatioEveryTier(t *testing.T) {
+	// Fig 15 resizes the node's own bank, so every tier keeps its
+	// chemistry through the resize and passes node validation.
+	for _, k := range battery.Kinds() {
+		renderQuick(t, "fig15", k)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"github.com/green-dc/baat/internal/rng"
 	"github.com/green-dc/baat/internal/sim"
 	"github.com/green-dc/baat/internal/solar"
-	"github.com/green-dc/baat/internal/workload"
 )
 
 // fidelityCell is one tier's summary over one scenario replay.
@@ -180,21 +179,12 @@ func MixedFleet(cfg Config) (*Table, error) {
 	}
 	cells := make([]cell, len(table4))
 	if err := runSweep(cfg.sweepWorkers(), len(table4), func(i int) error {
-		scfg := sim.DefaultConfig()
-		scfg.Policy = table4[i]
-		scfg.Seed = cfg.Seed
-		scfg.Node.AgingConfig.AccelFactor = cfg.Accel
-		scfg.Services = workload.PrototypeServices()
-		scfg.JobsPerDay = 2
-		scfg.Solar.Scale = 1.5
-		scfg.Telemetry = cfg.Telemetry
-		scfg.Workers = cfg.simWorkers()
-		scfg.Faults = cfg.Faults
-		scfg.BatteryFleet = []sim.BatteryShare{
-			{Model: battery.KindLeadAcid, Fraction: 0.5},
-			{Model: battery.KindLFP, Fraction: 0.5},
-		}
-		s, err := sim.New(scfg)
+		s, err := prototypeSim(cfg, table4[i], func(c *sim.Config) {
+			c.BatteryFleet = []sim.BatteryShare{
+				{Model: battery.KindLeadAcid, Fraction: 0.5},
+				{Model: battery.KindLFP, Fraction: 0.5},
+			}
+		})
 		if err != nil {
 			return err
 		}

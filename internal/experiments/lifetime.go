@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/sim"
 	"github.com/green-dc/baat/internal/solar"
 	"github.com/green-dc/baat/internal/units"
-	"github.com/green-dc/baat/internal/workload"
 )
 
 // lifetimeMaxDays bounds end-of-life searches (compressed days).
@@ -34,20 +32,11 @@ func fleetLifetime(cfg Config, spec core.PolicySpec, frac float64,
 	var lifeSum time.Duration
 	var thrSum float64
 	for rep := 0; rep < replicas; rep++ {
-		scfg := sim.DefaultConfig()
-		scfg.Policy = spec
-		scfg.Seed = cfg.Seed + int64(rep)*101
-		scfg.Node.AgingConfig.AccelFactor = cfg.Accel
-		scfg.Services = workload.PrototypeServices()
-		scfg.JobsPerDay = 2
-		scfg.Solar.Scale = 1.5
-		scfg.Telemetry = cfg.Telemetry
-		scfg.Workers = cfg.simWorkers()
-		scfg.Faults = cfg.Faults
+		tweaks := []func(*sim.Config){func(c *sim.Config) { c.Seed = cfg.Seed + int64(rep)*101 }}
 		if mutate != nil {
-			mutate(&scfg)
+			tweaks = append(tweaks, mutate)
 		}
-		s, err := sim.New(scfg)
+		s, err := prototypeSim(cfg, spec, tweaks...)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -141,10 +130,12 @@ func avg(xs []float64) float64 {
 
 // scaleBatteryForRatio resizes the per-node battery bank so that the
 // server-to-battery capacity ratio (peak server W per battery Ah) equals r.
+// It scales the node's own spec, so the bank stays on the tier the node
+// template runs.
 func scaleBatteryForRatio(nc *sim.Config, r float64) {
 	peak := float64(nc.Node.ServerSpec.PeakPower)
 	targetAh := peak / r
-	base := battery.DefaultSpec() // single 35 Ah unit
+	base := nc.Node.BatterySpec
 	factor := targetAh / float64(base.NominalCapacity)
 	spec := base
 	spec.NominalCapacity = units.AmpereHour(float64(base.NominalCapacity) * factor)

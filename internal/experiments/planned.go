@@ -6,8 +6,6 @@ import (
 
 	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/rng"
-	"github.com/green-dc/baat/internal/sim"
-	"github.com/green-dc/baat/internal/workload"
 )
 
 // plannedScale is the PV sizing for the planned-aging experiments: tight
@@ -31,17 +29,7 @@ func plannedWindowDays(cfg Config) int {
 // runWindowThroughput measures total throughput and worst-node health over
 // a fixed multi-day window at sunshine fraction 0.5.
 func runWindowThroughput(cfg Config, spec core.PolicySpec) (thr float64, minHealth float64, err error) {
-	scfg := sim.DefaultConfig()
-	scfg.Policy = spec
-	scfg.Seed = cfg.Seed
-	scfg.Node.AgingConfig.AccelFactor = cfg.Accel
-	scfg.Services = workload.PrototypeServices()
-	scfg.JobsPerDay = 2
-	scfg.Solar.Scale = plannedScale
-	scfg.Telemetry = cfg.Telemetry
-	scfg.Workers = cfg.simWorkers()
-	scfg.Faults = cfg.Faults
-	s, err := sim.New(scfg)
+	s, err := prototypeSimWithScale(cfg, spec, plannedScale)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -325,6 +325,28 @@ func TestAgingFeedsBackToPack(t *testing.T) {
 	}
 }
 
+func TestIdleNodeScheduledOff(t *testing.T) {
+	// A node hosting no work draws nothing and is scheduled off: its
+	// server stays unpowered without accruing downtime.
+	n := newNode(t)
+	if d := n.Demand(); d != 0 {
+		t.Errorf("empty node demands %v", d)
+	}
+	res, err := n.Step(time.Minute, 1000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Demand != 0 || res.Down {
+		t.Errorf("empty node stepped with demand %v, down %v", res.Demand, res.Down)
+	}
+	if n.Server().Powered() {
+		t.Error("idle server left powered")
+	}
+	if n.Server().Downtime() != 0 {
+		t.Errorf("idle server accrued downtime %v", n.Server().Downtime())
+	}
+}
+
 func TestDemandRestoresPoweredState(t *testing.T) {
 	n := newNode(t)
 	n.Server().SetPowered(false)

@@ -167,11 +167,10 @@ func (n *Node) Restore(st State) error {
 	if err := model.Restore(st.Model); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
-	table, err := powernet.NewPowerTable(n.cfg.TableCapacity)
-	if err != nil {
-		return fmt.Errorf("node %s: restore: %w", n.id, err)
-	}
-	if err := table.Restore(st.Table); err != nil {
+	// The table is restored in place, so it keeps its rows — on a fleet,
+	// its slots in the shared interleaved slab. Check it before the server,
+	// the one sub-restore that commits live.
+	if err := n.table.CheckRestore(st.Table); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
 	if err := n.srv.Restore(st.Server); err != nil {
@@ -181,7 +180,9 @@ func (n *Node) Restore(st State) error {
 	commitBatt()
 	*n.tracker = tracker
 	*n.model = model
-	n.table = table
+	if err := n.table.Restore(st.Table); err != nil {
+		return fmt.Errorf("node %s: restore: %w", n.id, err)
+	}
 
 	n.clock = st.Clock
 	n.socFloor = st.SoCFloor

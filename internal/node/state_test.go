@@ -48,8 +48,15 @@ func TestQuickNodeSnapshotRestoreIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Restore rebuilds the power table in place, so a node built over
+		// a fleet's row slab keeps recording into it.
+		table := n.PowerTable()
 		if err := n.Restore(want); err != nil {
 			t.Logf("seed %d: restore of own snapshot rejected: %v", seed, err)
+			return false
+		}
+		if n.PowerTable() != table {
+			t.Logf("seed %d: restore replaced the power table", seed)
 			return false
 		}
 		return reflect.DeepEqual(n.Snapshot(), want)
@@ -60,8 +67,11 @@ func TestQuickNodeSnapshotRestoreIdentity(t *testing.T) {
 }
 
 // TestQuickNodeRestoreRejectsCorrupt: a poisoned snapshot — wrong identity,
-// NaN, negative counters, inconsistent ticks, out-of-range sensor mode —
-// must fail loudly and leave the node byte-identical.
+// NaN, negative counters, inconsistent ticks, out-of-range sensor mode, an
+// inconsistent power table — must fail loudly and leave the node
+// byte-identical. The node drifts past the snapshot first, so a part
+// committed before a later part's check (the server, restored live) would
+// show.
 func TestQuickNodeRestoreRejectsCorrupt(t *testing.T) {
 	corruptions := []struct {
 		name string
@@ -80,18 +90,31 @@ func TestQuickNodeRestoreRejectsCorrupt(t *testing.T) {
 		{"nan pack soc", func(st *State) { st.Pack.SoC = math.NaN() }},
 		{"negative tracker ah", func(st *State) { st.Tracker.AhOut = -1 }},
 		{"nan model fade", func(st *State) { st.Model.CapFade = math.NaN() }},
+		{"table total below rows", func(st *State) { st.Table.Total = len(st.Table.Rows) - 1 }},
+		{"table last row mismatch", func(st *State) { st.Table.Last.SoC += 0.5 }},
 	}
-	prop := func(seed int64, which uint8) bool {
+	prop := func(seed int64) bool {
 		n := walkedNode(t, seed)
-		before := n.Snapshot()
-		c := corruptions[int(which)%len(corruptions)]
-		st := before
-		c.f(&st)
-		if err := n.Restore(st); err == nil {
-			t.Logf("seed %d: corrupt state (%s) accepted", seed, c.name)
-			return false
+		snap := n.Snapshot()
+		for i := 0; i < 25; i++ {
+			if _, err := n.Step(time.Minute, 0, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return reflect.DeepEqual(n.Snapshot(), before)
+		before := n.Snapshot()
+		for _, c := range corruptions {
+			st := snap
+			c.f(&st)
+			if err := n.Restore(st); err == nil {
+				t.Logf("seed %d: corrupt state (%s) accepted", seed, c.name)
+				return false
+			}
+			if !reflect.DeepEqual(n.Snapshot(), before) {
+				t.Logf("seed %d: rejected %s mutated the node", seed, c.name)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

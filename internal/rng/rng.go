@@ -51,9 +51,6 @@ const (
 	// ExpArchitecture draws the architecture-ablation weather sequence
 	// (formerly seed+13 in experiments).
 	ExpArchitecture = "experiments/architecture-weather"
-	// ExpRacks shapes solar days for the rack-level ablation run
-	// (formerly seed+13 in experiments, colliding with ExpArchitecture).
-	ExpRacks = "experiments/rack-weather"
 	// ExpFidelity draws the battery-model fidelity experiment's weather
 	// sequence (shared across tiers so every model replays the same days).
 	ExpFidelity = "experiments/fidelity-weather"

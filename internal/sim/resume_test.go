@@ -17,6 +17,7 @@ import (
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/faults"
+	"github.com/green-dc/baat/internal/powernet"
 )
 
 // resumeSplitDay is where the split runs checkpoint: halfway through the
@@ -122,6 +123,39 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeKeepsPowerTables: resume restores every node's power table in
+// place, so the fleet keeps recording into its interleaved row slab rather
+// than into a private ring per node.
+func TestResumeKeepsPowerTables(t *testing.T) {
+	weathers := goldenWeather()
+	first := goldenSim(t, nil)
+	for _, w := range weathers[:2] {
+		if _, err := first.RunDay(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := first.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	second := goldenSim(t, nil)
+	tables := make([]*powernet.PowerTable, len(second.Nodes()))
+	for i, n := range second.Nodes() {
+		tables[i] = n.PowerTable()
+	}
+	if err := second.ResumeFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range second.Nodes() {
+		if n.PowerTable() != tables[i] {
+			t.Errorf("node %d: resume replaced its power table", i)
+		}
+		if got, want := n.PowerTable().TotalRecorded(), first.Nodes()[i].PowerTable().TotalRecorded(); got != want {
+			t.Errorf("node %d: resumed table recorded %d rows, want %d", i, got, want)
+		}
 	}
 }
 

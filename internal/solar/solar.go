@@ -256,70 +256,6 @@ func (d *Day) Energy(step time.Duration) units.WattHour {
 // Peak returns the normalization peak power for the day.
 func (d *Day) Peak() units.Watt { return d.peak }
 
-// DerateState is one serialized derate window.
-type DerateState struct {
-	Start  time.Duration `json:"start"`
-	End    time.Duration `json:"end"`
-	Factor float64       `json:"factor"`
-}
-
-// DayState is the serializable state of a generated day: the drawn cloud
-// pattern, its normalization, and any derate windows layered on top. The
-// shaping Config is construction-time input, not state.
-type DayState struct {
-	Weather Weather       `json:"weather"`
-	Peak    units.Watt    `json:"peak"`
-	Pattern []float64     `json:"pattern"`
-	Derates []DerateState `json:"derates,omitempty"`
-}
-
-// Snapshot captures the day's state.
-func (d *Day) Snapshot() DayState {
-	st := DayState{
-		Weather: d.weather,
-		Peak:    d.peak,
-		Pattern: append([]float64(nil), d.pattern...),
-	}
-	for _, w := range d.derates {
-		st.Derates = append(st.Derates, DerateState{Start: w.start, End: w.end, Factor: w.factor})
-	}
-	return st
-}
-
-// Restore overwrites the day's state from a snapshot taken from a day
-// generated with the same Config. Invalid state is rejected wholesale.
-func (d *Day) Restore(st DayState) error {
-	if st.Weather != Sunny && st.Weather != Cloudy && st.Weather != Rainy {
-		return fmt.Errorf("solar: restore: unknown weather %v", st.Weather)
-	}
-	if math.IsNaN(float64(st.Peak)) || st.Peak < 0 {
-		return fmt.Errorf("solar: restore: peak must be finite and non-negative, got %v", st.Peak)
-	}
-	if len(st.Pattern) != d.cfg.Slots {
-		return fmt.Errorf("solar: restore: pattern has %d slots, config has %d", len(st.Pattern), d.cfg.Slots)
-	}
-	for i, p := range st.Pattern {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return fmt.Errorf("solar: restore: pattern[%d] must be in [0, 1], got %v", i, p)
-		}
-	}
-	derates := make([]derateWindow, 0, len(st.Derates))
-	for i, w := range st.Derates {
-		if w.Start < 0 || w.End > 24*time.Hour || w.End <= w.Start {
-			return fmt.Errorf("solar: restore: derate[%d] window invalid (%v, %v)", i, w.Start, w.End)
-		}
-		if math.IsNaN(w.Factor) || w.Factor < 0 || w.Factor > 1 {
-			return fmt.Errorf("solar: restore: derate[%d] factor must be in [0, 1], got %v", i, w.Factor)
-		}
-		derates = append(derates, derateWindow{start: w.Start, end: w.End, factor: w.Factor})
-	}
-	d.weather = st.Weather
-	d.peak = st.Peak
-	d.pattern = append(d.pattern[:0], st.Pattern...)
-	d.derates = derates
-	return nil
-}
-
 // Location models a deployment site by its sunshine fraction: the fraction
 // of daytime with recorded sunshine (§VI-C, [41]). It determines the mix of
 // sunny/cloudy/rainy days an experiment draws.

@@ -4,7 +4,11 @@
 #      document is one nobody will find);
 #   2. every intra-repo markdown link in README.md and docs/*.md resolves
 #      to an existing file or directory (anchors and external URLs are
-#      out of scope).
+#      out of scope);
+#   3. every internal/<pkg>, cmd/<name> and examples/<name> directory named
+#      in README.md, DESIGN.md or docs/*.md exists, so a deleted package
+#      cannot linger in the docs. ROADMAP.md, CHANGES.md and EXPERIMENTS.md
+#      narrate history and are not checked.
 # Usage: ./scripts/docs_check.sh  (from the repository root)
 set -eu
 
@@ -31,6 +35,16 @@ for md in README.md docs/*.md; do
         [ -n "$target" ] || continue
         if [ ! -e "$dir/$target" ]; then
             echo "docs-check: $md links to missing $link" >&2
+            fail=1
+        fi
+    done
+done
+
+for md in README.md DESIGN.md docs/*.md; do
+    dirs=$(grep -oE '(internal|cmd|examples)/[A-Za-z0-9_-]+' "$md" | sort -u) || true
+    for d in $dirs; do
+        if [ ! -d "$d" ]; then
+            echo "docs-check: $md names missing directory $d" >&2
             fail=1
         fi
     done
