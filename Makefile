@@ -52,9 +52,8 @@ conformance: ## shared battery-model contract across all tiers + chemistry fuzz 
 fuzz-smoke: ## short fuzz pass over the aging-metric tracker
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 
-chaos-smoke: ## cluster kill/restart chaos + degraded-mode scenarios under -race
-	$(GO) test -race -count=1 -run 'TestClusterChaos|TestFailPending|TestChaosReRegistration' ./internal/cluster/
-	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestDegradedModeScenarios' ./internal/sim/
+chaos-smoke: ## faulted golden trace, every fault kind, degraded-mode scenarios
+	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/
 
 checkpoint-smoke: ## checkpoint a baatsim run mid-flight, resume it, diff the reports
 	./scripts/checkpoint_smoke.sh
@@ -62,7 +61,7 @@ checkpoint-smoke: ## checkpoint a baatsim run mid-flight, resume it, diff the re
 serve-smoke: ## start the baatsim serve daemon, fork a run over the API, diff the results
 	./scripts/serve_smoke.sh
 
-docs-check: ## every docs/*.md linked from README; intra-repo doc links resolve
+docs-check: ## docs linked from README, links resolve, named dirs exist, telemetry catalogue documented
 	./scripts/docs_check.sh
 
 policy-registry-check: ## no core.Kind enum or policy-name dispatch outside internal/core

@@ -17,9 +17,8 @@
 //     slowdown control (Fig 9), and planned aging (Eq 7);
 //   - the simulated green-datacenter prototype of §V: solar supply, six
 //     workloads, VMs with migration, DVFS-capable servers, per-server
-//     battery nodes, and a discrete-time engine (Simulator);
-//   - a TCP control plane mirroring the prototype's controller/sensor
-//     architecture (Controller, Agent);
+//     battery nodes, and a discrete-time engine (Simulator) that runs the
+//     selected policy as the prototype's controller every control period;
 //   - an experiment harness regenerating every evaluation figure and table
 //     (Experiments, RunExperiment, RunAllExperiments).
 //

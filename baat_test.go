@@ -1,7 +1,6 @@
 package baat_test
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -131,43 +130,6 @@ func TestPublicExperimentRegistry(t *testing.T) {
 	}
 	if _, err := baat.RunExperiment("fig99", cfg); err == nil {
 		t.Error("unknown experiment accepted")
-	}
-}
-
-func TestPublicControlPlane(t *testing.T) {
-	ctrl, err := baat.ListenController(baat.DefaultControllerConfig("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ctrl.Close() }()
-
-	n, err := baat.NewNode("edge-1", baat.DefaultNodeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	handle, err := baat.NewLocalNode(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acfg := baat.DefaultAgentConfig(ctrl.Addr())
-	acfg.ReportInterval = 20 * time.Millisecond
-	agent, err := baat.StartAgent(acfg, handle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = agent.Close() }()
-
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) && len(ctrl.Snapshot()) == 0 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	snap := ctrl.Snapshot()
-	if len(snap) != 1 || snap[0].Report.NodeID != "edge-1" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	ack, err := ctrl.SendCommand(context.Background(), "edge-1", baat.NodeCommand{Action: baat.ActionPing})
-	if err != nil || !ack.OK {
-		t.Fatalf("ping: ack=%+v err=%v", ack, err)
 	}
 }
 

@@ -50,8 +50,7 @@ echo "== fuzz smoke =="
 go test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 
 echo "== chaos smoke =="
-go test -race -count=1 -run 'TestClusterChaos|TestFailPending|TestChaosReRegistration' ./internal/cluster/
-go test -count=1 -run 'TestGoldenTraceFaulted$|TestDegradedModeScenarios' ./internal/sim/
+go test -count=1 -run 'TestGoldenTraceFaulted$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/
 
 echo "== checkpoint smoke =="
 ./scripts/checkpoint_smoke.sh

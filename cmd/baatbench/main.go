@@ -45,7 +45,7 @@ func run() error {
 		list     = flag.Bool("list", false, "list experiment IDs and exit")
 		telAddr  = flag.String("telemetry-addr", "", "serve /metrics, /events, and /debug/pprof on this address while experiments run (empty = off)")
 		faults   = flag.String("faults", "none", "fault-injection profile applied to every simulator: "+strings.Join(baat.FaultProfileNames(), " | "))
-		faultsSd = flag.Int64("faults-seed", 0, "fault injector seed (0 derives the simulation seed+4)")
+		faultsSd = flag.Int64("faults-seed", 0, "fault injector seed (0 derives from the simulation seed via the named fault substream)")
 		battery  = flag.String("battery-model", "leadacid", "battery model tier for every harness-built simulator: leadacid | linear | lfp")
 		policy   = flag.String("policy", "", "treatment policy spec for the BAAT-treatment harnesses: name[,key=value...] (empty = the paper's full BAAT; see 'baatsim policies')")
 

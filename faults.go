@@ -5,7 +5,8 @@ import (
 )
 
 // FaultsConfig configures the deterministic fault injector: a seed (zero
-// derives the simulation seed + 4) and a list of fault rules. Assign it to
+// inherits the simulation seed; the injector draws from its own named
+// substream of it) and a list of fault rules. Assign it to
 // SimConfig.Faults or ExperimentConfig.Faults; an empty config injects
 // nothing.
 type FaultsConfig = faults.Config
@@ -19,7 +20,7 @@ type FaultKind = faults.Kind
 
 // The injectable fault kinds: sensor-chain corruption (the controller's
 // view goes bad, the physics stay truthful), battery degradation shocks,
-// power-supply disturbances, and cluster agent disconnects.
+// and power-supply disturbances.
 const (
 	// SensorStuck repeats the last delivered reading.
 	SensorStuck = faults.SensorStuck
@@ -39,9 +40,6 @@ const (
 	PVDropout = faults.PVDropout
 	// UtilityBrownout gates the utility-backup path for a window.
 	UtilityBrownout = faults.UtilityBrownout
-	// AgentDisconnect marks cluster-agent down windows (consumed by chaos
-	// harnesses; the simulation engine ignores it).
-	AgentDisconnect = faults.AgentDisconnect
 )
 
 // FaultProfile returns a named preset fault schedule ("none", "sensor",

@@ -180,8 +180,7 @@ func (d Degradation) Health() float64 {
 const EndOfLifeHealth = 0.8
 
 // Pack is a single battery unit with live electrical state. Pack is not safe
-// for concurrent use; in the simulator each node owns its pack, and the
-// cluster control plane serializes access.
+// for concurrent use; in the simulator each node owns its pack.
 type Pack struct {
 	spec Spec
 

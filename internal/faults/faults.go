@@ -16,9 +16,7 @@
 //     resistance, or premature end-of-life, injected into the aging model
 //     as irreversible damage;
 //   - power faults starve the supply side: PV dropout/derating windows and
-//     utility brownouts that disable the grid-backup path;
-//   - cluster faults (agent disconnect windows) drive the control-plane
-//     chaos tests, exercising reconnect/backoff under a fixed schedule.
+//     utility brownouts that disable the grid-backup path.
 //
 // Rules are either scheduled (Day/At/Duration pin an absolute window on the
 // simulation clock) or probabilistic (a per-tick trigger probability with a
@@ -66,11 +64,6 @@ const (
 	// UtilityBrownout disables the utility-backup path on the targeted
 	// nodes while active (only observable with node.Config.UtilityBackup).
 	UtilityBrownout Kind = "utility_brownout"
-
-	// AgentDisconnect marks the targeted cluster agent down while active.
-	// The simulation engine ignores it; the cluster chaos harness reads it
-	// to decide which agent connections to sever each synthetic tick.
-	AgentDisconnect Kind = "agent_disconnect"
 )
 
 // kindInfo classifies kinds for validation and dispatch.
@@ -88,7 +81,6 @@ var kindInfo = map[Kind]struct {
 	BatteryPrematureEOL:     {oneShot: true, defMag: 0.75},
 	PVDropout:               {fleetWide: true, defMag: 1.0},
 	UtilityBrownout:         {defMag: 0},
-	AgentDisconnect:         {defMag: 0},
 }
 
 // Kinds lists every fault kind in a stable order.
@@ -96,7 +88,7 @@ func Kinds() []Kind {
 	return []Kind{
 		SensorStuck, SensorNaN, SensorNoise, SensorDrop,
 		BatteryCapacityLoss, BatteryResistanceGrowth, BatteryPrematureEOL,
-		PVDropout, UtilityBrownout, AgentDisconnect,
+		PVDropout, UtilityBrownout,
 	}
 }
 
@@ -271,9 +263,6 @@ type NodeFault struct {
 	TargetHealth float64
 	// UtilityDown disables the node's grid-backup path this tick.
 	UtilityDown bool
-	// AgentDown marks the node's cluster agent severed this tick (consumed
-	// by the chaos harness, ignored by the simulation engine).
-	AgentDown bool
 }
 
 // Injected records one fault activation for telemetry.

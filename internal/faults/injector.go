@@ -218,8 +218,6 @@ func (inj *Injector) applyWindow(k Kind, mag float64, node int) {
 			}
 		case UtilityBrownout:
 			nf.UtilityDown = true
-		case AgentDisconnect:
-			nf.AgentDown = true
 		}
 	}
 	if node >= 0 {

@@ -45,9 +45,7 @@ func chaosRules() []Rule {
 	var rules []Rule
 	rules = append(rules, sensorRules()...)
 	rules = append(rules, batteryRules()...)
-	rules = append(rules, powerRules()...)
-	return append(rules,
-		Rule{Kind: AgentDisconnect, Node: -1, Probability: 0.01, Duration: 5 * time.Minute})
+	return append(rules, powerRules()...)
 }
 
 // profiles are the named fault plans the -faults flag on baatsim/baatbench

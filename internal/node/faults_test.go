@@ -39,9 +39,9 @@ func TestNaNSensorQuarantinesImmediately(t *testing.T) {
 	if !n.MetricsSuspect() {
 		t.Error("node not quarantined after a rejected sample")
 	}
-	// The power table must never hold a NaN row (it is JSON-marshaled by
-	// the cluster snapshot path); the rejected tick records a sanitized
-	// bad-quality row instead.
+	// The power table must never hold a NaN row (it is JSON-marshaled into
+	// checkpoints); the rejected tick records a sanitized bad-quality row
+	// instead.
 	last, ok := n.PowerTable().Last()
 	if !ok {
 		t.Fatal("no power table row recorded")

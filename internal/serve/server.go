@@ -37,6 +37,12 @@ const shutdownGrace = 10 * time.Second
 // are small documents.
 const maxBodyBytes = 1 << 20
 
+// readHeaderTimeout bounds how long a connection may take to deliver its
+// request header, so a client that never finishes one cannot pin a socket
+// and a goroutine forever. There is deliberately no write timeout: SSE
+// streams stay open for the life of a run.
+const readHeaderTimeout = 5 * time.Second
+
 // Server is the simulation service: a run registry plus the HTTP mux that
 // drives it. Zero or one listener: tests mount Handler() under httptest,
 // the daemon calls Start.
@@ -84,7 +90,7 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.mu.Lock()
 	s.httpSrv = srv
 	s.mu.Unlock()

@@ -56,9 +56,7 @@ func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
 	return r.reg.Histogram(name, bounds)
 }
 
-// Emit records one structured event. at is the emitting component's clock:
-// simulated time from the engine, elapsed wall time from the cluster
-// control plane.
+// Emit records one structured event at simulated time at.
 func (r *Recorder) Emit(at time.Duration, typ EventType, node, detail string) {
 	if r == nil {
 		return

@@ -26,9 +26,6 @@ const (
 	// EventBatteryEOL marks a battery crossing the 80 % health line
 	// (§II-B end-of-life).
 	EventBatteryEOL EventType = "battery_eol"
-	// EventReconnect is a cluster agent re-establishing its controller
-	// session after a transport failure.
-	EventReconnect EventType = "agent_reconnect"
 	// EventFaultInjected is one fault activation delivered by the
 	// deterministic injector (docs/FAULTS.md).
 	EventFaultInjected EventType = "fault_injected"
@@ -46,10 +43,7 @@ type Event struct {
 	// Seq is the global append sequence number (monotonic, never reused),
 	// so a reader can detect ring overwrites between dumps.
 	Seq uint64 `json:"seq"`
-	// At is the recording component's clock at the event: simulated time
-	// for simulation-side events, elapsed wall time for cluster-side
-	// events (the control plane runs in real time). Encoded in
-	// nanoseconds.
+	// At is the simulated time of the event, encoded in nanoseconds.
 	At time.Duration `json:"at_ns"`
 	// Type is the event type.
 	Type EventType `json:"type"`

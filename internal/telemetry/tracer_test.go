@@ -63,7 +63,7 @@ func TestTracerConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Record(Event{Type: EventReconnect})
+				tr.Record(Event{Type: EventMigration})
 				_ = tr.Events()
 			}
 		}()

@@ -8,7 +8,11 @@
 #   3. every internal/<pkg>, cmd/<name> and examples/<name> directory named
 #      in README.md, DESIGN.md or docs/*.md exists, so a deleted package
 #      cannot linger in the docs. ROADMAP.md, CHANGES.md and EXPERIMENTS.md
-#      narrate history and are not checked.
+#      narrate history and are not checked;
+#   4. docs/OBSERVABILITY.md and the telemetry catalogue agree both ways:
+#      every canonical metric in internal/telemetry/names.go and every
+#      event type in internal/telemetry/tracer.go is documented there, and
+#      every baat_* metric the document names exists in names.go.
 # Usage: ./scripts/docs_check.sh  (from the repository root)
 set -eu
 
@@ -48,6 +52,22 @@ for md in README.md DESIGN.md docs/*.md; do
             fail=1
         fi
     done
+done
+
+obs=docs/OBSERVABILITY.md
+metrics=$(grep -oE '"baat_[a-z0-9_]+"' internal/telemetry/names.go | tr -d '"' | sort -u)
+events=$(grep -oE 'EventType = "[a-z0-9_]+"' internal/telemetry/tracer.go | sed 's/.*"\(.*\)"/\1/' | sort -u)
+for name in $metrics $events; do
+    if ! grep -qF "\`$name\`" "$obs"; then
+        echo "docs-check: $obs does not document $name" >&2
+        fail=1
+    fi
+done
+for name in $(grep -oE 'baat_[a-z0-9_]+' "$obs" | sort -u); do
+    if ! echo "$metrics" | grep -qx "$name"; then
+        echo "docs-check: $obs documents $name, which internal/telemetry/names.go does not define" >&2
+        fail=1
+    fi
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -1,7 +1,6 @@
 package baat
 
 import (
-	"github.com/green-dc/baat/internal/cluster"
 	"github.com/green-dc/baat/internal/cost"
 	"github.com/green-dc/baat/internal/rng"
 	"github.com/green-dc/baat/internal/vm"
@@ -88,52 +87,3 @@ type CostModel = cost.Model
 
 // DefaultCostModel returns prototype-scale prices.
 func DefaultCostModel() CostModel { return cost.DefaultModel() }
-
-// Controller is the central BAAT monitoring/actuation endpoint of the
-// distributed control plane (Fig 7).
-type Controller = cluster.Controller
-
-// ControllerConfig parameterizes the controller.
-type ControllerConfig = cluster.ControllerConfig
-
-// Agent connects one battery node to the controller over TCP.
-type Agent = cluster.Agent
-
-// AgentConfig parameterizes an agent.
-type AgentConfig = cluster.AgentConfig
-
-// NodeReport is one sensor report in the control plane (Table 2 plus the
-// five metrics).
-type NodeReport = cluster.Report
-
-// NodeCommand is one controller actuation.
-type NodeCommand = cluster.Command
-
-// Control-plane actions.
-const (
-	ActionSetFrequency = cluster.ActionSetFrequency
-	ActionSetFloor     = cluster.ActionSetFloor
-	ActionSetPowered   = cluster.ActionSetPowered
-	ActionPing         = cluster.ActionPing
-)
-
-// ListenController starts a controller on the given TCP address.
-func ListenController(cfg ControllerConfig) (*Controller, error) {
-	return cluster.ListenController(cfg)
-}
-
-// DefaultControllerConfig returns local controller defaults.
-func DefaultControllerConfig(addr string) ControllerConfig {
-	return cluster.DefaultControllerConfig(addr)
-}
-
-// StartAgent connects a node to the controller and starts reporting.
-func StartAgent(cfg AgentConfig, handle cluster.NodeHandle) (*Agent, error) {
-	return cluster.StartAgent(cfg, handle)
-}
-
-// DefaultAgentConfig returns local agent defaults for a controller address.
-func DefaultAgentConfig(addr string) AgentConfig { return cluster.DefaultAgentConfig(addr) }
-
-// NewLocalNode wraps a Node as a control-plane handle.
-func NewLocalNode(n *Node) (*cluster.LocalNode, error) { return cluster.NewLocalNode(n) }
