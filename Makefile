@@ -49,8 +49,9 @@ conformance: ## shared battery-model contract across all tiers + chemistry fuzz 
 	$(GO) test -count=1 -run 'TestModelConformance' ./internal/battery/
 	$(GO) test -run=NONE -fuzz=FuzzModelStep -fuzztime=5s ./internal/battery/
 
-fuzz-smoke: ## short fuzz pass over the aging-metric tracker
+fuzz-smoke: ## short fuzz passes over the aging-metric tracker and the checkpoint decoder
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
+	$(GO) test -run=NONE -fuzz='^FuzzResume$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/
 
 chaos-smoke: ## faulted golden trace, every fault kind, degraded-mode scenarios
 	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/

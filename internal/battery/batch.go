@@ -36,25 +36,3 @@ func LinearSoCs(lins []Linear, dst []float64) {
 		dst[i] = lins[i].soc
 	}
 }
-
-// PackHealths fills dst with the remaining-capacity fraction of each pack
-// in the column.
-func PackHealths(packs []Pack, dst []float64) {
-	if len(dst) != len(packs) {
-		panic("battery: PackHealths column length mismatch")
-	}
-	for i := range packs {
-		dst[i] = packs[i].deg.Health()
-	}
-}
-
-// LinearHealths fills dst with the remaining-capacity fraction of each
-// linear model in the column.
-func LinearHealths(lins []Linear, dst []float64) {
-	if len(dst) != len(lins) {
-		panic("battery: LinearHealths column length mismatch")
-	}
-	for i := range lins {
-		dst[i] = lins[i].deg.Health()
-	}
-}

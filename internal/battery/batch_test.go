@@ -41,29 +41,19 @@ func TestBatchKernelsMatchPerModelCalls(t *testing.T) {
 	for _, kind := range []Kind{KindLeadAcid, KindLFP} {
 		packs := packColumn(t, kind, n)
 		soc := make([]float64, n)
-		health := make([]float64, n)
 		PackSoCs(packs, soc)
-		PackHealths(packs, health)
 		for i := range packs {
 			if soc[i] != packs[i].SoC() {
 				t.Fatalf("%s: PackSoCs[%d] = %v, want %v", kind, i, soc[i], packs[i].SoC())
-			}
-			if health[i] != packs[i].Health() {
-				t.Fatalf("%s: PackHealths[%d] = %v, want %v", kind, i, health[i], packs[i].Health())
 			}
 		}
 	}
 	lins := linearColumn(t, n)
 	soc := make([]float64, n)
-	health := make([]float64, n)
 	LinearSoCs(lins, soc)
-	LinearHealths(lins, health)
 	for i := range lins {
 		if soc[i] != lins[i].SoC() {
 			t.Fatalf("linear: LinearSoCs[%d] = %v, want %v", i, soc[i], lins[i].SoC())
-		}
-		if health[i] != lins[i].Health() {
-			t.Fatalf("linear: LinearHealths[%d] = %v, want %v", i, health[i], lins[i].Health())
 		}
 	}
 }
@@ -76,10 +66,8 @@ func TestBatchKernelsLengthMismatchPanics(t *testing.T) {
 	lins := linearColumn(t, 4)
 	short := make([]float64, 3)
 	for name, fn := range map[string]func(){
-		"PackSoCs":      func() { PackSoCs(packs, short) },
-		"PackHealths":   func() { PackHealths(packs, short) },
-		"LinearSoCs":    func() { LinearSoCs(lins, short) },
-		"LinearHealths": func() { LinearHealths(lins, short) },
+		"PackSoCs":   func() { PackSoCs(packs, short) },
+		"LinearSoCs": func() { LinearSoCs(lins, short) },
 	} {
 		func() {
 			defer func() {
@@ -100,22 +88,12 @@ func TestBatchKernelsAllocFree(t *testing.T) {
 	dst := make([]float64, n)
 	for _, kind := range []Kind{KindLeadAcid, KindLFP} {
 		packs := packColumn(t, kind, n)
-		for name, fn := range map[string]func(){
-			"PackSoCs":    func() { PackSoCs(packs, dst) },
-			"PackHealths": func() { PackHealths(packs, dst) },
-		} {
-			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-				t.Fatalf("%s/%s allocated %v times per sweep, want 0", name, kind, allocs)
-			}
+		if allocs := testing.AllocsPerRun(10, func() { PackSoCs(packs, dst) }); allocs != 0 {
+			t.Fatalf("PackSoCs/%s allocated %v times per sweep, want 0", kind, allocs)
 		}
 	}
 	lins := linearColumn(t, n)
-	for name, fn := range map[string]func(){
-		"LinearSoCs":    func() { LinearSoCs(lins, dst) },
-		"LinearHealths": func() { LinearHealths(lins, dst) },
-	} {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Fatalf("%s allocated %v times per sweep, want 0", name, allocs)
-		}
+	if allocs := testing.AllocsPerRun(10, func() { LinearSoCs(lins, dst) }); allocs != 0 {
+		t.Fatalf("LinearSoCs allocated %v times per sweep, want 0", allocs)
 	}
 }

@@ -1,11 +1,11 @@
 // Package fleet owns the warehouse-scale storage layout of a battery-node
 // fleet: a struct-of-arrays arrangement where every node's server, battery
-// pack, aging tracker, damage model, and power-table rows live in
-// contiguous per-component slabs instead of individually heap-allocated
-// objects. The existing component types (node.Node, battery.Pack, …) are
-// kept as views into the slabs — node i is &nodes[i], its pack is
-// &packs[i] — so every API built on *node.Node keeps working while the
-// hot per-tick loops walk dense memory.
+// model, aging tracker, and damage model live in contiguous per-component
+// slabs instead of individually heap-allocated objects. The existing
+// component types (node.Node, battery.Pack, …) are kept as views into the
+// slabs — node i is &nodes[i], its pack is &packs[i] — so every API built
+// on *node.Node keeps working while the hot per-tick loops walk dense
+// memory.
 //
 // The fleet is partitioned into rack-group shards (Shard), each owning a
 // contiguous index range and a named RNG substream derived from the run
@@ -34,7 +34,6 @@ import (
 	"github.com/green-dc/baat/internal/aging"
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
-	"github.com/green-dc/baat/internal/powernet"
 	"github.com/green-dc/baat/internal/server"
 )
 
@@ -64,9 +63,9 @@ type Config struct {
 	// the per-tier slabs (electrochemical packs vs. linear models) can be
 	// sized exactly — Node is called once per node, so the fleet cannot
 	// pre-scan configs. It must agree with what Node(i) returns; a
-	// mismatch is a construction error. Nil means all-electrochemical
-	// slab sizing: nodes whose config selects the linear tier still work
-	// but fall back to a private heap allocation for their model.
+	// mismatch is a construction error. Nil declares every node
+	// electrochemical, so a node whose config selects the linear tier is
+	// such a mismatch.
 	Model func(i int) battery.Kind
 }
 
@@ -90,13 +89,11 @@ type Columns struct {
 // tierRun is a maximal run of consecutive node indices whose battery
 // models occupy consecutive slots of one per-tier slab. Fleets are
 // usually one run (homogeneous) or a few (the contiguous chemistry blocks
-// of Config.BatteryFleet); only a node whose model fell back to a private
-// heap allocation (slab=false) breaks columnar access.
+// of Config.BatteryFleet).
 type tierRun struct {
 	lo, hi int  // node index range [lo, hi)
 	off    int  // slab offset of node lo's model within its tier slab
 	linear bool // linears slab vs packs slab
-	slab   bool // false: private models, read through the node view
 }
 
 // Fleet is the struct-of-arrays storage of a node fleet. All component
@@ -110,8 +107,6 @@ type Fleet struct {
 	linears  []battery.Linear // linear coulomb-counting tier
 	trackers []aging.Tracker
 	models   []aging.Model
-	tables   []powernet.PowerTable
-	rows     []powernet.Reading
 	shards   []Shard
 	cols     Columns
 	runs     []tierRun
@@ -136,8 +131,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	n := cfg.Nodes
 	// Size the per-tier battery slabs. With no Model declaration every
-	// node gets an electrochemical slot (linear-tier nodes then allocate
-	// privately in node.NewInto).
+	// node gets an electrochemical slot.
 	nLinear := 0
 	if cfg.Model != nil {
 		for i := 0; i < n; i++ {
@@ -154,16 +148,11 @@ func New(cfg Config) (*Fleet, error) {
 		linears:  make([]battery.Linear, nLinear),
 		trackers: make([]aging.Tracker, n),
 		models:   make([]aging.Model, n),
-		tables:   make([]powernet.PowerTable, n),
 	}
-	// The power-table row slab is sized off the first node's capacity;
-	// a node with a different capacity (heterogeneous configs) falls back
-	// to private rows rather than fragmenting the slab.
-	rowCap := -1
 	packCursor, linCursor := 0, 0
 	type placement struct {
-		linear, slab bool
-		off          int
+		linear bool
+		off    int
 	}
 	places := make([]placement, n)
 	for i := 0; i < n; i++ {
@@ -171,43 +160,29 @@ func New(cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %d config: %w", i, err)
 		}
-		if rowCap < 0 {
-			rowCap = ncfg.TableCapacity
-			f.rows = make([]powernet.Reading, n*rowCap)
-		}
 		kind := ncfg.BatterySpec.Chemistry.Normalize()
 		if cfg.Model != nil {
 			if declared := cfg.Model(i).Normalize(); declared != kind {
 				return nil, fmt.Errorf("fleet: node %d declared battery model %q but its config selects %q",
 					i, declared, kind)
 			}
+		} else if kind == battery.KindLinear {
+			return nil, fmt.Errorf("fleet: node %d config selects %q but a nil Config.Model declares every node electrochemical",
+				i, kind)
 		}
 		parts := node.Parts{
 			Server:  &f.servers[i],
 			Tracker: &f.trackers[i],
 			Model:   &f.models[i],
-			Table:   &f.tables[i],
 		}
 		if kind == battery.KindLinear {
-			if cfg.Model != nil {
-				places[i] = placement{linear: true, slab: true, off: linCursor}
-				parts.Linear = &f.linears[linCursor]
-				linCursor++
-			} else {
-				places[i] = placement{linear: true}
-			}
+			places[i] = placement{linear: true, off: linCursor}
+			parts.Linear = &f.linears[linCursor]
+			linCursor++
 		} else {
-			places[i] = placement{slab: true, off: packCursor}
+			places[i] = placement{off: packCursor}
 			parts.Pack = &f.packs[packCursor]
 			packCursor++
-		}
-		if rowCap > 0 && ncfg.TableCapacity == rowCap {
-			// Slot j of node i lives at rows[j*n+i]: rings are interleaved
-			// by slot, so the lockstep per-tick Record across nodes writes
-			// one contiguous band of the slab instead of striding a full
-			// private ring (rowCap rows) per node.
-			parts.TableRows = f.rows[i : (rowCap-1)*n+i+1]
-			parts.TableStride = n
 		}
 		if err := node.NewInto(&f.nodes[i], id(i), ncfg, parts); err != nil {
 			return nil, err
@@ -228,15 +203,10 @@ func New(cfg Config) (*Fleet, error) {
 	// automatically consecutive in their slab.
 	for i := 0; i < n; {
 		j := i + 1
-		for j < n && places[j].linear == places[i].linear && places[j].slab == places[i].slab {
+		for j < n && places[j].linear == places[i].linear {
 			j++
 		}
-		f.runs = append(f.runs, tierRun{
-			lo: i, hi: j,
-			off:    places[i].off,
-			linear: places[i].linear,
-			slab:   places[i].slab,
-		})
+		f.runs = append(f.runs, tierRun{lo: i, hi: j, off: places[i].off, linear: places[i].linear})
 		i = j
 	}
 	f.shards = partition(n, cfg.ShardSize, cfg.Seed)
@@ -245,22 +215,16 @@ func New(cfg Config) (*Fleet, error) {
 
 // SoCColumn fills dst (length Len) with every node's state of charge,
 // sweeping the per-chemistry battery slabs with the columnar batch
-// kernels instead of calling through each node. Nodes whose model lives
-// outside the slabs (heterogeneous fallback) are read through their view.
-// The engine calls this for the snapshot behind every SoC ordering pass.
+// kernels instead of calling through each node. The engine calls this for
+// the snapshot behind every SoC ordering pass.
 func (f *Fleet) SoCColumn(dst []float64) {
 	if len(dst) != len(f.nodes) {
 		panic("fleet: SoCColumn length mismatch")
 	}
 	for _, r := range f.runs {
-		switch {
-		case !r.slab:
-			for i := r.lo; i < r.hi; i++ {
-				dst[i] = f.nodes[i].SoC()
-			}
-		case r.linear:
+		if r.linear {
 			battery.LinearSoCs(f.linears[r.off:r.off+(r.hi-r.lo)], dst[r.lo:r.hi])
-		default:
+		} else {
 			battery.PackSoCs(f.packs[r.off:r.off+(r.hi-r.lo)], dst[r.lo:r.hi])
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
 	"github.com/green-dc/baat/internal/rng"
 	"github.com/green-dc/baat/internal/units"
@@ -123,45 +124,23 @@ func TestShardStreams(t *testing.T) {
 	}
 }
 
-// TestFleetConfigErrors covers the constructor's validation surface.
+// TestFleetConfigErrors covers the constructor's validation surface,
+// including a linear-tier node under a nil Model, which declares every
+// node electrochemical.
 func TestFleetConfigErrors(t *testing.T) {
+	linear := func(int) (node.Config, error) {
+		return node.DefaultConfig().WithBatteryModel(battery.KindLinear)
+	}
 	bad := []Config{
 		{Nodes: 0, Node: func(int) (node.Config, error) { return node.DefaultConfig(), nil }},
 		{Nodes: 4, ShardSize: -1, Node: func(int) (node.Config, error) { return node.DefaultConfig(), nil }},
 		{Nodes: 4},
 		{Nodes: 4, Node: func(int) (node.Config, error) { return node.Config{}, nil }},
+		{Nodes: 4, Node: linear},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d: New() accepted an invalid configuration", i)
-		}
-	}
-}
-
-// TestFleetHeterogeneousTables exercises the private-rows fallback: a
-// node whose table capacity differs from the slab stride still gets a
-// working history log.
-func TestFleetHeterogeneousTables(t *testing.T) {
-	f, err := New(Config{
-		Nodes: 3,
-		Seed:  1,
-		Node: func(i int) (node.Config, error) {
-			cfg := node.DefaultConfig()
-			if i == 1 {
-				cfg.TableCapacity = 8
-			}
-			return cfg, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, view := range f.Views() {
-		if _, err := view.StepOffline(time.Minute, 0); err != nil {
-			t.Fatal(err)
-		}
-		if got := view.PowerTable().Len(); got != 1 {
-			t.Errorf("node %d: table holds %d rows after one step, want 1", i, got)
 		}
 	}
 }

@@ -39,15 +39,15 @@ func TestNaNSensorQuarantinesImmediately(t *testing.T) {
 	if !n.MetricsSuspect() {
 		t.Error("node not quarantined after a rejected sample")
 	}
-	// The power table must never hold a NaN row (it is JSON-marshaled into
+	// The last reading must never hold a NaN (it is JSON-marshaled into
 	// checkpoints); the rejected tick records a sanitized bad-quality row
 	// instead.
-	last, ok := n.PowerTable().Last()
+	last, ok := n.LastReading()
 	if !ok {
-		t.Fatal("no power table row recorded")
+		t.Fatal("no reading recorded")
 	}
 	if math.IsNaN(float64(last.Current)) || math.IsNaN(float64(last.Voltage)) {
-		t.Errorf("NaN leaked into the power table: %+v", last)
+		t.Errorf("NaN leaked into the last reading: %+v", last)
 	}
 	if last.Quality != powernet.QualityBad {
 		t.Errorf("rejected sample quality = %v, want QualityBad", last.Quality)
@@ -58,7 +58,7 @@ func TestDroppedSensorGoesStaleAfterThreshold(t *testing.T) {
 	n := newNode(t, func(c *Config) { c.StaleAfter = 3 })
 	attachVM(t, n, "v", workload.WebServing)
 	stepTicks(t, n, 2)
-	rows := n.PowerTable().Len()
+	before, _ := n.LastReading()
 	n.SetSensorFault(faults.SensorFault{Mode: faults.ModeDrop})
 
 	// Below the stale threshold: missed but not yet quarantined.
@@ -74,9 +74,9 @@ func TestDroppedSensorGoesStaleAfterThreshold(t *testing.T) {
 	if n.SensorDropped() != 3 {
 		t.Errorf("dropped = %d, want 3", n.SensorDropped())
 	}
-	// Dropped readings record nothing.
-	if got := n.PowerTable().Len(); got != rows {
-		t.Errorf("power table grew by %d rows during a dropped feed", got-rows)
+	// Dropped readings record nothing: the pre-fault reading stays.
+	if got, _ := n.LastReading(); got != before {
+		t.Errorf("last reading changed during a dropped feed: %+v, want %+v", got, before)
 	}
 }
 
@@ -115,9 +115,9 @@ func TestStuckSensorFreezesTrackerNotPhysics(t *testing.T) {
 	if socAfter >= socBefore {
 		t.Error("physics froze with the sensor: SoC did not move")
 	}
-	last, ok := n.PowerTable().Last()
+	last, ok := n.LastReading()
 	if !ok {
-		t.Fatal("no power table row recorded")
+		t.Fatal("no reading recorded")
 	}
 	if math.Abs(last.SoC-socBefore) > 1e-6 {
 		t.Errorf("stuck row SoC = %v, want frozen pre-fault value %v", last.SoC, socBefore)
@@ -130,12 +130,12 @@ func TestStuckSensorFreezesTrackerNotPhysics(t *testing.T) {
 	if n.AgingModel().Degradation().CapacityFade <= 0 {
 		t.Error("aging model saw no damage despite real discharge")
 	}
-	// Stuck samples are plausible, so no quarantine — but the power table
-	// flags them suspect.
+	// Stuck samples are plausible, so no quarantine — but the reading is
+	// flagged suspect.
 	if n.MetricsSuspect() {
 		t.Error("stuck sensor quarantined the node (plausible samples should pass)")
 	}
-	if last, ok := n.PowerTable().Last(); !ok || last.Quality != powernet.QualitySuspect {
+	if last.Quality != powernet.QualitySuspect {
 		t.Errorf("stuck reading quality = %v, want QualitySuspect", last.Quality)
 	}
 }
@@ -150,9 +150,9 @@ func TestNoisySensorMarksRowsSuspect(t *testing.T) {
 		Noise: [3]float64{1.5, -0.5, 0.25},
 	})
 	stepTicks(t, n, 1)
-	last, ok := n.PowerTable().Last()
+	last, ok := n.LastReading()
 	if !ok {
-		t.Fatal("no row recorded")
+		t.Fatal("no reading recorded")
 	}
 	if last.Quality != powernet.QualitySuspect {
 		t.Errorf("noisy reading quality = %v, want QualitySuspect", last.Quality)

@@ -1,7 +1,9 @@
 // Package node composes one battery node of the distributed energy-storage
 // architecture: a server with its individual battery unit, the sensor chain
-// filling its power table, and the aging bookkeeping the BAAT controller
-// reads (DSN'15 Fig 7, per-server integration).
+// reporting its Table 2 reading, and the aging bookkeeping the BAAT
+// controller reads (DSN'15 Fig 7, per-server integration). The tracker
+// folds each delivered sample into the aging metrics as it arrives, so the
+// node keeps only its newest reading (LastReading), never a history log.
 //
 // Each simulation tick the node routes power: solar feeds the server first,
 // surplus charges the battery, and shortfall discharges the battery through
@@ -34,8 +36,12 @@ type Config struct {
 	// Ambient is the machine-room temperature.
 	Ambient units.Celsius
 
-	// TableCapacity bounds the power-table history (default 2048 rows).
-	TableCapacity int
+	// TableCapacity is ignored: it bounded a power-table history the node
+	// no longer keeps.
+	//
+	// Deprecated: nothing defaults, validates or reads it, and it stays out
+	// of the configuration hash.
+	TableCapacity int `json:"-"`
 
 	// UtilityBackup allows falling back to grid power instead of going
 	// dark when solar+battery cannot carry the load. The paper's green
@@ -73,13 +79,12 @@ func DefaultConfig() Config {
 	return Config{
 		// The prototype pairs two 12 V 35 Ah units per server (twelve
 		// batteries behind six servers, Fig 11).
-		BatterySpec:   battery.Parallel(battery.DefaultSpec(), 2),
-		ServerSpec:    server.DefaultSpec(),
-		AgingConfig:   aging.DefaultModelConfig(),
-		Losses:        powernet.DefaultLosses(),
-		Ambient:       25,
-		TableCapacity: 2048,
-		SoCFloor:      0.05,
+		BatterySpec: battery.Parallel(battery.DefaultSpec(), 2),
+		ServerSpec:  server.DefaultSpec(),
+		AgingConfig: aging.DefaultModelConfig(),
+		Losses:      powernet.DefaultLosses(),
+		Ambient:     25,
+		SoCFloor:    0.05,
 	}
 }
 
@@ -120,9 +125,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Losses.Validate(); err != nil {
 		return err
-	}
-	if c.TableCapacity <= 0 {
-		return fmt.Errorf("node: table capacity must be positive, got %d", c.TableCapacity)
 	}
 	if c.SoCFloor < 0 || c.SoCFloor >= 1 {
 		return fmt.Errorf("node: SoC floor must be in [0, 1), got %v", c.SoCFloor)
@@ -169,7 +171,7 @@ type StepResult struct {
 //
 // A single Node is not safe for concurrent use, but distinct Nodes are
 // fully independent: every field a Step/StepOffline touches (pack, server,
-// tracker, model, power table) is owned by that node, and the only shared
+// tracker, model, last reading) is owned by that node, and the only shared
 // state — telemetry counters — is atomic. The simulator's parallel fleet
 // stepping relies on this: stepping disjoint nodes from multiple
 // goroutines is race-free and produces results identical to serial order.
@@ -180,7 +182,6 @@ type Node struct {
 	batt    battery.Model
 	tracker *aging.Tracker
 	model   *aging.Model
-	table   *powernet.PowerTable
 
 	// pack/lin hold the same model as batt, as a concrete typed pointer
 	// (exactly one is non-nil, fixed at construction). The per-tick paths
@@ -208,11 +209,13 @@ type Node struct {
 
 	// Sensor-chain fault state: the corruption applied to the *reported*
 	// battery sample this tick (the aging model always observes the
-	// truth), the last reading actually delivered (replayed by a stuck
-	// sensor), and the suspect/quarantine bookkeeping that tells the
-	// controller when to stop trusting the metrics.
+	// truth), the last sample the tracker accepted (replayed by a stuck
+	// sensor), the last Table 2 reading delivered, and the
+	// suspect/quarantine bookkeeping that tells the controller when to
+	// stop trusting the metrics.
 	sensor       faults.SensorFault
 	lastSample   aging.Sample
+	lastReading  powernet.Reading
 	haveSample   bool
 	missed       int // consecutive samples the tracker never received
 	rejected     int // total samples rejected as implausible
@@ -241,29 +244,19 @@ func New(id string, cfg Config) (*Node, error) {
 }
 
 // Parts is caller-provided storage for a node's components. A fleet that
-// lays batteries, servers, trackers, models, and power-table rows out in
-// contiguous slabs passes pointers into those slabs here; NewInto
-// initializes each component in place. Any nil part is heap-allocated
-// individually, so the zero Parts reproduces New exactly. TableRows, when
-// non-nil, backs the power table and must have length Config.TableCapacity
-// and not be shared with any other table.
+// lays batteries, servers, trackers, and models out in contiguous slabs
+// passes pointers into those slabs here; NewInto initializes each
+// component in place. Any nil part is heap-allocated individually, so the
+// zero Parts reproduces New exactly.
 type Parts struct {
 	Server *server.Server
 	// Pack backs the electrochemical tiers (lead-acid, LFP); Linear backs
 	// the coulomb-counting tier. Only the one matching the config's
 	// chemistry is used; the other may stay nil.
-	Pack      *battery.Pack
-	Linear    *battery.Linear
-	Tracker   *aging.Tracker
-	Model     *aging.Model
-	Table     *powernet.PowerTable
-	TableRows []powernet.Reading
-	// TableStride is the element distance between this node's consecutive
-	// ring slots within TableRows (zero means dense). A fleet interleaves
-	// every node's slot j into one band of a shared slab so the per-tick
-	// table writes stream sequentially across nodes; see
-	// powernet.NewPowerTableStridedInto.
-	TableStride int
+	Pack    *battery.Pack
+	Linear  *battery.Linear
+	Tracker *aging.Tracker
+	Model   *aging.Model
 }
 
 // NewInto assembles a node in place, overwriting *n and initializing its
@@ -322,25 +315,6 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 	if err := aging.NewModelInto(model, cfg.AgingConfig, cfg.BatterySpec.NominalCapacity); err != nil {
 		return err
 	}
-	rows := parts.TableRows
-	stride := parts.TableStride
-	if stride <= 0 {
-		stride = 1
-	}
-	if rows == nil {
-		rows = make([]powernet.Reading, cfg.TableCapacity)
-		stride = 1
-	} else if need := (cfg.TableCapacity-1)*stride + 1; len(rows) < need {
-		return fmt.Errorf("node %s: %d table rows provided for capacity %d at stride %d (need %d)",
-			id, len(rows), cfg.TableCapacity, stride, need)
-	}
-	table := parts.Table
-	if table == nil {
-		table = new(powernet.PowerTable)
-	}
-	if err := powernet.NewPowerTableStridedInto(table, rows, cfg.TableCapacity, stride); err != nil {
-		return err
-	}
 	quarantine := cfg.SensorQuarantine
 	if quarantine == 0 {
 		quarantine = DefaultSensorQuarantine
@@ -358,7 +332,6 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 		lin:           clin,
 		tracker:       tracker,
 		model:         model,
-		table:         table,
 		socFloor:      cfg.SoCFloor,
 		quarantine:    quarantine,
 		staleAfter:    staleAfter,
@@ -492,8 +465,13 @@ func (n *Node) ResetMetrics() { n.tracker.Reset() }
 // AgingModel exposes the damage integrator (for lifetime prediction).
 func (n *Node) AgingModel() *aging.Model { return n.model }
 
-// PowerTable returns the sensor history log.
-func (n *Node) PowerTable() *powernet.PowerTable { return n.table }
+// LastReading returns the newest Table 2 reading the sensor chain
+// delivered, and whether there is one yet. A reading is stamped at the end
+// of a positive-length tick, so its At is positive; a dropped sample
+// leaves the previous reading in place.
+func (n *Node) LastReading() (powernet.Reading, bool) {
+	return n.lastReading, n.lastReading.At > 0
+}
 
 // Clock returns accumulated simulated time.
 func (n *Node) Clock() time.Duration { return n.clock }
@@ -769,7 +747,7 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) (StepRes
 
 // observe closes out a step: the true battery sample feeds the damage
 // model (physics cannot be fooled by a broken DAQ), while the sensor chain
-// — possibly faulted — decides what the aging tracker and the power table
+// — possibly faulted — decides what the aging tracker and the last reading
 // get to see. Implausible readings the tracker rejects and stale streaks
 // quarantine the metrics instead of failing the step: a broken sensor is a
 // fault symptom for the controller to degrade around, not a simulation
@@ -793,7 +771,7 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 		}
 	} else if err := n.tracker.Observe(reported); err != nil {
 		// The tracker's input hardening caught an implausible sample:
-		// immediate quarantine. The table will log a sanitized flagged row.
+		// immediate quarantine. The reading becomes a sanitized flagged row.
 		n.rejected++
 		n.missed++
 		n.telSensorBad.Inc()
@@ -810,15 +788,15 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 	}
 	n.battApplyDegradation(n.model.Degradation())
 
-	// The table row is recorded after degradation is applied, like the
-	// sensor chain sampling at the end of the interval. A clean chain
-	// reports live pack state; a corrupted one reports its own view; a
-	// rejected sample leaves a sanitized flagged row; a dropped sample
-	// leaves nothing.
+	// The reading is taken after degradation is applied, like the sensor
+	// chain sampling at the end of the interval. A clean chain reports live
+	// pack state; a corrupted one reports its own view; a rejected sample
+	// becomes a sanitized flagged row, so no NaN reaches a checkpoint; a
+	// dropped sample keeps the previous reading.
 	switch {
 	case !delivered:
 	case !accepted:
-		n.table.Record(powernet.Reading{
+		n.lastReading = powernet.Reading{
 			At:          n.clock,
 			Current:     0,
 			Voltage:     n.battOpenCircuitVoltage(),
@@ -826,18 +804,18 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 			SoC:         n.SoC(),
 			Source:      source,
 			Quality:     powernet.QualityBad,
-		})
+		}
 	case quality == powernet.QualityGood:
-		n.table.Record(powernet.Reading{
+		n.lastReading = powernet.Reading{
 			At:          n.clock,
 			Current:     reported.Current,
 			Voltage:     n.battTerminalVoltage(reported.Current),
 			Temperature: n.battTemperature(),
 			SoC:         n.SoC(),
 			Source:      source,
-		})
+		}
 	default:
-		n.table.Record(powernet.Reading{
+		n.lastReading = powernet.Reading{
 			At:          n.clock,
 			Current:     reported.Current,
 			Voltage:     n.battTerminalVoltage(reported.Current),
@@ -845,14 +823,14 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 			SoC:         reported.SoC,
 			Source:      source,
 			Quality:     quality,
-		})
+		}
 	}
 	return nil
 }
 
 // applySensor corrupts the true sample per the installed sensor fault and
 // reports whether a reading was delivered at all, plus the quality flag
-// the power table should carry for it.
+// the reading should carry.
 func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool, powernet.Quality) {
 	switch n.sensor.Mode {
 	case faults.ModeDrop:

@@ -50,7 +50,6 @@ func TestConfigValidate(t *testing.T) {
 		{"bad server", func(c *Config) { c.ServerSpec.IdlePower = 0 }},
 		{"bad aging", func(c *Config) { c.AgingConfig.AccelFactor = 0 }},
 		{"bad losses", func(c *Config) { c.Losses.InverterEfficiency = 2 }},
-		{"bad table", func(c *Config) { c.TableCapacity = 0 }},
 		{"bad floor", func(c *Config) { c.SoCFloor = 1 }},
 	}
 	for _, tt := range tests {
@@ -288,10 +287,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	if m.DR <= 0 {
 		t.Error("DR not recorded")
 	}
-	if n.PowerTable().TotalRecorded() != 240 {
-		t.Errorf("power table rows = %d, want 240", n.PowerTable().TotalRecorded())
-	}
-	last, ok := n.PowerTable().Last()
+	last, ok := n.LastReading()
 	if !ok || last.At != n.Clock() {
 		t.Errorf("last reading At = %v, want %v", last.At, n.Clock())
 	}

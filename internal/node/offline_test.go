@@ -50,9 +50,9 @@ func TestStepOfflineRestsWithoutSolar(t *testing.T) {
 	if res.SolarUsed != 0 || res.BatteryPower != 0 {
 		t.Errorf("resting offline step moved power: %+v", res)
 	}
-	// The sample still lands in the metric log (Eq 5 counts time).
-	if n.PowerTable().TotalRecorded() != 1 {
-		t.Errorf("power table rows = %d, want 1", n.PowerTable().TotalRecorded())
+	// The sample still reaches the sensor chain (Eq 5 counts time).
+	if last, ok := n.LastReading(); !ok || last.At != time.Hour {
+		t.Errorf("last reading = %+v (ok %v), want one at 1h", last, ok)
 	}
 	if n.Clock() != time.Hour {
 		t.Errorf("clock = %v, want 1h", n.Clock())

@@ -32,17 +32,16 @@ type SensorFaultState struct {
 }
 
 // State is the serializable state of a Node: the composed states of its
-// battery pack, aging tracker, damage model, power table and server, plus
-// the node's own clock, accounting, and sensor-chain bookkeeping. The
-// Config (specs, losses, quarantine policy) is construction-time input and
-// is not serialized; a snapshot restores only onto a node built from the
-// same Config.
+// battery pack, aging tracker, damage model and server, plus the node's
+// own clock, accounting, and sensor-chain bookkeeping, including its last
+// Table 2 reading. The Config (specs, losses, quarantine policy) is
+// construction-time input and is not serialized; a snapshot restores only
+// onto a node built from the same Config.
 type State struct {
 	ID      string             `json:"id"`
 	Pack    battery.State      `json:"pack"`
 	Tracker aging.TrackerState `json:"tracker"`
 	Model   aging.ModelState   `json:"model"`
-	Table   powernet.State     `json:"table"`
 	Server  server.State       `json:"server"`
 
 	Clock    time.Duration `json:"clock"`
@@ -55,6 +54,7 @@ type State struct {
 
 	Sensor       SensorFaultState `json:"sensor"`
 	LastSample   SampleState      `json:"last_sample"`
+	LastReading  powernet.Reading `json:"last_reading"`
 	HaveSample   bool             `json:"have_sample"`
 	Missed       int              `json:"missed"`
 	Rejected     int              `json:"rejected"`
@@ -70,7 +70,6 @@ func (n *Node) Snapshot() State {
 		Pack:    n.batt.Snapshot(),
 		Tracker: n.tracker.Snapshot(),
 		Model:   n.model.Snapshot(),
-		Table:   n.table.Snapshot(),
 		Server:  n.srv.Snapshot(),
 
 		Clock:    n.clock,
@@ -92,6 +91,7 @@ func (n *Node) Snapshot() State {
 			SoC:         n.lastSample.SoC,
 			Temperature: n.lastSample.Temperature,
 		},
+		LastReading:  n.lastReading,
 		HaveSample:   n.haveSample,
 		Missed:       n.missed,
 		Rejected:     n.rejected,
@@ -135,6 +135,10 @@ func (n *Node) Restore(st State) error {
 	if st.SuspectUntil < 0 {
 		return fmt.Errorf("node %s: restore: negative quarantine deadline %v", n.id, st.SuspectUntil)
 	}
+	if st.LastReading.At < 0 || st.LastReading.At > st.Clock {
+		return fmt.Errorf("node %s: restore: last reading at %v outside [0, %v]",
+			n.id, st.LastReading.At, st.Clock)
+	}
 	if m := faults.SensorMode(st.Sensor.Mode); m < faults.SensorOK || m > faults.ModeDrop {
 		return fmt.Errorf("node %s: restore: unknown sensor mode %d", n.id, st.Sensor.Mode)
 	}
@@ -167,12 +171,6 @@ func (n *Node) Restore(st State) error {
 	if err := model.Restore(st.Model); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
-	// The table is restored in place, so it keeps its rows — on a fleet,
-	// its slots in the shared interleaved slab. Check it before the server,
-	// the one sub-restore that commits live.
-	if err := n.table.CheckRestore(st.Table); err != nil {
-		return fmt.Errorf("node %s: restore: %w", n.id, err)
-	}
 	if err := n.srv.Restore(st.Server); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
@@ -180,9 +178,6 @@ func (n *Node) Restore(st State) error {
 	commitBatt()
 	*n.tracker = tracker
 	*n.model = model
-	if err := n.table.Restore(st.Table); err != nil {
-		return fmt.Errorf("node %s: restore: %w", n.id, err)
-	}
 
 	n.clock = st.Clock
 	n.socFloor = st.SoCFloor
@@ -202,6 +197,7 @@ func (n *Node) Restore(st State) error {
 		SoC:         st.LastSample.SoC,
 		Temperature: st.LastSample.Temperature,
 	}
+	n.lastReading = st.LastReading
 	n.haveSample = st.HaveSample
 	n.missed = st.Missed
 	n.rejected = st.Rejected

@@ -48,15 +48,8 @@ func TestQuickNodeSnapshotRestoreIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Restore rebuilds the power table in place, so a node built over
-		// a fleet's row slab keeps recording into it.
-		table := n.PowerTable()
 		if err := n.Restore(want); err != nil {
 			t.Logf("seed %d: restore of own snapshot rejected: %v", seed, err)
-			return false
-		}
-		if n.PowerTable() != table {
-			t.Logf("seed %d: restore replaced the power table", seed)
 			return false
 		}
 		return reflect.DeepEqual(n.Snapshot(), want)
@@ -67,11 +60,11 @@ func TestQuickNodeSnapshotRestoreIdentity(t *testing.T) {
 }
 
 // TestQuickNodeRestoreRejectsCorrupt: a poisoned snapshot — wrong identity,
-// NaN, negative counters, inconsistent ticks, out-of-range sensor mode, an
-// inconsistent power table — must fail loudly and leave the node
-// byte-identical. The node drifts past the snapshot first, so a part
-// committed before a later part's check (the server, restored live) would
-// show.
+// NaN, negative counters, inconsistent ticks, out-of-range sensor mode, a
+// reading stamped outside the node's clock — must fail loudly and leave
+// the node byte-identical. The node drifts past the snapshot first, so a
+// part committed before a later part's check (the server, restored live)
+// would show.
 func TestQuickNodeRestoreRejectsCorrupt(t *testing.T) {
 	corruptions := []struct {
 		name string
@@ -90,8 +83,8 @@ func TestQuickNodeRestoreRejectsCorrupt(t *testing.T) {
 		{"nan pack soc", func(st *State) { st.Pack.SoC = math.NaN() }},
 		{"negative tracker ah", func(st *State) { st.Tracker.AhOut = -1 }},
 		{"nan model fade", func(st *State) { st.Model.CapFade = math.NaN() }},
-		{"table total below rows", func(st *State) { st.Table.Total = len(st.Table.Rows) - 1 }},
-		{"table last row mismatch", func(st *State) { st.Table.Last.SoC += 0.5 }},
+		{"reading after clock", func(st *State) { st.LastReading.At = st.Clock + time.Minute }},
+		{"negative reading time", func(st *State) { st.LastReading.At = -time.Minute }},
 	}
 	prop := func(seed int64) bool {
 		n := walkedNode(t, seed)

@@ -131,8 +131,7 @@ func RunSuite() (Report, error) {
 // day per op on a consolidated fleet, with the one-off placement pass
 // warmed up outside the timer so the steady-state step path is what's
 // measured. Warehouse sizes provision services directly (the policy's
-// placement scan is O(nodes) per VM) and trim the per-node power-table
-// history so the row slab stays within a sane footprint.
+// placement scan is O(nodes) per VM).
 func fleetStepBench(nodes, workers int, model battery.Kind) func(b *testing.B) {
 	return func(b *testing.B) {
 		cfg := sim.DefaultConfig()
@@ -151,7 +150,6 @@ func fleetStepBench(nodes, workers int, model battery.Kind) func(b *testing.B) {
 		warehouse := nodes >= 16384
 		if warehouse {
 			cfg.ServiceVMs = 0 // provisioned directly below
-			cfg.Node.TableCapacity = 64
 		}
 		s, err := sim.New(cfg)
 		if err != nil {
@@ -192,7 +190,6 @@ func policyControlBench(name string, nodes int) func(b *testing.B) {
 			cfg.Solar.Scale = 0.5 * float64(nodes) / 6
 			cfg.JobsPerDay = nodes * 6 / 5
 			cfg.ServiceVMs = nodes / 4
-			cfg.Node.TableCapacity = 64
 			s, err := sim.New(cfg)
 			if err != nil {
 				b.Fatal(err)

@@ -1,8 +1,10 @@
 // Package powernet models the power-delivery path of the prototype
 // (DSN'15 Fig 11, module 4): the power switcher that selects among solar,
 // battery, and utility feeds, the conversion losses of the charger and
-// DC-AC inverter, and the sensor chain (front sensors + DAQ) that fills the
-// per-battery power table of Table 2.
+// DC-AC inverter, and the Reading the sensor chain (front sensors + DAQ)
+// delivers as one row of the per-battery power table of Table 2. The
+// aging tracker folds each sample into its metrics as it arrives, so a
+// node keeps only its newest Reading, not the table's history.
 package powernet
 
 import (
@@ -128,119 +130,4 @@ type Reading struct {
 	// Quality flags how trustworthy the row is (QualityGood unless the
 	// sensor chain was faulted when it was sampled).
 	Quality Quality
-}
-
-// PowerTable is the bounded history log one battery group keeps (§IV-A:
-// "each group of batteries has a power table which records the battery
-// utilization history logs"). The zero value is unusable; construct with
-// NewPowerTable.
-type PowerTable struct {
-	cap    int
-	rows   []Reading
-	stride int // element distance between consecutive ring slots
-	pos    int // element offset of slot next: next*stride
-	next   int
-	full   bool
-	n      int
-}
-
-// NewPowerTable creates a table retaining the latest capacity rows.
-func NewPowerTable(capacity int) (*PowerTable, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("powernet: power table capacity must be positive, got %d", capacity)
-	}
-	t := new(PowerTable)
-	if err := NewPowerTableInto(t, make([]Reading, capacity)); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// NewPowerTableInto initializes a table in place over caller-provided row
-// storage, overwriting *t. The table retains the latest len(rows)
-// readings. It exists so a fleet can back every node's history log with
-// one contiguous row slab; rows must not be shared between tables.
-func NewPowerTableInto(t *PowerTable, rows []Reading) error {
-	if len(rows) == 0 {
-		return fmt.Errorf("powernet: power table needs at least one row, got %d", len(rows))
-	}
-	return NewPowerTableStridedInto(t, rows, len(rows), 1)
-}
-
-// NewPowerTableStridedInto initializes a table whose ring slot j lives at
-// rows[j*stride], overwriting *t. A fleet interleaves every node's slot j
-// into one contiguous band of a shared slab (stride = fleet size), so the
-// per-tick Record of node after node writes consecutive memory instead of
-// hopping a full private ring apart — the difference between streaming
-// stores and a cache miss per node at warehouse scale. Only the slot
-// elements are owned (and cleared) by the table; the elements between
-// them belong to other tables.
-func NewPowerTableStridedInto(t *PowerTable, rows []Reading, capacity, stride int) error {
-	if capacity <= 0 {
-		return fmt.Errorf("powernet: power table capacity must be positive, got %d", capacity)
-	}
-	if stride <= 0 {
-		return fmt.Errorf("powernet: power table stride must be positive, got %d", stride)
-	}
-	if need := (capacity-1)*stride + 1; len(rows) < need {
-		return fmt.Errorf("powernet: %d rows cannot back capacity %d at stride %d (need %d)",
-			len(rows), capacity, stride, need)
-	}
-	*t = PowerTable{cap: capacity, rows: rows, stride: stride}
-	for j := 0; j < capacity; j++ {
-		t.rows[j*stride] = Reading{}
-	}
-	return nil
-}
-
-// Record appends a reading, evicting the oldest once full. This runs once
-// per node per tick, so the body stays a single ring store: the newest row
-// is derived from the ring on demand (Last) rather than stored twice, and
-// the wrap is a compare instead of a modulo.
-func (t *PowerTable) Record(r Reading) {
-	t.rows[t.pos] = r
-	t.pos += t.stride
-	t.next++
-	if t.next == t.cap {
-		t.next, t.pos = 0, 0
-		t.full = true
-	}
-	t.n++
-}
-
-// Len returns the number of readings currently retained.
-func (t *PowerTable) Len() int {
-	if t.full {
-		return t.cap
-	}
-	return t.next
-}
-
-// TotalRecorded returns the number of readings ever recorded.
-func (t *PowerTable) TotalRecorded() int { return t.n }
-
-// Last returns the most recent reading and whether one exists.
-func (t *PowerTable) Last() (Reading, bool) {
-	if t.n == 0 {
-		return Reading{}, false
-	}
-	i := t.next - 1
-	if i < 0 {
-		i = t.cap - 1
-	}
-	return t.rows[i*t.stride], true
-}
-
-// Rows returns retained readings in chronological order.
-func (t *PowerTable) Rows() []Reading {
-	out := make([]Reading, 0, t.Len())
-	if t.full {
-		for j := t.next; j < t.cap; j++ {
-			out = append(out, t.rows[j*t.stride])
-		}
-	}
-	for j := 0; j < t.next; j++ {
-		out = append(out, t.rows[j*t.stride])
-	}
-	return out
 }

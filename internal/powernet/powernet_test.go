@@ -2,7 +2,6 @@ package powernet
 
 import (
 	"testing"
-	"time"
 )
 
 func TestLossesValidate(t *testing.T) {
@@ -36,89 +35,5 @@ func TestSourceString(t *testing.T) {
 	}
 	if Source(42).String() == "" {
 		t.Error("unknown source should render")
-	}
-}
-
-func TestNewPowerTableValidation(t *testing.T) {
-	if _, err := NewPowerTable(0); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := NewPowerTable(-3); err == nil {
-		t.Error("negative capacity accepted")
-	}
-}
-
-func TestPowerTableEmpty(t *testing.T) {
-	pt, err := NewPowerTable(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt.Len() != 0 || pt.TotalRecorded() != 0 {
-		t.Error("fresh table not empty")
-	}
-	if _, ok := pt.Last(); ok {
-		t.Error("Last() on empty table returned a reading")
-	}
-	if rows := pt.Rows(); len(rows) != 0 {
-		t.Errorf("Rows() on empty table = %d rows", len(rows))
-	}
-}
-
-func TestPowerTableRecordAndEvict(t *testing.T) {
-	pt, err := NewPowerTable(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i <= 5; i++ {
-		pt.Record(Reading{At: time.Duration(i) * time.Minute, Current: 1, SoC: float64(i) / 10})
-	}
-	if pt.Len() != 3 {
-		t.Errorf("Len = %d, want 3 (bounded)", pt.Len())
-	}
-	if pt.TotalRecorded() != 5 {
-		t.Errorf("TotalRecorded = %d, want 5", pt.TotalRecorded())
-	}
-	rows := pt.Rows()
-	if len(rows) != 3 {
-		t.Fatalf("Rows() = %d entries, want 3", len(rows))
-	}
-	// Chronological order, oldest first: minutes 3, 4, 5.
-	for i, want := range []time.Duration{3 * time.Minute, 4 * time.Minute, 5 * time.Minute} {
-		if rows[i].At != want {
-			t.Errorf("rows[%d].At = %v, want %v", i, rows[i].At, want)
-		}
-	}
-	last, ok := pt.Last()
-	if !ok || last.At != 5*time.Minute {
-		t.Errorf("Last() = (%+v, %v), want minute 5", last, ok)
-	}
-}
-
-func TestPowerTablePartialFill(t *testing.T) {
-	pt, err := NewPowerTable(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt.Record(Reading{At: time.Minute})
-	pt.Record(Reading{At: 2 * time.Minute})
-	rows := pt.Rows()
-	if len(rows) != 2 || rows[0].At != time.Minute || rows[1].At != 2*time.Minute {
-		t.Errorf("partial rows = %+v", rows)
-	}
-}
-
-func TestPowerTableExactWrap(t *testing.T) {
-	pt, err := NewPowerTable(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pt.Record(Reading{At: 1 * time.Minute})
-	pt.Record(Reading{At: 2 * time.Minute})
-	if pt.Len() != 2 {
-		t.Errorf("Len at exact capacity = %d, want 2", pt.Len())
-	}
-	rows := pt.Rows()
-	if rows[0].At != time.Minute || rows[1].At != 2*time.Minute {
-		t.Errorf("rows at exact capacity = %+v", rows)
 	}
 }

@@ -27,10 +27,7 @@ import (
 var longFleet = flag.Bool("long", false, "include the 1M-node fleet benchmark size")
 
 // largeFleetNodes is where benchFleet switches to warehouse provisioning:
-// direct service attachment instead of the O(VMs × nodes) placement pass,
-// and a trimmed per-node power-table history so the row slab stays within
-// a sane footprint (the default 2048-row table is sized for week-long
-// six-node traces, not 65k-node step benchmarks).
+// direct service attachment instead of the O(VMs × nodes) placement pass.
 const largeFleetNodes = 16384
 
 // benchFleet builds a fleet where one node in four hosts a persistent
@@ -48,10 +45,6 @@ func benchFleet(b *testing.B, nodes, workers int) *Simulator {
 	cfg.Solar.Scale = 1.5 * float64(nodes) / 6
 	if nodes >= largeFleetNodes {
 		cfg.ServiceVMs = 0 // attached directly below
-		cfg.Node.TableCapacity = 64
-		if nodes >= 1<<20 {
-			cfg.Node.TableCapacity = 16
-		}
 	}
 	s, err := New(cfg)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/faults"
-	"github.com/green-dc/baat/internal/powernet"
 )
 
 // resumeSplitDay is where the split runs checkpoint: halfway through the
@@ -126,12 +125,12 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeKeepsPowerTables: resume restores every node's power table in
-// place, so the fleet keeps recording into its interleaved row slab rather
-// than into a private ring per node.
-func TestResumeKeepsPowerTables(t *testing.T) {
+// TestResumeRestoresLastReadings: resume restores every node's last Table 2
+// reading, quality flag included, though no trace carries it. The chaos
+// profile runs so that faulted sensors leave flagged readings behind.
+func TestResumeRestoresLastReadings(t *testing.T) {
 	weathers := goldenWeather()
-	first := goldenSim(t, nil)
+	first := goldenSim(t, faultedMutate(t))
 	for _, w := range weathers[:2] {
 		if _, err := first.RunDay(w); err != nil {
 			t.Fatal(err)
@@ -141,20 +140,15 @@ func TestResumeKeepsPowerTables(t *testing.T) {
 	if err := first.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	second := goldenSim(t, nil)
-	tables := make([]*powernet.PowerTable, len(second.Nodes()))
-	for i, n := range second.Nodes() {
-		tables[i] = n.PowerTable()
-	}
+	second := goldenSim(t, faultedMutate(t))
 	if err := second.ResumeFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range second.Nodes() {
-		if n.PowerTable() != tables[i] {
-			t.Errorf("node %d: resume replaced its power table", i)
-		}
-		if got, want := n.PowerTable().TotalRecorded(), first.Nodes()[i].PowerTable().TotalRecorded(); got != want {
-			t.Errorf("node %d: resumed table recorded %d rows, want %d", i, got, want)
+		got, ok := n.LastReading()
+		want, _ := first.Nodes()[i].LastReading()
+		if !ok || got != want {
+			t.Errorf("node %d: resumed last reading %+v (ok %v), want %+v", i, got, ok, want)
 		}
 	}
 }
@@ -275,6 +269,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		"truncated":      good[:len(good)/2],
 		"not json":       []byte("not a checkpoint"),
 		"wrong format":   mangle("format", func(m map[string]any) { m["format"] = 999 }),
+		"format 2":       mangle("format", func(m map[string]any) { m["format"] = 2 }),
 		"wrong confhash": mangle("confhash", func(m map[string]any) { m["config_hash"] = "deadbeef" }),
 		"negative clock": mangle("clock", func(m map[string]any) {
 			st := m["state"].(map[string]any)

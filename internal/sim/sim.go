@@ -1108,7 +1108,7 @@ func (s *Simulator) stepNode(i int, offline bool) error {
 
 // stepNodes advances every node shard by shard and merges the per-shard
 // summaries into fleetSum. Each shard's physics touches only state its
-// nodes own (packs, servers, aging trackers, power tables) plus atomic
+// nodes own (packs, servers, aging trackers, last readings) plus atomic
 // telemetry counters, so any assignment of shards to workers computes the
 // same fleet state. Errors are reduced in shard order — within a shard
 // the walk is ascending, so the first failing node by index wins — and

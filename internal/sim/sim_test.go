@@ -31,7 +31,7 @@ func TestConfigValidate(t *testing.T) {
 		mutate func(*Config)
 	}{
 		{"no nodes", func(c *Config) { c.Nodes = 0 }},
-		{"bad node", func(c *Config) { c.Node.TableCapacity = 0 }},
+		{"bad node", func(c *Config) { c.Node.SoCFloor = 1 }},
 		{"bad solar", func(c *Config) { c.Solar.Scale = 0 }},
 		{"zero tick", func(c *Config) { c.Tick = 0 }},
 		{"control below tick", func(c *Config) { c.ControlPeriod = time.Second; c.Tick = time.Minute }},

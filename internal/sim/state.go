@@ -23,8 +23,9 @@ import (
 // CheckpointFormat versions the checkpoint envelope. It bumps whenever the
 // serialized State shape changes incompatibly; ResumeFrom rejects any other
 // version explicitly rather than guessing. Format 2 added the solar
-// forecaster state and the policy's own controller state (StatefulPolicy).
-const CheckpointFormat = 2
+// forecaster state and the policy's own controller state (StatefulPolicy);
+// format 3 replaced each node's power-table history with its last reading.
+const CheckpointFormat = 3
 
 // State is the serializable state of a Simulator: the full state of every
 // node, the pending job queue, every named RNG stream position, the fault
