@@ -49,9 +49,10 @@ conformance: ## shared battery-model contract across all tiers + chemistry fuzz 
 	$(GO) test -count=1 -run 'TestModelConformance' ./internal/battery/
 	$(GO) test -run=NONE -fuzz=FuzzModelStep -fuzztime=5s ./internal/battery/
 
-fuzz-smoke: ## short fuzz passes over the aging-metric tracker and the checkpoint decoder
+fuzz-smoke: ## short fuzz passes over the aging-metric tracker, the checkpoint decoder and the run-spec decoder
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 	$(GO) test -run=NONE -fuzz='^FuzzResume$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/
+	$(GO) test -run=NONE -fuzz='^FuzzRunSpec$$' -fuzztime=5s ./internal/serve/
 
 chaos-smoke: ## faulted golden trace, every fault kind, degraded-mode scenarios
 	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/

@@ -51,6 +51,7 @@ go test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 # Minimization off: with multi-KB checkpoint inputs the default 60 s
 # minimization of each new interesting input stalls the run.
 go test -run=NONE -fuzz='^FuzzResume$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/
+go test -run=NONE -fuzz='^FuzzRunSpec$' -fuzztime=5s ./internal/serve/
 
 echo "== chaos smoke =="
 go test -count=1 -run 'TestGoldenTraceFaulted$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/

@@ -212,14 +212,6 @@ func (t *Tracker) Observe(s Sample) error {
 	return nil
 }
 
-// NAT returns normalized Ah throughput (Eq 1) alone, computed by the same
-// expression Metrics uses. The per-tick fleet summary reads NAT for every
-// node every tick, where assembling the full Metrics snapshot is an order
-// of magnitude more work than the single division.
-func (t *Tracker) NAT() float64 {
-	return t.ahOut / float64(t.lifetime)
-}
-
 // Metrics returns the current snapshot.
 func (t *Tracker) Metrics() Metrics {
 	m := Metrics{

@@ -261,13 +261,16 @@ type settings struct {
 	capScale float64
 	resScale float64
 	soc      float64
-	temp     units.Celsius
 	rec      *telemetry.Recorder
 }
 
 func defaultSettings() settings {
-	return settings{capScale: 1, resScale: 1, soc: 1, temp: 25}
+	return settings{capScale: 1, resScale: 1, soc: 1}
 }
+
+// initialTemperature is every new pack's case temperature: room
+// temperature, until the thermal model moves it.
+const initialTemperature units.Celsius = 25
 
 // counters resolves the telemetry handles once at construction so the
 // per-step cost is one nil check plus an atomic add. A nil recorder
@@ -300,11 +303,6 @@ func WithManufacturingVariation(capScale, resScale float64) Option {
 			s.resScale = resScale
 		}
 	}
-}
-
-// WithInitialTemperature sets the starting case temperature (default 25 °C).
-func WithInitialTemperature(t units.Celsius) Option {
-	return func(s *settings) { s.temp = t }
 }
 
 // WithRecorder instruments the model's step loop: discharge, charge, and
@@ -349,7 +347,7 @@ func NewInto(p *Pack, spec Spec, opts ...Option) error {
 		capacityScale:   st.capScale,
 		resistanceScale: st.resScale,
 		soc:             st.soc,
-		temp:            st.temp,
+		temp:            initialTemperature,
 	}
 	p.telDischarge, p.telCharge, p.telRest, p.telCutoff = st.counters()
 	p.thermalTau = spec.ThermalCapacity * spec.ThermalResistance
@@ -730,47 +728,8 @@ func (p *Pack) Counters() Counters {
 	}
 }
 
-// RoundTripEfficiency returns lifetime Wh-out / Wh-in, the figure whose
-// degradation Fig 5 plots. It returns 0 until some charge has flowed both
-// ways.
-func (p *Pack) RoundTripEfficiency() float64 {
-	if p.whIn <= 0 || p.whOut <= 0 {
-		return 0
-	}
-	return units.Clamp01(float64(p.whOut) / float64(p.whIn))
-}
-
 // StoredEnergy estimates the energy currently stored and deliverable at the
 // reference rate.
 func (p *Pack) StoredEnergy() units.WattHour {
 	return units.WattHour(p.soc * float64(p.EffectiveCapacity()) * float64(p.spec.NominalVoltage))
-}
-
-// EstimateSoC inverts the voltage model: given a terminal voltage measured
-// under discharge current i, it returns the state of charge the sensor
-// layer would report. This is how the prototype's controller derives SoC
-// from its front sensors (Table 2: "discharging voltage used for
-// calculating SoC"). The estimate compensates the IR drop with the pack's
-// present (aged) internal resistance, then inverts the OCV curve.
-func (p *Pack) EstimateSoC(v units.Volt, i units.Ampere) float64 {
-	// Undo the IR drop to recover the open-circuit voltage, then rescale
-	// to the canonical 12 V curve.
-	ocv := (float64(v) + float64(i)*p.internalResistance()) * p.curveRef / float64(p.spec.NominalVoltage)
-	lo, hi := p.curve.Domain()
-	if ocv >= p.curve.At(hi) {
-		return 1
-	}
-	if ocv <= p.curve.At(lo) {
-		return 0
-	}
-	// Binary search the monotone OCV curve.
-	for iter := 0; iter < 40; iter++ {
-		mid := (lo + hi) / 2
-		if p.curve.At(mid) < ocv {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return units.Clamp01((lo + hi) / 2)
 }

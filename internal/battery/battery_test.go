@@ -213,28 +213,6 @@ func TestChargeTaperNearFull(t *testing.T) {
 	}
 }
 
-func TestRoundTripEfficiency(t *testing.T) {
-	p := newPack(t)
-	if got := p.RoundTripEfficiency(); got != 0 {
-		t.Errorf("efficiency before any flow = %v, want 0", got)
-	}
-	// One full-ish cycle.
-	for i := 0; i < 120; i++ {
-		if _, err := p.Discharge(100, time.Minute, 25); err != nil {
-			t.Fatalf("Discharge: %v", err)
-		}
-	}
-	for i := 0; i < 600; i++ {
-		if _, err := p.Charge(100, time.Minute, 25); err != nil {
-			t.Fatalf("Charge: %v", err)
-		}
-	}
-	eff := p.RoundTripEfficiency()
-	if eff < 0.6 || eff > 0.98 {
-		t.Errorf("round-trip efficiency = %v, want 0.6–0.98 for lead-acid", eff)
-	}
-}
-
 func TestPeukertEffect(t *testing.T) {
 	p := newPack(t)
 	refCap := p.capacityAt(1) // below reference rate

@@ -87,7 +87,7 @@ func NewLinearInto(l *Linear, spec Spec, opts ...Option) error {
 		capacityScale:   st.capScale,
 		resistanceScale: st.resScale,
 		soc:             st.soc,
-		temp:            st.temp,
+		temp:            initialTemperature,
 	}
 	l.telDischarge, l.telCharge, l.telRest, l.telCutoff = st.counters()
 	return nil
@@ -303,14 +303,6 @@ func (l *Linear) Counters() Counters {
 		OperatingTime:        l.operating,
 		EquivalentFullCycles: l.cycles,
 	}
-}
-
-// RoundTripEfficiency returns lifetime Wh-out / Wh-in, as Pack does.
-func (l *Linear) RoundTripEfficiency() float64 {
-	if l.whIn <= 0 || l.whOut <= 0 {
-		return 0
-	}
-	return units.Clamp01(float64(l.whOut) / float64(l.whIn))
 }
 
 // StoredEnergy estimates the energy currently stored.

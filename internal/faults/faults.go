@@ -10,8 +10,8 @@
 // Fault kinds compose across the stack:
 //
 //   - sensor faults corrupt the controller's *view* of a battery (the
-//     samples feeding aging.Tracker and the node's last reading) without
-//     touching the physics — stuck, NaN, noisy, or dropped readings;
+//     samples feeding aging.Tracker) without touching the physics —
+//     stuck, NaN, noisy, or dropped readings;
 //   - battery faults are physical: sudden capacity loss, elevated internal
 //     resistance, or premature end-of-life, injected into the aging model
 //     as irreversible damage;

@@ -142,39 +142,31 @@ func TestDefaultMagnitudes(t *testing.T) {
 	if st.Nodes[0].TargetHealth != 0.75 {
 		t.Errorf("premature-EOL target health %v, want default 0.75", st.Nodes[0].TargetHealth)
 	}
-	// The scheduled PV dropout is realized via PVOutages, not PVFactor.
-	outs := inj.PVOutages(1)
-	if len(outs) != 1 {
-		t.Fatalf("got %d outages, want 1", len(outs))
+	if st.PVFactor != 1 {
+		t.Errorf("PV factor %v before the dropout window, want 1", st.PVFactor)
 	}
-	if outs[0].Factor != 0 {
-		t.Errorf("outage factor %v, want 0 (full dropout default)", outs[0].Factor)
+	if st := inj.Tick(12*time.Hour, tick); st.PVFactor != 0 {
+		t.Errorf("PV factor %v inside the default dropout window, want 0 (full dropout)", st.PVFactor)
 	}
 }
 
-func TestPVOutagesClipToDay(t *testing.T) {
-	// A 6-hour derating starting day 1 at 20:00 spans into day 2.
+// TestScheduledPVDropoutSpansMidnight: a scheduled PV dropout holds
+// PVFactor at 1 − magnitude for its whole window, across the day boundary,
+// and releases it exactly at the window's end.
+func TestScheduledPVDropoutSpansMidnight(t *testing.T) {
+	// A 6-hour derating starting day 1 at 20:00 ends day 2 at 02:00.
 	cfg := Config{Seed: 1, Rules: []Rule{
 		{Kind: PVDropout, Day: 1, At: 20 * time.Hour, Duration: 6 * time.Hour, Magnitude: 0.5},
 	}}
-	inj, err := NewInjector(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := inj.PVOutages(1)
-	if len(d1) != 1 || d1[0].Start != 20*time.Hour || d1[0].End != 24*time.Hour {
-		t.Errorf("day 1 outages %+v, want one [20h, 24h) window", d1)
-	}
-	d2 := inj.PVOutages(2)
-	if len(d2) != 1 || d2[0].Start != 0 || d2[0].End != 26*time.Hour-24*time.Hour {
-		t.Errorf("day 2 outages %+v, want one [0, 2h) window", d2)
-	}
-	if d3 := inj.PVOutages(3); len(d3) != 0 {
-		t.Errorf("day 3 outages %+v, want none", d3)
-	}
-	for _, o := range append(d1, d2...) {
-		if o.Factor != 0.5 {
-			t.Errorf("outage factor %v, want 0.5", o.Factor)
+	start, end := 20*time.Hour, 26*time.Hour
+	for i, st := range runPlan(t, cfg, 2, 3) {
+		clock := time.Duration(i) * tick
+		want := 1.0
+		if clock >= start && clock < end {
+			want = 0.5
+		}
+		if st.PVFactor != want {
+			t.Fatalf("PV factor at %v = %v, want %v", clock, st.PVFactor, want)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 // An Injector is not safe for concurrent use; the engine owns it.
 type Injector struct {
 	rng   *rng.Stream
-	nodes int
 	rules []ruleState
 	state TickState // reused across ticks
 }
@@ -51,10 +50,7 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{
-		rng:   rng.New(cfg.Seed, rng.Faults),
-		nodes: nodes,
-	}
+	inj := &Injector{rng: rng.New(cfg.Seed, rng.Faults)}
 	for _, r := range cfg.Rules {
 		rs := ruleState{rule: r, mag: r.magnitude()}
 		switch {
@@ -156,12 +152,7 @@ func (inj *Injector) Tick(clock, tick time.Duration) *TickState {
 					t.open = false
 				}
 				if active {
-					// Scheduled PV dropouts are realized through the day's
-					// derated generation curve (PVOutages), not PVFactor —
-					// applying both would double the outage.
-					if r.Kind != PVDropout {
-						inj.applyWindow(r.Kind, rs.mag, t.node)
-					}
+					inj.applyWindow(r.Kind, rs.mag, t.node)
 				}
 				continue
 			}
@@ -250,45 +241,3 @@ func (inj *Injector) applyOneShot(k Kind, mag float64, node int) {
 		apply(&st.Nodes[i])
 	}
 }
-
-// Outage is one scheduled PV derating window clipped to a single day,
-// expressed in time of day.
-type Outage struct {
-	// Start and End bound the window within the day, [Start, End).
-	Start, End time.Duration
-	// Factor is the generation multiplier while the window holds
-	// (1 − Magnitude; 0 for a full dropout).
-	Factor float64
-}
-
-// PVOutages returns the scheduled PV-dropout windows overlapping the given
-// 1-based simulated day, for the engine to fold into the day's generation
-// curve before any tick runs. Probabilistic PV rules are excluded — those
-// resolve per tick through TickState.PVFactor.
-func (inj *Injector) PVOutages(day int) []Outage {
-	var out []Outage
-	d0 := time.Duration(day-1) * 24 * time.Hour
-	d1 := d0 + 24*time.Hour
-	for _, rs := range inj.rules {
-		r := rs.rule
-		if r.Kind != PVDropout || r.Day == 0 {
-			continue
-		}
-		start, end := r.start(), r.start()+r.Duration
-		if end <= d0 || start >= d1 {
-			continue
-		}
-		o := Outage{Start: 0, End: 24 * time.Hour, Factor: 1 - rs.mag}
-		if start > d0 {
-			o.Start = start - d0
-		}
-		if end < d1 {
-			o.End = end - d0
-		}
-		out = append(out, o)
-	}
-	return out
-}
-
-// NodeCount returns the fleet size the injector was compiled for.
-func (inj *Injector) NodeCount() int { return inj.nodes }

@@ -8,18 +8,17 @@
 // memory.
 //
 // The fleet is partitioned into rack-group shards (Shard), each owning a
-// contiguous index range and a named RNG substream derived from the run
-// seed via rng.Shard(i). The shard→stream mapping depends only on the
-// shard index, never on worker count, so sharded runs stay bit-identical
-// however many goroutines execute them. Per-shard Summary values
-// accumulate integer aggregates (suspect counts, SoC histogram bins,
-// end-of-life and migration-candidate indices) that recombine exactly —
-// bin-by-bin, count-by-count — to whole-fleet values, which is what lets
-// a controller consume O(shards) summaries instead of rescanning O(nodes)
-// state. Float fields (SoC and energy sums) merge in shard order and are
-// deterministic for a fixed shard size, but their rounding differs from a
-// flat serial sum; consumers must treat them as telemetry-grade and never
-// let them pick between otherwise-equal trace-visible decisions.
+// contiguous index range. Shards hold no randomness of their own, so
+// sharded runs stay bit-identical however many goroutines execute them.
+// Per-shard Summary values accumulate integer aggregates (suspect and
+// capped counts, SoC histogram bins, the first end-of-life index) that
+// recombine exactly — bin-by-bin, count-by-count — to whole-fleet values,
+// which is what lets a controller consume O(shards) summaries instead of
+// rescanning O(nodes) state. The float fields (worst health and the SoC
+// sum) merge in shard order; the minimum is exact, and the sum is
+// deterministic for a fixed shard size but rounds differently from a flat
+// serial sum, so consumers must treat it as telemetry-grade and never let
+// it pick between otherwise-equal trace-visible decisions.
 //
 // Pool is the reusable worker fan-out that executes shards concurrently:
 // workers are long-lived and claim shard indices from an atomic cursor,
@@ -50,10 +49,6 @@ type Config struct {
 	// ShardSize is the rack-group partition width (the last shard may be
 	// smaller). Zero means DefaultShardSize.
 	ShardSize int
-	// Seed derives each shard's named RNG substream (rng.Shard).
-	Seed int64
-	// ID names node i. Nil defaults to "node-<i>".
-	ID func(i int) string
 	// Node returns node i's configuration. It is called exactly once per
 	// node, in ascending index order — construction-time randomness (e.g.
 	// manufacturing variation drawn from a caller stream) therefore lands
@@ -125,10 +120,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Node == nil {
 		return nil, fmt.Errorf("fleet: Config.Node must not be nil")
 	}
-	id := cfg.ID
-	if id == nil {
-		id = func(i int) string { return fmt.Sprintf("node-%d", i) }
-	}
 	n := cfg.Nodes
 	// Size the per-tier battery slabs. With no Model declaration every
 	// node gets an electrochemical slot.
@@ -184,7 +175,7 @@ func New(cfg Config) (*Fleet, error) {
 			parts.Pack = &f.packs[packCursor]
 			packCursor++
 		}
-		if err := node.NewInto(&f.nodes[i], id(i), ncfg, parts); err != nil {
+		if err := node.NewInto(&f.nodes[i], fmt.Sprintf("node-%d", i), ncfg, parts); err != nil {
 			return nil, err
 		}
 		f.views[i] = &f.nodes[i]
@@ -209,7 +200,7 @@ func New(cfg Config) (*Fleet, error) {
 		f.runs = append(f.runs, tierRun{lo: i, hi: j, off: places[i].off, linear: places[i].linear})
 		i = j
 	}
-	f.shards = partition(n, cfg.ShardSize, cfg.Seed)
+	f.shards = partition(n, cfg.ShardSize)
 	return f, nil
 }
 
@@ -239,11 +230,8 @@ func (f *Fleet) Len() int { return len(f.nodes) }
 // with any fleet).
 func (f *Fleet) Views() []*node.Node { return f.views }
 
-// View returns node i's handle.
-func (f *Fleet) View(i int) *node.Node { return f.views[i] }
-
 // Shards returns the rack-group partition. The slice is shared; shard
-// boundaries and streams are fixed at construction.
+// boundaries are fixed at construction.
 func (f *Fleet) Shards() []Shard { return f.shards }
 
 // Cols returns the fleet's allocator scratch columns (shared, reused

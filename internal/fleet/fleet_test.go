@@ -9,7 +9,6 @@ import (
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
-	"github.com/green-dc/baat/internal/rng"
 	"github.com/green-dc/baat/internal/units"
 )
 
@@ -19,7 +18,6 @@ func defaultFleet(t *testing.T, n, shardSize int) *Fleet {
 	f, err := New(Config{
 		Nodes:     n,
 		ShardSize: shardSize,
-		Seed:      1,
 		Node:      func(int) (node.Config, error) { return node.DefaultConfig(), nil },
 	})
 	if err != nil {
@@ -74,21 +72,18 @@ func TestPartition(t *testing.T) {
 		{nodes: 13, size: 3, wantShards: 5, wantLast: 1},
 	}
 	for _, tt := range tests {
-		shards := partition(tt.nodes, tt.size, 1)
+		shards := partition(tt.nodes, tt.size)
 		if len(shards) != tt.wantShards {
 			t.Errorf("partition(%d, %d): %d shards, want %d", tt.nodes, tt.size, len(shards), tt.wantShards)
 			continue
 		}
 		next := 0
 		for i, sh := range shards {
-			if sh.Index != i || sh.Lo != next || sh.Hi <= sh.Lo {
+			if sh.Lo != next || sh.Hi <= sh.Lo {
 				t.Errorf("partition(%d, %d): shard %d = [%d, %d), want contiguous from %d",
 					tt.nodes, tt.size, i, sh.Lo, sh.Hi, next)
 			}
 			next = sh.Hi
-			if sh.Rng == nil {
-				t.Errorf("partition(%d, %d): shard %d has no stream", tt.nodes, tt.size, i)
-			}
 		}
 		if next != tt.nodes {
 			t.Errorf("partition(%d, %d): covers %d nodes, want %d", tt.nodes, tt.size, next, tt.nodes)
@@ -96,31 +91,6 @@ func TestPartition(t *testing.T) {
 		if last := shards[len(shards)-1].Len(); last != tt.wantLast {
 			t.Errorf("partition(%d, %d): last shard holds %d, want %d", tt.nodes, tt.size, last, tt.wantLast)
 		}
-	}
-}
-
-// TestShardStreams pins the substream contract: shard i's stream depends
-// only on (seed, i) — rebuilding the partition reproduces it — and
-// distinct shards draw distinct sequences.
-func TestShardStreams(t *testing.T) {
-	a := partition(256, 64, 42)
-	b := partition(256, 64, 42)
-	for i := range a {
-		if x, y := a[i].Rng.Uint64(), b[i].Rng.Uint64(); x != y {
-			t.Errorf("shard %d: stream not reproducible (%d vs %d)", i, x, y)
-		}
-	}
-	fresh := partition(256, 64, 42)
-	draws := make(map[uint64]int)
-	for i, sh := range fresh {
-		v := sh.Rng.Uint64()
-		if prev, dup := draws[v]; dup {
-			t.Errorf("shards %d and %d drew the same first value %d", prev, i, v)
-		}
-		draws[v] = i
-	}
-	if rng.Shard(3) == rng.Shard(30) {
-		t.Error("distinct shard indices produced the same stream name")
 	}
 }
 

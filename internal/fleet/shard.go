@@ -1,47 +1,27 @@
 package fleet
 
-import (
-	"github.com/green-dc/baat/internal/rng"
-)
-
 // Shard is one rack-group partition of the fleet: the contiguous node
-// index range [Lo, Hi) plus the shard's named RNG substream. Shards are
-// the unit of parallel work — distinct shards touch disjoint node state,
-// so any assignment of shards to workers computes the same fleet state —
-// and the unit of aggregation: per-shard Summary values merge in shard
-// order into whole-fleet aggregates.
+// index range [Lo, Hi). Shards are the unit of parallel work — distinct
+// shards touch disjoint node state, so any assignment of shards to workers
+// computes the same fleet state — and the unit of aggregation: per-shard
+// Summary values merge in shard order into whole-fleet aggregates.
 type Shard struct {
-	// Index is the shard's position in the partition.
-	Index int
 	// Lo and Hi bound the shard's node index range: [Lo, Hi).
 	Lo, Hi int
-	// Rng is the shard's substream, derived from the run seed and the
-	// shard index alone (rng.Shard), so draws stay identical at any
-	// worker count. It must only be used by whichever goroutine is
-	// executing the shard.
-	Rng *rng.Stream
 }
 
 // Len returns the number of nodes in the shard.
 func (s Shard) Len() int { return s.Hi - s.Lo }
 
 // partition slices n nodes into shards of the given size (default
-// DefaultShardSize; the last shard takes the remainder), deriving each
-// shard's substream from seed.
-func partition(n, size int, seed int64) []Shard {
+// DefaultShardSize; the last shard takes the remainder).
+func partition(n, size int) []Shard {
 	if size <= 0 {
 		size = DefaultShardSize
 	}
 	shards := make([]Shard, 0, (n+size-1)/size)
 	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		i := len(shards)
-		shards = append(shards, Shard{
-			Index: i,
-			Lo:    lo,
-			Hi:    hi,
-			Rng:   rng.New(seed, rng.Shard(i)),
-		})
+		shards = append(shards, Shard{Lo: lo, Hi: min(lo+size, n)})
 	}
 	return shards
 }

@@ -12,12 +12,12 @@ import (
 // Summary aggregates one pass over a set of nodes — typically one shard's
 // index range for one tick. Per-shard summaries merged in shard order
 // (Add) recombine to exactly the values a single whole-fleet pass would
-// produce for every integer field: counts count each node once, histogram
-// bins add, and index fields resolve by the same ascending-index
-// tie-break a serial scan uses. The float sums (SoCSum, SolarWhSum)
-// recombine up to floating-point associativity: deterministic for a fixed
-// shard size, but rounded differently than a flat sum, so they feed
-// telemetry gauges only — never trace-visible decisions.
+// produce for every integer field and for MinHealth: counts count each
+// node once, histogram bins add, EOLIndex keeps the lowest index a serial
+// scan would find, and a minimum does not depend on grouping. The float
+// sum SoCSum recombines up to floating-point associativity: deterministic
+// for a fixed shard size, but rounded differently than a flat sum, so it
+// feeds a telemetry gauge only — never trace-visible decisions.
 type Summary struct {
 	// Valid reports the summary reflects a completed pass; the engine
 	// leaves it false until the first tick has run.
@@ -33,18 +33,11 @@ type Summary struct {
 	// EOLIndex is the lowest node index at or below end-of-life health,
 	// or -1. The engine uses it in place of a per-tick fleet scan.
 	EOLIndex int
-	// MinHealth and MinHealthIndex locate the weakest battery (lowest
-	// index on ties — the serial-scan order).
-	MinHealth      float64
-	MinHealthIndex int
-	// MaxNAT and MaxNATIndex locate the fastest-aging battery by
-	// normalized aging throughput — the canonical migration candidate.
-	MaxNAT      float64
-	MaxNATIndex int
-	// SoCSum and SolarWhSum accumulate state-of-charge and solar energy
-	// across the pass (telemetry-grade; see the type comment).
-	SoCSum     float64
-	SolarWhSum float64
+	// MinHealth is the weakest battery's remaining-capacity fraction.
+	MinHealth float64
+	// SoCSum accumulates state of charge across the pass
+	// (telemetry-grade; see the type comment).
+	SoCSum float64
 	// Hist, when non-nil, receives one SoC observation per node when the
 	// caller asks for it (the engine only samples inside the operating
 	// window, matching the Fig 19 distribution).
@@ -65,11 +58,7 @@ func (s *Summary) Reset() {
 	s.Capped = 0
 	s.EOLIndex = -1
 	s.MinHealth = math.Inf(1)
-	s.MinHealthIndex = -1
-	s.MaxNAT = math.Inf(-1)
-	s.MaxNATIndex = -1
 	s.SoCSum = 0
-	s.SolarWhSum = 0
 	if s.Hist != nil {
 		s.Hist.Reset()
 	}
@@ -81,27 +70,19 @@ func (s *Summary) Reset() {
 // bookkeeping). observeSoC gates the histogram sample.
 func (s *Summary) ObserveNode(i int, n *node.Node, observeSoC bool) float64 {
 	s.Nodes++
-	// node.SoC/Health/NAT are the devirtualized fast accessors: no
-	// interface call, no full aging.Metrics snapshot. This fold runs for
-	// every node every tick, and the Metrics assembly alone used to be a
-	// quarter of the warehouse-scale step profile.
+	// node.SoC/Health are the devirtualized fast accessors: no interface
+	// call. This fold runs for every node every tick.
 	soc := n.SoC()
 	s.SoCSum += soc
-	s.SolarWhSum += float64(n.SolarEnergy())
 	if observeSoC && s.Hist != nil {
 		s.Hist.Observe(soc)
 	}
 	health := n.Health()
 	if health < s.MinHealth {
 		s.MinHealth = health
-		s.MinHealthIndex = i
 	}
 	if s.EOLIndex < 0 && health < battery.EndOfLifeHealth {
 		s.EOLIndex = i
-	}
-	if nat := n.NAT(); nat > s.MaxNAT {
-		s.MaxNAT = nat
-		s.MaxNATIndex = i
 	}
 	if n.MetricsSuspect() {
 		s.Suspect++
@@ -120,10 +101,9 @@ func (s *Summary) ObserveChanged(i int) {
 }
 
 // Add merges o into s. Merging per-shard summaries in ascending shard
-// order reproduces a serial whole-fleet scan: first-match fields
-// (EOLIndex) keep the earliest, extremum fields keep the lowest index on
-// ties because within-shard observation already did, and counts and bins
-// add exactly. Changed is deliberately not merged (see the field
+// order reproduces a serial whole-fleet scan: the first-match field
+// (EOLIndex) keeps the earliest, MinHealth keeps the minimum, and counts
+// and bins add exactly. Changed is deliberately not merged (see the field
 // comment). Histograms must share geometry.
 func (s *Summary) Add(o *Summary) error {
 	s.Nodes += o.Nodes
@@ -134,14 +114,8 @@ func (s *Summary) Add(o *Summary) error {
 	}
 	if o.MinHealth < s.MinHealth {
 		s.MinHealth = o.MinHealth
-		s.MinHealthIndex = o.MinHealthIndex
-	}
-	if o.MaxNAT > s.MaxNAT {
-		s.MaxNAT = o.MaxNAT
-		s.MaxNATIndex = o.MaxNATIndex
 	}
 	s.SoCSum += o.SoCSum
-	s.SolarWhSum += o.SolarWhSum
 	if s.Hist != nil && o.Hist != nil {
 		if err := s.Hist.Merge(o.Hist); err != nil {
 			return fmt.Errorf("fleet: merge summary: %w", err)

@@ -2,11 +2,11 @@ package fleet
 
 // The shard-aggregation property tests: per-shard summaries, merged in
 // shard order, must recombine to exactly the values one whole-fleet pass
-// produces — integer fields (counts, histogram bins, indices) exactly,
-// float sums (state of charge, energy balance) to floating-point
+// produces — integer fields (counts, histogram bins, indices) and the
+// worst health exactly, the state-of-charge sum to floating-point
 // associativity tolerance. The fleet is perturbed through the real node
-// step path so SoC, health, aging metrics, DVFS state, and suspect flags
-// all vary across nodes.
+// step path so SoC, health, DVFS state, and suspect flags all vary across
+// nodes.
 
 import (
 	"fmt"
@@ -27,7 +27,7 @@ const propNodes = 16
 
 // perturbedFleet builds a fleet whose nodes have diverged: most host a
 // service VM and were stepped different numbers of ticks under scarce
-// solar (varying SoC, aging throughput, and solar energy), some are
+// solar (varying SoC and health), some are
 // frequency-capped, some carry battery wear past end-of-life, and some
 // have a quarantined sensor chain. The perturbation is deterministic, so
 // every call reproduces identical per-node state regardless of shard
@@ -37,7 +37,6 @@ func perturbedFleet(t *testing.T, shardSize int) *Fleet {
 	f, err := New(Config{
 		Nodes:     propNodes,
 		ShardSize: shardSize,
-		Seed:      7,
 		Node: func(i int) (node.Config, error) {
 			cfg := node.DefaultConfig()
 			cfg.AgingConfig.AccelFactor = 50
@@ -101,7 +100,7 @@ func newSummary(t *testing.T) *Summary {
 // against prev.
 func summarize(s *Summary, f *Fleet, lo, hi int, prev []bool) {
 	for i := lo; i < hi; i++ {
-		nd := f.View(i)
+		nd := f.Views()[i]
 		s.ObserveNode(i, nd, true)
 		if nd.MetricsSuspect() != prev[i] {
 			s.ObserveChanged(i)
@@ -145,13 +144,8 @@ func TestSummaryShardRecombination(t *testing.T) {
 			if total.EOLIndex != whole.EOLIndex {
 				t.Errorf("EOLIndex = %d, want %d", total.EOLIndex, whole.EOLIndex)
 			}
-			if total.MinHealthIndex != whole.MinHealthIndex || total.MinHealth != whole.MinHealth {
-				t.Errorf("min health = %v@%d, want %v@%d",
-					total.MinHealth, total.MinHealthIndex, whole.MinHealth, whole.MinHealthIndex)
-			}
-			if total.MaxNATIndex != whole.MaxNATIndex || total.MaxNAT != whole.MaxNAT {
-				t.Errorf("max NAT = %v@%d, want %v@%d",
-					total.MaxNAT, total.MaxNATIndex, whole.MaxNAT, whole.MaxNATIndex)
+			if total.MinHealth != whole.MinHealth {
+				t.Errorf("min health = %v, want %v", total.MinHealth, whole.MinHealth)
 			}
 			if !slices.Equal(total.Hist.Counts(), whole.Hist.Counts()) {
 				t.Errorf("histogram bins diverged: %v vs %v", total.Hist.Counts(), whole.Hist.Counts())
@@ -163,17 +157,9 @@ func TestSummaryShardRecombination(t *testing.T) {
 				t.Errorf("changed indices diverged: %v vs %v", changed, whole.Changed)
 			}
 
-			// Float sums recombine to associativity tolerance.
-			relClose := func(name string, got, want float64) {
-				tol := 1e-12 * math.Max(1, math.Abs(want))
-				if math.Abs(got-want) > tol {
-					t.Errorf("%s = %v, want %v (±%g)", name, got, want, tol)
-				}
-			}
-			relClose("SoCSum", total.SoCSum, whole.SoCSum)
-			relClose("SolarWhSum", total.SolarWhSum, whole.SolarWhSum)
-			if whole.SolarWhSum == 0 {
-				t.Error("perturbation consumed no solar energy; the energy-balance check is vacuous")
+			// The float sum recombines to associativity tolerance.
+			if tol := 1e-12 * math.Max(1, whole.SoCSum); math.Abs(total.SoCSum-whole.SoCSum) > tol {
+				t.Errorf("SoCSum = %v, want %v (±%g)", total.SoCSum, whole.SoCSum, tol)
 			}
 			if whole.Suspect == 0 || whole.Capped == 0 || whole.EOLIndex < 0 {
 				t.Errorf("perturbation too tame (suspect %d, capped %d, eol %d); properties not exercised",
@@ -183,31 +169,35 @@ func TestSummaryShardRecombination(t *testing.T) {
 	}
 }
 
-// TestSummaryTieBreaks pins the ascending-index tie-break: identical
-// extremum values must resolve to the lowest index both within a pass and
-// across merges.
+// TestSummaryTieBreaks pins the ascending-index tie-break: when every node
+// is past end-of-life, EOLIndex must resolve to the lowest index both
+// within a pass and across merges; a healthy fleet reports none.
 func TestSummaryTieBreaks(t *testing.T) {
 	f := defaultFleet(t, 8, 4) // untouched fleet: every node identical
 	prev := make([]bool, 8)
-
-	whole := newSummary(t)
-	summarize(whole, f, 0, 8, prev)
-
-	total := newSummary(t)
-	for _, sh := range f.Shards() {
-		part := newSummary(t)
-		summarize(part, f, sh.Lo, sh.Hi, prev)
-		if err := total.Add(part); err != nil {
-			t.Fatal(err)
+	merged := func() (whole, total *Summary) {
+		whole = newSummary(t)
+		summarize(whole, f, 0, 8, prev)
+		total = newSummary(t)
+		for _, sh := range f.Shards() {
+			part := newSummary(t)
+			summarize(part, f, sh.Lo, sh.Hi, prev)
+			if err := total.Add(part); err != nil {
+				t.Fatal(err)
+			}
 		}
+		return whole, total
 	}
-	if whole.MinHealthIndex != 0 || whole.MaxNATIndex != 0 {
-		t.Errorf("serial tie-break picked indices %d/%d, want 0/0", whole.MinHealthIndex, whole.MaxNATIndex)
-	}
-	if total.MinHealthIndex != 0 || total.MaxNATIndex != 0 {
-		t.Errorf("merged tie-break picked indices %d/%d, want 0/0", total.MinHealthIndex, total.MaxNATIndex)
-	}
+
+	whole, total := merged()
 	if total.EOLIndex != -1 || whole.EOLIndex != -1 {
 		t.Errorf("healthy fleet reported EOL indices %d/%d, want -1", total.EOLIndex, whole.EOLIndex)
+	}
+	for _, nd := range f.Views() {
+		nd.InjectBatteryWear(0.3, 0, 0) // identical wear: every node ties past EOL
+	}
+	whole, total = merged()
+	if whole.EOLIndex != 0 || total.EOLIndex != 0 {
+		t.Errorf("tie-break picked EOL indices %d (serial) / %d (merged), want 0/0", whole.EOLIndex, total.EOLIndex)
 	}
 }

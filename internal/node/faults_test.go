@@ -5,12 +5,12 @@ package node
 // gating under injected brownouts, and battery wear shocks.
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"time"
 
 	"github.com/green-dc/baat/internal/faults"
-	"github.com/green-dc/baat/internal/powernet"
 	"github.com/green-dc/baat/internal/workload"
 )
 
@@ -39,44 +39,40 @@ func TestNaNSensorQuarantinesImmediately(t *testing.T) {
 	if !n.MetricsSuspect() {
 		t.Error("node not quarantined after a rejected sample")
 	}
-	// The last reading must never hold a NaN (it is JSON-marshaled into
-	// checkpoints); the rejected tick records a sanitized bad-quality row
-	// instead.
-	last, ok := n.LastReading()
-	if !ok {
-		t.Fatal("no reading recorded")
+	// The rejected sample must leave no NaN in the node's state: the
+	// metrics stay finite, and the state still marshals into a checkpoint
+	// (encoding/json refuses NaN).
+	if m := n.Metrics(); math.IsNaN(m.NAT) || math.IsNaN(m.DR) {
+		t.Errorf("NaN leaked into the metrics: %+v", m)
 	}
-	if math.IsNaN(float64(last.Current)) || math.IsNaN(float64(last.Voltage)) {
-		t.Errorf("NaN leaked into the last reading: %+v", last)
-	}
-	if last.Quality != powernet.QualityBad {
-		t.Errorf("rejected sample quality = %v, want QualityBad", last.Quality)
+	if _, err := json.Marshal(n.Snapshot()); err != nil {
+		t.Errorf("node state does not serialize after a rejected sample: %v", err)
 	}
 }
 
 func TestDroppedSensorGoesStaleAfterThreshold(t *testing.T) {
-	n := newNode(t, func(c *Config) { c.StaleAfter = 3 })
+	n := newNode(t)
 	attachVM(t, n, "v", workload.WebServing)
 	stepTicks(t, n, 2)
-	before, _ := n.LastReading()
+	before := n.Metrics()
 	n.SetSensorFault(faults.SensorFault{Mode: faults.ModeDrop})
 
 	// Below the stale threshold: missed but not yet quarantined.
-	stepTicks(t, n, 2)
+	stepTicks(t, n, DefaultStaleAfter-1)
 	if n.MetricsSuspect() {
-		t.Error("quarantined before StaleAfter consecutive misses")
+		t.Error("quarantined before DefaultStaleAfter consecutive misses")
 	}
-	// Third consecutive miss crosses the threshold.
+	// The next consecutive miss crosses the threshold.
 	stepTicks(t, n, 1)
 	if !n.MetricsSuspect() {
-		t.Error("not quarantined after StaleAfter consecutive misses")
+		t.Error("not quarantined after DefaultStaleAfter consecutive misses")
 	}
-	if n.SensorDropped() != 3 {
-		t.Errorf("dropped = %d, want 3", n.SensorDropped())
+	if n.SensorDropped() != DefaultStaleAfter {
+		t.Errorf("dropped = %d, want %d", n.SensorDropped(), DefaultStaleAfter)
 	}
-	// Dropped readings record nothing: the pre-fault reading stays.
-	if got, _ := n.LastReading(); got != before {
-		t.Errorf("last reading changed during a dropped feed: %+v, want %+v", got, before)
+	// Dropped samples never reach the tracker: the metrics are frozen.
+	if got := n.Metrics(); got != before {
+		t.Errorf("metrics changed during a dropped feed: %+v, want %+v", got, before)
 	}
 }
 
@@ -110,37 +106,31 @@ func TestStuckSensorFreezesTrackerNotPhysics(t *testing.T) {
 	stepTicks(t, n, 30)
 
 	// The physics keep moving: the true SoC keeps falling under load,
-	// while the sensor chain keeps reporting the frozen pre-fault reading.
+	// while the sensor chain keeps feeding the tracker the frozen pre-fault
+	// sample.
 	socAfter := n.Battery().SoC()
 	if socAfter >= socBefore {
 		t.Error("physics froze with the sensor: SoC did not move")
 	}
-	last, ok := n.LastReading()
-	if !ok {
-		t.Fatal("no reading recorded")
-	}
+	last := n.Snapshot().LastSample
 	if math.Abs(last.SoC-socBefore) > 1e-6 {
-		t.Errorf("stuck row SoC = %v, want frozen pre-fault value %v", last.SoC, socBefore)
+		t.Errorf("stuck sample SoC = %v, want frozen pre-fault value %v", last.SoC, socBefore)
 	}
 	if math.Abs(last.SoC-socAfter) < 1e-9 {
-		t.Error("stuck row tracks the live SoC; the sensor view should be frozen")
+		t.Error("stuck sample tracks the live SoC; the sensor view should be frozen")
 	}
 	// Ground-truth aging is unaffected: the model observed the true
 	// samples, so health keeps decaying.
 	if n.AgingModel().Degradation().CapacityFade <= 0 {
 		t.Error("aging model saw no damage despite real discharge")
 	}
-	// Stuck samples are plausible, so no quarantine — but the reading is
-	// flagged suspect.
+	// Stuck samples are plausible, so no quarantine.
 	if n.MetricsSuspect() {
 		t.Error("stuck sensor quarantined the node (plausible samples should pass)")
 	}
-	if last.Quality != powernet.QualitySuspect {
-		t.Errorf("stuck reading quality = %v, want QualitySuspect", last.Quality)
-	}
 }
 
-func TestNoisySensorMarksRowsSuspect(t *testing.T) {
+func TestNoisySensorPerturbsReportedSample(t *testing.T) {
 	n := newNode(t)
 	attachVM(t, n, "v", workload.WebServing)
 	stepTicks(t, n, 1)
@@ -150,12 +140,14 @@ func TestNoisySensorMarksRowsSuspect(t *testing.T) {
 		Noise: [3]float64{1.5, -0.5, 0.25},
 	})
 	stepTicks(t, n, 1)
-	last, ok := n.LastReading()
-	if !ok {
-		t.Fatal("no reading recorded")
+	// The tracker accepts the plausible noisy sample as reported: its SoC
+	// is the true value shifted by 0.1·σ·noise[1] = −0.01.
+	last := n.Snapshot().LastSample
+	if want := n.Battery().SoC() - 0.01; math.Abs(last.SoC-want) > 1e-6 {
+		t.Errorf("noisy sample SoC = %v, want ≈%v", last.SoC, want)
 	}
-	if last.Quality != powernet.QualitySuspect {
-		t.Errorf("noisy reading quality = %v, want QualitySuspect", last.Quality)
+	if n.MetricsSuspect() {
+		t.Error("noisy but plausible sample quarantined the node")
 	}
 }
 

@@ -3,7 +3,7 @@
 // reporting its Table 2 reading, and the aging bookkeeping the BAAT
 // controller reads (DSN'15 Fig 7, per-server integration). The tracker
 // folds each delivered sample into the aging metrics as it arrives, so the
-// node keeps only its newest reading (LastReading), never a history log.
+// node keeps no reading or history log of its own.
 //
 // Each simulation tick the node routes power: solar feeds the server first,
 // surplus charges the battery, and shortfall discharges the battery through
@@ -59,11 +59,6 @@ type Config struct {
 	// the BAAT policies fall back to conservative decisions. Zero selects
 	// the DefaultSensorQuarantine.
 	SensorQuarantine time.Duration
-
-	// StaleAfter is how many consecutive missed sensor samples (dropped
-	// readings) make the metrics stale enough to quarantine. Zero selects
-	// DefaultStaleAfter.
-	StaleAfter int
 
 	// BatteryOptions customize the pack (manufacturing variation etc.).
 	BatteryOptions []battery.Option
@@ -132,9 +127,6 @@ func (c Config) Validate() error {
 	if c.SensorQuarantine < 0 {
 		return fmt.Errorf("node: sensor quarantine must be non-negative, got %v", c.SensorQuarantine)
 	}
-	if c.StaleAfter < 0 {
-		return fmt.Errorf("node: stale-after must be non-negative, got %d", c.StaleAfter)
-	}
 	return nil
 }
 
@@ -145,7 +137,7 @@ func (c Config) Validate() error {
 const DefaultSensorQuarantine = 10 * time.Minute
 
 // DefaultStaleAfter is how many consecutive lost samples quarantine the
-// metrics when Config.StaleAfter is zero.
+// metrics.
 const DefaultStaleAfter = 3
 
 // StepResult summarizes one tick of node operation.
@@ -171,7 +163,7 @@ type StepResult struct {
 //
 // A single Node is not safe for concurrent use, but distinct Nodes are
 // fully independent: every field a Step/StepOffline touches (pack, server,
-// tracker, model, last reading) is owned by that node, and the only shared
+// tracker, model, sensor state) is owned by that node, and the only shared
 // state — telemetry counters — is atomic. The simulator's parallel fleet
 // stepping relies on this: stepping disjoint nodes from multiple
 // goroutines is race-free and produces results identical to serial order.
@@ -196,10 +188,8 @@ type Node struct {
 	clock    time.Duration
 	socFloor float64
 
-	utilityWh  units.WattHour
-	solarWh    units.WattHour
-	downTicks  int
-	totalTicks int
+	utilityWh units.WattHour
+	solarWh   units.WattHour
 
 	// hrDt/hrVal memoize dt.Hours() for the per-tick energy integration
 	// (Step validates dt > 0 first). A hit returns the identical division
@@ -210,19 +200,16 @@ type Node struct {
 	// Sensor-chain fault state: the corruption applied to the *reported*
 	// battery sample this tick (the aging model always observes the
 	// truth), the last sample the tracker accepted (replayed by a stuck
-	// sensor), the last Table 2 reading delivered, and the
-	// suspect/quarantine bookkeeping that tells the controller when to
-	// stop trusting the metrics.
+	// sensor), and the suspect/quarantine bookkeeping that tells the
+	// controller when to stop trusting the metrics.
 	sensor       faults.SensorFault
 	lastSample   aging.Sample
-	lastReading  powernet.Reading
 	haveSample   bool
 	missed       int // consecutive samples the tracker never received
 	rejected     int // total samples rejected as implausible
 	dropped      int // total samples lost outright
 	suspectUntil time.Duration
 	quarantine   time.Duration
-	staleAfter   int
 
 	// utilityDown gates the UtilityBackup path (injected brownouts).
 	utilityDown bool
@@ -319,10 +306,6 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 	if quarantine == 0 {
 		quarantine = DefaultSensorQuarantine
 	}
-	staleAfter := cfg.StaleAfter
-	if staleAfter == 0 {
-		staleAfter = DefaultStaleAfter
-	}
 	*n = Node{
 		id:            id,
 		cfg:           cfg,
@@ -334,7 +317,6 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 		model:         model,
 		socFloor:      cfg.SoCFloor,
 		quarantine:    quarantine,
-		staleAfter:    staleAfter,
 		telDark:       cfg.Telemetry.Counter(telemetry.MetricNodeDarkTicks),
 		telUtility:    cfg.Telemetry.Counter(telemetry.MetricNodeUtilityTicks),
 		telSensorBad:  cfg.Telemetry.Counter(telemetry.MetricNodeSensorRejected),
@@ -376,12 +358,6 @@ func (n *Node) Health() float64 {
 	return n.lin.Health()
 }
 
-// NAT returns the node's normalized Ah throughput (Eq 1) alone, without
-// assembling the full aging.Metrics snapshot. The per-tick fleet summary
-// reads only this metric; Metrics remains the full snapshot for control
-// decisions.
-func (n *Node) NAT() float64 { return n.tracker.NAT() }
-
 func (n *Node) battTemperature() units.Celsius {
 	if n.pack != nil {
 		return n.pack.Temperature()
@@ -408,20 +384,6 @@ func (n *Node) battMaxChargePower() units.Watt {
 		return n.pack.MaxChargePower()
 	}
 	return n.lin.MaxChargePower()
-}
-
-func (n *Node) battOpenCircuitVoltage() units.Volt {
-	if n.pack != nil {
-		return n.pack.OpenCircuitVoltage()
-	}
-	return n.lin.OpenCircuitVoltage()
-}
-
-func (n *Node) battTerminalVoltage(i units.Ampere) units.Volt {
-	if n.pack != nil {
-		return n.pack.TerminalVoltage(i)
-	}
-	return n.lin.TerminalVoltage(i)
 }
 
 func (n *Node) battDischarge(pw units.Watt, dt time.Duration, amb units.Celsius) (battery.StepResult, error) {
@@ -464,14 +426,6 @@ func (n *Node) ResetMetrics() { n.tracker.Reset() }
 
 // AgingModel exposes the damage integrator (for lifetime prediction).
 func (n *Node) AgingModel() *aging.Model { return n.model }
-
-// LastReading returns the newest Table 2 reading the sensor chain
-// delivered, and whether there is one yet. A reading is stamped at the end
-// of a positive-length tick, so its At is positive; a dropped sample
-// leaves the previous reading in place.
-func (n *Node) LastReading() (powernet.Reading, bool) {
-	return n.lastReading, n.lastReading.At > 0
-}
 
 // Clock returns accumulated simulated time.
 func (n *Node) Clock() time.Duration { return n.clock }
@@ -593,7 +547,6 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 		if err != nil {
 			return StepResult{}, err
 		}
-		n.totalTicks++
 		return off, nil
 	}
 
@@ -664,7 +617,6 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 		res.SolarUsed = 0
 		res.Source = powernet.SourceNone
 		solarForCharge += solarForLoad
-		n.downTicks++
 		n.telDark.Inc()
 	}
 
@@ -691,12 +643,11 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 	// Advance compute and bookkeeping.
 	res.WorkDone = n.srv.Step(dt)
 	n.clock += dt
-	n.totalTicks++
 	hrs := n.hours(dt)
 	n.solarWh += units.WattHour(float64(res.SolarUsed) * hrs) // units.EnergyOver, memoized hours
 	n.utilityWh += units.WattHour(float64(res.UtilityPower) * hrs)
 
-	if err := n.observe(dt, sr, res.Source); err != nil {
+	if err := n.observe(dt, sr); err != nil {
 		return StepResult{}, err
 	}
 	return res, nil
@@ -739,7 +690,7 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) (StepRes
 	n.clock += dt
 	n.solarWh += units.WattHour(float64(res.SolarUsed) * n.hours(dt)) // units.EnergyOver, memoized hours
 
-	if err := n.observe(dt, sr, res.Source); err != nil {
+	if err := n.observe(dt, sr); err != nil {
 		return StepResult{}, err
 	}
 	return res, nil
@@ -747,12 +698,11 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) (StepRes
 
 // observe closes out a step: the true battery sample feeds the damage
 // model (physics cannot be fooled by a broken DAQ), while the sensor chain
-// — possibly faulted — decides what the aging tracker and the last reading
-// get to see. Implausible readings the tracker rejects and stale streaks
-// quarantine the metrics instead of failing the step: a broken sensor is a
-// fault symptom for the controller to degrade around, not a simulation
-// error.
-func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.Source) error {
+// — possibly faulted — decides what the aging tracker gets to see.
+// Implausible readings the tracker rejects and stale streaks quarantine the
+// metrics instead of failing the step: a broken sensor is a fault symptom
+// for the controller to degrade around, not a simulation error.
+func (n *Node) observe(dt time.Duration, sr battery.StepResult) error {
 	truth := aging.Sample{
 		Dt:          dt,
 		Current:     sr.Current,
@@ -760,24 +710,22 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 		Temperature: n.battTemperature(),
 	}
 
-	reported, delivered, quality := n.applySensor(truth)
-	accepted := false
+	reported, delivered := n.applySensor(truth)
 	if !delivered {
 		n.dropped++
 		n.missed++
 		n.telSensorLost.Inc()
-		if n.missed >= n.staleAfter {
+		if n.missed >= DefaultStaleAfter {
 			n.suspectUntil = n.clock + n.quarantine
 		}
 	} else if err := n.tracker.Observe(reported); err != nil {
 		// The tracker's input hardening caught an implausible sample:
-		// immediate quarantine. The reading becomes a sanitized flagged row.
+		// immediate quarantine.
 		n.rejected++
 		n.missed++
 		n.telSensorBad.Inc()
 		n.suspectUntil = n.clock + n.quarantine
 	} else {
-		accepted = true
 		n.missed = 0
 		n.lastSample = reported
 		n.haveSample = true
@@ -787,66 +735,27 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult, source powernet.
 		return err
 	}
 	n.battApplyDegradation(n.model.Degradation())
-
-	// The reading is taken after degradation is applied, like the sensor
-	// chain sampling at the end of the interval. A clean chain reports live
-	// pack state; a corrupted one reports its own view; a rejected sample
-	// becomes a sanitized flagged row, so no NaN reaches a checkpoint; a
-	// dropped sample keeps the previous reading.
-	switch {
-	case !delivered:
-	case !accepted:
-		n.lastReading = powernet.Reading{
-			At:          n.clock,
-			Current:     0,
-			Voltage:     n.battOpenCircuitVoltage(),
-			Temperature: n.battTemperature(),
-			SoC:         n.SoC(),
-			Source:      source,
-			Quality:     powernet.QualityBad,
-		}
-	case quality == powernet.QualityGood:
-		n.lastReading = powernet.Reading{
-			At:          n.clock,
-			Current:     reported.Current,
-			Voltage:     n.battTerminalVoltage(reported.Current),
-			Temperature: n.battTemperature(),
-			SoC:         n.SoC(),
-			Source:      source,
-		}
-	default:
-		n.lastReading = powernet.Reading{
-			At:          n.clock,
-			Current:     reported.Current,
-			Voltage:     n.battTerminalVoltage(reported.Current),
-			Temperature: reported.Temperature,
-			SoC:         reported.SoC,
-			Source:      source,
-			Quality:     quality,
-		}
-	}
 	return nil
 }
 
 // applySensor corrupts the true sample per the installed sensor fault and
-// reports whether a reading was delivered at all, plus the quality flag
-// the reading should carry.
-func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool, powernet.Quality) {
+// reports whether a reading was delivered at all.
+func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool) {
 	switch n.sensor.Mode {
 	case faults.ModeDrop:
-		return aging.Sample{}, false, powernet.QualityBad
+		return aging.Sample{}, false
 	case faults.ModeNaN:
 		s := truth
 		s.Current = units.Ampere(math.NaN())
-		return s, true, powernet.QualityBad
+		return s, true
 	case faults.ModeStuck:
 		if n.haveSample {
 			s := n.lastSample
 			s.Dt = truth.Dt
-			return s, true, powernet.QualitySuspect
+			return s, true
 		}
 		// A sensor frozen since power-on repeats its very first reading.
-		return truth, true, powernet.QualitySuspect
+		return truth, true
 	case faults.ModeNoise:
 		s := truth
 		// Relative noise on current with a 1 A absolute floor (so an idle
@@ -861,9 +770,9 @@ func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool, powernet.Qua
 		s.Current += units.Ampere(n.sensor.Sigma * n.sensor.Noise[0] * base)
 		s.SoC = units.Clamp01(s.SoC + 0.1*n.sensor.Sigma*n.sensor.Noise[1])
 		s.Temperature += units.Celsius(10 * n.sensor.Sigma * n.sensor.Noise[2])
-		return s, true, powernet.QualitySuspect
+		return s, true
 	default:
-		return truth, true, powernet.QualityGood
+		return truth, true
 	}
 }
 
@@ -873,34 +782,18 @@ type Stats struct {
 	UtilityEnergy units.WattHour
 	Throughput    float64
 	Downtime      time.Duration
-	Uptime        time.Duration
-	DownFraction  float64
 	Health        float64
 	SoC           float64
 }
 
 // Stats returns the node's accumulated accounting.
 func (n *Node) Stats() Stats {
-	s := Stats{
+	return Stats{
 		SolarEnergy:   n.solarWh,
 		UtilityEnergy: n.utilityWh,
 		Throughput:    n.srv.Throughput(),
 		Downtime:      n.srv.Downtime(),
-		Uptime:        n.srv.Uptime(),
 		Health:        n.Health(),
 		SoC:           n.SoC(),
 	}
-	if n.totalTicks > 0 {
-		s.DownFraction = float64(n.downTicks) / float64(n.totalTicks)
-	}
-	return s
-}
-
-// SolarEnergy returns accumulated solar consumption — Stats().SolarEnergy
-// without assembling the whole Stats value, for per-tick fleet summaries.
-func (n *Node) SolarEnergy() units.WattHour { return n.solarWh }
-
-// AtEndOfLife reports whether the battery fell below the 80 % health line.
-func (n *Node) AtEndOfLife() bool {
-	return n.Health() < battery.EndOfLifeHealth
 }

@@ -50,9 +50,9 @@ func TestStepOfflineRestsWithoutSolar(t *testing.T) {
 	if res.SolarUsed != 0 || res.BatteryPower != 0 {
 		t.Errorf("resting offline step moved power: %+v", res)
 	}
-	// The sample still reaches the sensor chain (Eq 5 counts time).
-	if last, ok := n.LastReading(); !ok || last.At != time.Hour {
-		t.Errorf("last reading = %+v (ok %v), want one at 1h", last, ok)
+	// The sample still reaches the tracker (Eq 5 counts time).
+	if st := n.Snapshot(); !st.HaveSample || st.Tracker.Total != time.Hour {
+		t.Errorf("tracker saw %v of samples (have sample %v), want 1h", st.Tracker.Total, st.HaveSample)
 	}
 	if n.Clock() != time.Hour {
 		t.Errorf("clock = %v, want 1h", n.Clock())

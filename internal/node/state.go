@@ -8,7 +8,6 @@ import (
 	"github.com/green-dc/baat/internal/aging"
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/faults"
-	"github.com/green-dc/baat/internal/powernet"
 	"github.com/green-dc/baat/internal/server"
 	"github.com/green-dc/baat/internal/units"
 )
@@ -33,8 +32,7 @@ type SensorFaultState struct {
 
 // State is the serializable state of a Node: the composed states of its
 // battery pack, aging tracker, damage model and server, plus the node's
-// own clock, accounting, and sensor-chain bookkeeping, including its last
-// Table 2 reading. The Config (specs, losses, quarantine policy) is
+// own clock, accounting, and sensor-chain bookkeeping. The Config (specs, losses, quarantine policy) is
 // construction-time input and is not serialized; a snapshot restores only
 // onto a node built from the same Config.
 type State struct {
@@ -47,14 +45,11 @@ type State struct {
 	Clock    time.Duration `json:"clock"`
 	SoCFloor float64       `json:"soc_floor"`
 
-	UtilityWh  units.WattHour `json:"utility_wh"`
-	SolarWh    units.WattHour `json:"solar_wh"`
-	DownTicks  int            `json:"down_ticks"`
-	TotalTicks int            `json:"total_ticks"`
+	UtilityWh units.WattHour `json:"utility_wh"`
+	SolarWh   units.WattHour `json:"solar_wh"`
 
 	Sensor       SensorFaultState `json:"sensor"`
 	LastSample   SampleState      `json:"last_sample"`
-	LastReading  powernet.Reading `json:"last_reading"`
 	HaveSample   bool             `json:"have_sample"`
 	Missed       int              `json:"missed"`
 	Rejected     int              `json:"rejected"`
@@ -75,10 +70,8 @@ func (n *Node) Snapshot() State {
 		Clock:    n.clock,
 		SoCFloor: n.socFloor,
 
-		UtilityWh:  n.utilityWh,
-		SolarWh:    n.solarWh,
-		DownTicks:  n.downTicks,
-		TotalTicks: n.totalTicks,
+		UtilityWh: n.utilityWh,
+		SolarWh:   n.solarWh,
 
 		Sensor: SensorFaultState{
 			Mode:  int(n.sensor.Mode),
@@ -91,7 +84,6 @@ func (n *Node) Snapshot() State {
 			SoC:         n.lastSample.SoC,
 			Temperature: n.lastSample.Temperature,
 		},
-		LastReading:  n.lastReading,
 		HaveSample:   n.haveSample,
 		Missed:       n.missed,
 		Rejected:     n.rejected,
@@ -125,19 +117,11 @@ func (n *Node) Restore(st State) error {
 			return fmt.Errorf("node %s: restore: %s must be finite and non-negative, got %v", n.id, e.name, e.v)
 		}
 	}
-	if st.DownTicks < 0 || st.TotalTicks < 0 || st.DownTicks > st.TotalTicks {
-		return fmt.Errorf("node %s: restore: inconsistent tick counters (%d down of %d total)",
-			n.id, st.DownTicks, st.TotalTicks)
-	}
 	if st.Missed < 0 || st.Rejected < 0 || st.Dropped < 0 {
 		return fmt.Errorf("node %s: restore: negative sensor counters", n.id)
 	}
 	if st.SuspectUntil < 0 {
 		return fmt.Errorf("node %s: restore: negative quarantine deadline %v", n.id, st.SuspectUntil)
-	}
-	if st.LastReading.At < 0 || st.LastReading.At > st.Clock {
-		return fmt.Errorf("node %s: restore: last reading at %v outside [0, %v]",
-			n.id, st.LastReading.At, st.Clock)
 	}
 	if m := faults.SensorMode(st.Sensor.Mode); m < faults.SensorOK || m > faults.ModeDrop {
 		return fmt.Errorf("node %s: restore: unknown sensor mode %d", n.id, st.Sensor.Mode)
@@ -183,8 +167,6 @@ func (n *Node) Restore(st State) error {
 	n.socFloor = st.SoCFloor
 	n.utilityWh = st.UtilityWh
 	n.solarWh = st.SolarWh
-	n.downTicks = st.DownTicks
-	n.totalTicks = st.TotalTicks
 
 	n.sensor = faults.SensorFault{
 		Mode:  faults.SensorMode(st.Sensor.Mode),
@@ -197,7 +179,6 @@ func (n *Node) Restore(st State) error {
 		SoC:         st.LastSample.SoC,
 		Temperature: st.LastSample.Temperature,
 	}
-	n.lastReading = st.LastReading
 	n.haveSample = st.HaveSample
 	n.missed = st.Missed
 	n.rejected = st.Rejected

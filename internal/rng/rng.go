@@ -66,23 +66,10 @@ const (
 	// streams of an existing run.
 	SignalForecast = "signal/solar-forecast"
 
-	// shardPrefix namespaces the per-shard fleet substreams; see Shard.
-	shardPrefix = "fleet/shard/"
-
 	// reweatherPrefix namespaces the per-mutation weather-redraw streams
 	// of a served run; see ServeReweather.
 	reweatherPrefix = "serve/reweather/"
 )
-
-// Shard returns the canonical stream name for fleet shard i. Each
-// rack-group shard of a sharded fleet owns one named substream, derived —
-// like every other stream — from the run seed plus this stable name. The
-// mapping depends only on the shard index, never on how many workers
-// execute the shards, which is what keeps sharded runs bit-identical at
-// any worker count.
-func Shard(i int) string {
-	return fmt.Sprintf("%s%d", shardPrefix, i)
-}
 
 // ServeReweather returns the canonical stream name for the i-th mid-flight
 // weather redraw of a served run (internal/serve). Each sunshine mutation

@@ -71,8 +71,8 @@ type RunSpec struct {
 	// services (default true).
 	PrototypeServices *bool `json:"prototype_services,omitempty"`
 	// CheckpointEvery stores an in-memory checkpoint after every N
-	// completed days (default 1 — every day is forkable; -1 disables
-	// checkpointing and therefore forking).
+	// completed days (default 1 — every day is forkable; -1, or any
+	// negative value, disables checkpointing and therefore forking).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
@@ -120,7 +120,7 @@ func (sp RunSpec) withDefaults() RunSpec {
 	if sp.CheckpointEvery == 0 {
 		sp.CheckpointEvery = 1
 	} else if sp.CheckpointEvery < 0 {
-		sp.CheckpointEvery = 0 // normalized "never"
+		sp.CheckpointEvery = -1 // normalized "never"
 	}
 	return sp
 }

@@ -76,7 +76,6 @@ type Server struct {
 
 	throughput float64 // accumulated work units (Fig 20's metric)
 	downtime   time.Duration
-	uptime     time.Duration
 }
 
 // New constructs a powered-on server at full frequency.
@@ -292,16 +291,6 @@ func (s *Server) Power() units.Watt {
 	return s.spec.IdlePower + units.Watt(dyn)
 }
 
-// PeakPowerAt returns the draw the server would have at full utilization
-// and the given DVFS index — used by policies to predict capping effect.
-func (s *Server) PeakPowerAt(idx int) (units.Watt, error) {
-	if idx < 0 || idx >= len(s.spec.FreqLevels) {
-		return 0, fmt.Errorf("server %s: DVFS index %d out of range", s.id, idx)
-	}
-	f := s.spec.FreqLevels[idx]
-	return s.spec.IdlePower + units.Watt(float64(s.spec.PeakPower-s.spec.IdlePower)*f*f*f), nil
-}
-
 // SetPowered powers the node on or off. Powering off checkpoints (pauses)
 // all hosted VMs, as the prototype does when solar power disappears (§V-B);
 // powering on resumes them. Migrating and completed VMs are left alone; the
@@ -337,7 +326,6 @@ func (s *Server) Step(dt time.Duration) float64 {
 		}
 		return 0
 	}
-	s.uptime += dt
 	speed := s.Frequency()
 	var done float64
 	completed := false
@@ -359,6 +347,3 @@ func (s *Server) Throughput() float64 { return s.throughput }
 
 // Downtime returns accumulated unpowered time.
 func (s *Server) Downtime() time.Duration { return s.downtime }
-
-// Uptime returns accumulated powered time.
-func (s *Server) Uptime() time.Duration { return s.uptime }

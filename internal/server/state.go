@@ -9,14 +9,13 @@ import (
 )
 
 // State is the serializable state of a Server: power and DVFS position,
-// accumulated work and up/down time, and the full state of every hosted
+// accumulated work and downtime, and the full state of every hosted
 // VM. The Spec is construction-time input.
 type State struct {
 	FreqIdx    int           `json:"freq_idx"`
 	Powered    bool          `json:"powered"`
 	Throughput float64       `json:"throughput"`
 	Downtime   time.Duration `json:"downtime"`
-	Uptime     time.Duration `json:"uptime"`
 	VMs        []vm.State    `json:"vms"`
 }
 
@@ -27,7 +26,6 @@ func (s *Server) Snapshot() State {
 		Powered:    s.powered,
 		Throughput: s.throughput,
 		Downtime:   s.downtime,
-		Uptime:     s.uptime,
 	}
 	for _, v := range s.vms {
 		st.VMs = append(st.VMs, v.Snapshot())
@@ -47,8 +45,8 @@ func (s *Server) Restore(st State) error {
 		return fmt.Errorf("server %s: restore: throughput must be finite and non-negative, got %v",
 			s.id, st.Throughput)
 	}
-	if st.Downtime < 0 || st.Uptime < 0 {
-		return fmt.Errorf("server %s: restore: negative up/down time", s.id)
+	if st.Downtime < 0 {
+		return fmt.Errorf("server %s: restore: negative downtime %v", s.id, st.Downtime)
 	}
 	vms := make([]*vm.VM, 0, len(st.VMs))
 	for _, vst := range st.VMs {
@@ -62,7 +60,6 @@ func (s *Server) Restore(st State) error {
 	s.powered = st.Powered
 	s.throughput = st.Throughput
 	s.downtime = st.Downtime
-	s.uptime = st.Uptime
 	s.vms = vms
 	s.refreshReserved()
 	return nil

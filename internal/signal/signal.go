@@ -78,7 +78,6 @@ const (
 type SolarForecaster struct {
 	stream  *rng.Stream
 	horizon int
-	day     int
 	last    float64
 	climSum float64
 	climN   int
@@ -106,7 +105,6 @@ func (f *SolarForecaster) Horizon() int { return f.horizon }
 // one-batch-per-day schedule, so the stream position depends only on how
 // many days were observed — never on how often forecasts were queried.
 func (f *SolarForecaster) ObserveDay(index float64) {
-	f.day++
 	f.last = index
 	f.climSum += index
 	f.climN++
@@ -137,7 +135,6 @@ func (f *SolarForecaster) SolarIndex(daysAhead int) float64 {
 // ForecasterState is the serializable forecaster state embedded in the
 // simulator's checkpoint envelope.
 type ForecasterState struct {
-	Day     int       `json:"day"`
 	Last    float64   `json:"last"`
 	ClimSum float64   `json:"clim_sum"`
 	ClimN   int       `json:"clim_n"`
@@ -152,7 +149,6 @@ func (f *SolarForecaster) Snapshot() (ForecasterState, error) {
 		return ForecasterState{}, fmt.Errorf("signal: snapshot forecaster rng: %w", err)
 	}
 	st := ForecasterState{
-		Day:     f.day,
 		Last:    f.last,
 		ClimSum: f.climSum,
 		ClimN:   f.climN,
@@ -166,10 +162,8 @@ func (f *SolarForecaster) Snapshot() (ForecasterState, error) {
 // mutation so a corrupt state leaves the forecaster untouched.
 func (f *SolarForecaster) Restore(st ForecasterState) error {
 	switch {
-	case st.Day < 0 || st.ClimN < 0:
-		return fmt.Errorf("signal: restore forecaster: negative day (%d) or count (%d)", st.Day, st.ClimN)
-	case st.Day != st.ClimN:
-		return fmt.Errorf("signal: restore forecaster: day %d disagrees with observation count %d", st.Day, st.ClimN)
+	case st.ClimN < 0:
+		return fmt.Errorf("signal: restore forecaster: negative observation count %d", st.ClimN)
 	case len(st.Noise) != f.horizon:
 		return fmt.Errorf("signal: restore forecaster: %d noise slots, want horizon %d", len(st.Noise), f.horizon)
 	case len(st.RNG) == 0:
@@ -186,7 +180,6 @@ func (f *SolarForecaster) Restore(st ForecasterState) error {
 	if err := f.stream.UnmarshalBinary(st.RNG); err != nil {
 		return fmt.Errorf("signal: restore forecaster: %w", err)
 	}
-	f.day = st.Day
 	f.last = st.Last
 	f.climSum = st.ClimSum
 	f.climN = st.ClimN

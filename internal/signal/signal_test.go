@@ -150,8 +150,7 @@ func TestForecasterRestoreRejectsCorruptState(t *testing.T) {
 		t.Fatal(err)
 	}
 	corrupt := []func(*ForecasterState){
-		func(st *ForecasterState) { st.Day = -1 },
-		func(st *ForecasterState) { st.ClimN = st.Day + 1 },
+		func(st *ForecasterState) { st.ClimN = -1 },
 		func(st *ForecasterState) { st.Noise = st.Noise[:1] },
 		func(st *ForecasterState) { st.Noise = append(st.Noise, 0) },
 		func(st *ForecasterState) { st.Noise[0] = math.NaN() },

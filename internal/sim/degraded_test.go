@@ -103,8 +103,8 @@ func TestDegradedModeScenarios(t *testing.T) {
 			if recovered == nil {
 				t.Fatal("no degraded_recovered event for node-0")
 			}
-			// Stale detection needs StaleAfter consecutive misses, so entry
-			// lags the fault start by a few ticks at most.
+			// Stale detection needs node.DefaultStaleAfter consecutive
+			// misses, so entry lags the fault start by a few ticks at most.
 			if entered.At < faultStart || entered.At > faultStart+10*time.Minute {
 				t.Errorf("degraded_mode at %v, want within 10m of fault start %v", entered.At, faultStart)
 			}

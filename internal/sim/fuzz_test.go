@@ -2,11 +2,12 @@ package sim
 
 // FuzzResume drives the checkpoint decoder (ResumeFrom) with mutated
 // envelopes. The contract under fuzz: ResumeFrom never panics, and an
-// input is either rejected with an error or accepted in a form that
-// round-trips — the accepted state's checkpoint, resumed into a fresh
-// simulator, checkpoints to the same bytes. The seeds are a fresh
-// three-node chaos simulator's day-0 and day-1 checkpoints, written by the
-// test itself so no multi-KB corpus file is committed.
+// input is either rejected with an error, leaving the simulator as it was,
+// or accepted in a form that round-trips — the accepted state's
+// checkpoint, resumed into a fresh simulator, checkpoints to the same
+// bytes. The seeds are a fresh three-node chaos simulator's day-0 and
+// day-1 checkpoints, written by the test itself so no multi-KB corpus file
+// is committed.
 //
 // CI runs a 5-second smoke via check.sh; hunt longer locally with:
 //
@@ -56,10 +57,23 @@ func FuzzResume(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// Every input resumes into an identical fresh simulator, so its
+	// checkpoint is computed once.
+	var pristine bytes.Buffer
+	if err := fuzzResumeSim(f).Checkpoint(&pristine); err != nil {
+		f.Fatal(err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := fuzzResumeSim(t)
 		if err := s.ResumeFrom(bytes.NewReader(data)); err != nil {
+			var after bytes.Buffer
+			if err := s.Checkpoint(&after); err != nil {
+				t.Fatalf("simulator does not serialize after a rejected resume: %v", err)
+			}
+			if !bytes.Equal(pristine.Bytes(), after.Bytes()) {
+				t.Fatalf("rejected resume (%v) changed the simulator", err)
+			}
 			return
 		}
 		var first bytes.Buffer

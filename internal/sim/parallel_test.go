@@ -47,7 +47,6 @@ func equivalenceRun(t *testing.T, seed int64, workers int) []byte {
 	cfg.ParallelThreshold = -1
 	cfg.Services = workload.PrototypeServices()
 	cfg.JobsPerDay = 4
-	cfg.RecordSeries = true
 	cfg.Node.AgingConfig.AccelFactor = 25
 	cfg.Solar.Scale = 1.5 * float64(cfg.Nodes) / 6
 	s, err := New(cfg)
@@ -58,7 +57,13 @@ func equivalenceRun(t *testing.T, seed int64, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return marshaledResult(t, res)
+	// The end-of-run checkpoint puts every node's full state, not just its
+	// summary, into the comparison.
+	var ck bytes.Buffer
+	if err := s.Checkpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	return append(marshaledResult(t, res), ck.Bytes()...)
 }
 
 func TestSerialParallelEquivalence(t *testing.T) {

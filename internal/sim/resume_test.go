@@ -125,34 +125,6 @@ func TestResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestResumeRestoresLastReadings: resume restores every node's last Table 2
-// reading, quality flag included, though no trace carries it. The chaos
-// profile runs so that faulted sensors leave flagged readings behind.
-func TestResumeRestoresLastReadings(t *testing.T) {
-	weathers := goldenWeather()
-	first := goldenSim(t, faultedMutate(t))
-	for _, w := range weathers[:2] {
-		if _, err := first.RunDay(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := first.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	second := goldenSim(t, faultedMutate(t))
-	if err := second.ResumeFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	for i, n := range second.Nodes() {
-		got, ok := n.LastReading()
-		want, _ := first.Nodes()[i].LastReading()
-		if !ok || got != want {
-			t.Errorf("node %d: resumed last reading %+v (ok %v), want %+v", i, got, ok, want)
-		}
-	}
-}
-
 // TestResumeRejectsWrongConfig pins the envelope guard: a checkpoint only
 // resumes into a simulator built from the configuration that wrote it.
 func TestResumeRejectsWrongConfig(t *testing.T) {
@@ -238,8 +210,8 @@ func TestResumeIgnoresWorkerCount(t *testing.T) {
 
 // TestResumeRejectsCorruptCheckpoint feeds the restore path mangled
 // payloads: every failure must be loud, and a failed ResumeFrom must leave
-// the target unusable-by-convention (the caller discards it), never
-// half-restored silently.
+// the target exactly as it was — including when only the last node is
+// corrupt, after the earlier nodes already restored.
 func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	s := goldenSim(t, nil)
 	if _, err := s.RunDay(goldenWeather()[0]); err != nil {
@@ -270,6 +242,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		"not json":       []byte("not a checkpoint"),
 		"wrong format":   mangle("format", func(m map[string]any) { m["format"] = 999 }),
 		"format 2":       mangle("format", func(m map[string]any) { m["format"] = 2 }),
+		"format 3":       mangle("format", func(m map[string]any) { m["format"] = 3 }),
 		"wrong confhash": mangle("confhash", func(m map[string]any) { m["config_hash"] = "deadbeef" }),
 		"negative clock": mangle("clock", func(m map[string]any) {
 			st := m["state"].(map[string]any)
@@ -281,11 +254,27 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 			pack := nodes[0].(map[string]any)["pack"].(map[string]any)
 			pack["soc"] = "NaN" // strings where numbers belong must not decode
 		}),
+		"corrupt last node": mangle("last node", func(m map[string]any) {
+			nodes := m["state"].(map[string]any)["nodes"].([]any)
+			nodes[len(nodes)-1].(map[string]any)["soc_floor"] = 2
+		}),
 	}
 	for name, data := range cases {
 		fresh := goldenSim(t, nil)
+		var before, after bytes.Buffer
+		if err := fresh.Checkpoint(&before); err != nil {
+			t.Fatal(err)
+		}
 		if err := fresh.ResumeFrom(bytes.NewReader(data)); err == nil {
 			t.Errorf("%s: corrupt checkpoint resumed without error", name)
+			continue
+		}
+		if err := fresh.Checkpoint(&after); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(before.Bytes(), after.Bytes()) {
+			t.Errorf("%s: rejected resume changed the simulator (checkpoint %d -> %d bytes)",
+				name, before.Len(), after.Len())
 		}
 	}
 }

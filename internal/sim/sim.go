@@ -80,8 +80,6 @@ type Config struct {
 	// ManufacturingSigma is the relative spread of per-unit battery
 	// capacity/resistance variation (§IV-B-1).
 	ManufacturingSigma float64
-	// RecordSeries keeps per-control-period metric snapshots (Figs 12/13).
-	RecordSeries bool
 	// Workers is the number of concurrent workers advancing node physics
 	// each tick. 0 and 1 (the defaults) step serially; negative values
 	// resolve to runtime.GOMAXPROCS(0); counts above the shard count are
@@ -245,14 +243,6 @@ func (c Config) batteryKinds() []battery.Kind {
 	return kinds
 }
 
-// MetricsPoint is one recorded snapshot of a node's aging metrics.
-type MetricsPoint struct {
-	At      time.Duration
-	NodeID  string
-	Metrics aging.Metrics
-	SoC     float64
-}
-
 // DayStats summarizes one simulated day.
 type DayStats struct {
 	Day        int
@@ -291,8 +281,6 @@ type Result struct {
 	// SoCHistogram aggregates in-window SoC samples across all nodes into
 	// the seven bins of Fig 19.
 	SoCHistogram *stats.Histogram
-	// Series holds metric snapshots when RecordSeries is set.
-	Series []MetricsPoint
 	// FleetLifetime is the time until the first battery reached
 	// end-of-life; zero if no battery did within the run.
 	FleetLifetime time.Duration
@@ -361,7 +349,6 @@ type Simulator struct {
 	degraded []bool
 
 	socHist   *stats.Histogram
-	series    []MetricsPoint
 	eolAt     time.Duration
 	placedSvc bool
 
@@ -523,7 +510,6 @@ func New(cfg Config) (*Simulator, error) {
 	fl, err := fleet.New(fleet.Config{
 		Nodes:     cfg.Nodes,
 		ShardSize: cfg.ShardSize,
-		Seed:      cfg.Seed,
 		Model:     modelAt,
 		Node: func(i int) (node.Config, error) {
 			ncfg := cfg.Node
@@ -846,15 +832,6 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 	// forecaster owns its rng substream, so this read-and-redraw never
 	// shifts the weather, job, or policy streams.
 	s.forecast.ObserveDay(signal.WeatherIndex(w))
-	if s.inj != nil {
-		// Scheduled PV dropouts derate the solar profile itself;
-		// probabilistic dips ride through TickState.PVFactor instead.
-		for _, o := range s.inj.PVOutages(s.day) {
-			if err := day.Derate(o.Start, o.End, o.Factor); err != nil {
-				return DayStats{}, err
-			}
-		}
-	}
 	ds := DayStats{Day: s.day, Weather: w}
 
 	if s.parallel {
@@ -907,7 +884,8 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 		if s.inj != nil {
 			// The injector ticks serially before the node fan-out: all its
 			// RNG draws and node mutations happen here, in fixed order, so
-			// fault runs stay bit-identical at any worker count.
+			// fault runs stay bit-identical at any worker count. Every PV
+			// dropout, scheduled or probabilistic, arrives as PVFactor.
 			fs := s.inj.Tick(s.clock, s.cfg.Tick)
 			s.applyFaults(fs)
 			power = units.Watt(float64(power) * fs.PVFactor)
@@ -964,16 +942,6 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 					s.telControl.Observe(time.Since(controlStart).Seconds())
 				}
 				s.updateFleetGauges()
-				if s.cfg.RecordSeries {
-					for _, n := range s.nodes {
-						s.series = append(s.series, MetricsPoint{
-							At:      s.clock,
-							NodeID:  n.ID(),
-							Metrics: n.Metrics(),
-							SoC:     n.Battery().SoC(),
-						})
-					}
-				}
 			}
 		}
 	}
@@ -1108,7 +1076,7 @@ func (s *Simulator) stepNode(i int, offline bool) error {
 
 // stepNodes advances every node shard by shard and merges the per-shard
 // summaries into fleetSum. Each shard's physics touches only state its
-// nodes own (packs, servers, aging trackers, last readings) plus atomic
+// nodes own (packs, servers, aging trackers, sensor state) plus atomic
 // telemetry counters, so any assignment of shards to workers computes the
 // same fleet state. Errors are reduced in shard order — within a shard
 // the walk is ascending, so the first failing node by index wins — and
@@ -1273,9 +1241,8 @@ func (s *Simulator) bySoC() []int {
 }
 
 // Run simulates the given weather sequence and assembles the result.
-// Result.Days and the series buffer are sized up front from the sequence
-// length and the configured control cadence, so a long run appends into
-// preallocated capacity instead of repeatedly regrowing.
+// Result.Days is sized up front from the sequence length, so a long run
+// appends into preallocated capacity instead of repeatedly regrowing.
 func (s *Simulator) Run(weathers []solar.Weather) (*Result, error) {
 	return s.RunWithCheckpoints(weathers, 0, nil)
 }
@@ -1305,12 +1272,6 @@ func (s *Simulator) RunUntilEndOfLife(loc solar.Location, maxDays int) (*Result,
 	return res, nil
 }
 
-// controlsPerDay bounds how many control periods fall inside one operating
-// window — the per-day growth rate of the series buffer under RecordSeries.
-func (s *Simulator) controlsPerDay() int {
-	return int((s.cfg.WindowEnd-s.cfg.WindowStart)/s.cfg.ControlPeriod) + 1
-}
-
 // finish populates the result's fleet-wide fields.
 func (s *Simulator) finish(res *Result) {
 	res.Nodes = make([]NodeSummary, 0, len(s.nodes))
@@ -1327,6 +1288,5 @@ func (s *Simulator) finish(res *Result) {
 		})
 	}
 	res.SoCHistogram = s.socHist
-	res.Series = s.series
 	res.FleetLifetime = s.eolAt
 }

@@ -164,21 +164,6 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestSeriesRecording(t *testing.T) {
-	s := newSim(t, "ebuff", func(c *Config) { c.RecordSeries = true })
-	res, err := s.Run([]solar.Weather{solar.Cloudy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Series) == 0 {
-		t.Fatal("no series recorded")
-	}
-	// Six nodes per control period.
-	if len(res.Series)%6 != 0 {
-		t.Errorf("series length %d not a multiple of fleet size", len(res.Series))
-	}
-}
-
 func TestRunUntilEndOfLife(t *testing.T) {
 	s := newSim(t, "ebuff", func(c *Config) {
 		c.Node.AgingConfig.AccelFactor = 400 // compress months into days

@@ -5,9 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
 	"github.com/green-dc/baat/internal/core"
@@ -24,8 +24,11 @@ import (
 // serialized State shape changes incompatibly; ResumeFrom rejects any other
 // version explicitly rather than guessing. Format 2 added the solar
 // forecaster state and the policy's own controller state (StatefulPolicy);
-// format 3 replaced each node's power-table history with its last reading.
-const CheckpointFormat = 3
+// format 3 replaced each node's power-table history with its last reading;
+// format 4 dropped state nothing reads: that last reading, the node tick
+// counters, server uptime, VM pause and migration counters, the
+// forecaster's day count and the metric series.
+const CheckpointFormat = 4
 
 // State is the serializable state of a Simulator: the full state of every
 // node, the pending job queue, every named RNG stream position, the fault
@@ -64,7 +67,6 @@ type State struct {
 	Degraded []bool                `json:"degraded,omitempty"`
 
 	SoCHist stats.HistogramState `json:"soc_hist"`
-	Series  []MetricsPoint       `json:"series,omitempty"`
 
 	// History carries the per-day stats of every completed day, so a
 	// resumed run can report the whole horizon. Its length must equal Day:
@@ -148,9 +150,6 @@ func (s *Simulator) Snapshot() (State, error) {
 		st.Faults = &ist
 		st.Degraded = append([]bool(nil), s.degraded...)
 	}
-	if len(s.series) > 0 {
-		st.Series = append([]MetricsPoint(nil), s.series...)
-	}
 	if len(s.history) > 0 {
 		st.History = append([]DayStats(nil), s.history...)
 	}
@@ -159,9 +158,9 @@ func (s *Simulator) Snapshot() (State, error) {
 
 // Restore overwrites the simulator's state from a snapshot taken from a
 // simulator built with an equivalent Config. Validation is front-loaded,
-// but a failure partway through sub-restores can leave the simulator
-// inconsistent — callers (ResumeFrom) restore into a freshly built
-// simulator and discard it on error.
+// but the layers commit one by one, so a failure partway through can leave
+// earlier layers (e.g. the first nodes) restored. ResumeFrom rolls such a
+// failure back.
 func (s *Simulator) Restore(st State) error {
 	if st.Clock < 0 || st.EOLAt < 0 {
 		return fmt.Errorf("sim: restore: negative clock (%v) or EOL time (%v)", st.Clock, st.EOLAt)
@@ -251,7 +250,6 @@ func (s *Simulator) Restore(st State) error {
 	s.placedSvc = st.PlacedSvc
 	s.eolAt = st.EOLAt
 	s.pending = pending
-	s.series = append(s.series[:0], st.Series...)
 	s.history = append(s.history[:0], st.History...)
 	return nil
 }
@@ -279,8 +277,8 @@ func (s *Simulator) Checkpoint(w io.Writer) error {
 // by Checkpoint. The receiver must be freshly built from a Config
 // equivalent to the one that wrote the checkpoint (same hash; Workers and
 // telemetry may differ). A format or configuration mismatch, or any
-// corruption the layer validations catch, fails loudly — and on error the
-// simulator must be discarded, not run.
+// corruption the layer validations catch, fails loudly and leaves the
+// simulator in the state it had before the call.
 func (s *Simulator) ResumeFrom(r io.Reader) error {
 	var env envelope
 	dec := json.NewDecoder(r)
@@ -299,8 +297,14 @@ func (s *Simulator) ResumeFrom(r io.Reader) error {
 		return fmt.Errorf("sim: resume: checkpoint was written by a different configuration (hash %.12s, want %.12s)",
 			env.ConfigHash, hash)
 	}
-	if err := s.Restore(env.State); err != nil {
+	prior, err := s.Snapshot()
+	if err != nil {
 		return err
+	}
+	if err := s.Restore(env.State); err != nil {
+		// The simulator's own snapshot is valid, so this cannot fail short
+		// of a bug; report it with the cause if it does.
+		return errors.Join(err, s.Restore(prior))
 	}
 	return nil
 }
@@ -315,9 +319,6 @@ func (s *Simulator) RunWithCheckpoints(weathers []solar.Weather, every int, emit
 	res := &Result{
 		Policy: s.policy.Name(),
 		Days:   make([]DayStats, 0, len(weathers)),
-	}
-	if s.cfg.RecordSeries {
-		s.series = slices.Grow(s.series, len(weathers)*s.controlsPerDay()*len(s.nodes))
 	}
 	var buf bytes.Buffer
 	for _, w := range weathers {

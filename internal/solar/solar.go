@@ -113,14 +113,6 @@ type Day struct {
 	cfg     Config
 	peak    units.Watt
 	pattern []float64 // per-slot multipliers, energy-normalized
-	derates []derateWindow
-}
-
-// derateWindow scales generation within a time-of-day window (an inverter
-// trip, panel shading, or an injected PV outage).
-type derateWindow struct {
-	start, end time.Duration
-	factor     float64
 }
 
 // NewDay generates a day of the given weather. The rng drives the cloud
@@ -213,32 +205,10 @@ func (d *Day) PowerAt(tod time.Duration) units.Watt {
 		slot = d.cfg.Slots - 1
 	}
 	p := d.bell(tod, d.cfg.Sunset-d.cfg.Sunrise) * d.pattern[slot] * float64(d.peak)
-	for _, w := range d.derates {
-		if tod >= w.start && tod < w.end {
-			p *= w.factor
-		}
-	}
 	if p < 0 {
 		p = 0
 	}
 	return units.Watt(p)
-}
-
-// Derate scales generation by factor within the time-of-day window
-// [start, end) — a grid-side outage the diurnal model knows nothing about
-// (the fault injector's scheduled PV dropouts land here). Overlapping
-// windows compose multiplicatively. Energy and PowerAt both reflect the
-// derating; the day's budget normalization is not recomputed, so a derated
-// day genuinely delivers less energy.
-func (d *Day) Derate(start, end time.Duration, factor float64) error {
-	if start < 0 || end > 24*time.Hour || end <= start {
-		return fmt.Errorf("solar: derate window must satisfy 0 <= start < end <= 24h (got %v, %v)", start, end)
-	}
-	if factor < 0 || factor > 1 {
-		return fmt.Errorf("solar: derate factor must be in [0, 1], got %v", factor)
-	}
-	d.derates = append(d.derates, derateWindow{start: start, end: end, factor: factor})
-	return nil
 }
 
 // Energy numerically integrates the day's generation with the given step.

@@ -1,18 +1,13 @@
-// Package stats provides the small statistical utilities the experiment
-// harnesses need: fixed-bin histograms (the SoC distribution of Fig 19),
-// online summaries, and series helpers for sweep outputs.
+// Package stats provides the fixed-bin histogram behind the SoC
+// distribution of Fig 19.
 //
 // Unlike internal/telemetry — whose atomic counters and histograms serve a
-// live /metrics endpoint — these types are plain single-goroutine values
-// that end up embedded in experiment results (sim.Result.SoCHistogram), so
-// they favor exactness and simplicity over concurrency.
+// live /metrics endpoint — a Histogram is a plain single-goroutine value
+// that ends up embedded in experiment results (sim.Result.SoCHistogram), so
+// it favors exactness and simplicity over concurrency.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"slices"
-)
+import "fmt"
 
 // Histogram is a fixed-bin histogram over [lo, hi). Construct with
 // NewHistogram.
@@ -107,121 +102,3 @@ func (h *Histogram) Total() int64 { return h.total }
 
 // OutOfRange returns underflow and overflow counts.
 func (h *Histogram) OutOfRange() (under, over int64) { return h.under, h.over }
-
-// BinLabel renders bin i's interval, e.g. "[0.40, 0.60)".
-func (h *Histogram) BinLabel(i int) string {
-	if i < 0 || i >= len(h.counts) {
-		return ""
-	}
-	w := (h.hi - h.lo) / float64(len(h.counts))
-	return fmt.Sprintf("[%.2f, %.2f)", h.lo+float64(i)*w, h.lo+float64(i+1)*w)
-}
-
-// Summary accumulates count/mean/min/max/variance online (Welford).
-type Summary struct {
-	n    int64
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Observe adds a sample.
-func (s *Summary) Observe(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the sample count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
-
-// StdDev returns the sample standard deviation (0 for n < 2).
-func (s *Summary) StdDev() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return math.Sqrt(s.m2 / float64(s.n-1))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. It returns an error for empty
-// input or out-of-range q.
-func Quantile(xs []float64, q float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		return 0, fmt.Errorf("stats: quantile q must be in [0, 1], got %v", q)
-	}
-	sorted := append([]float64(nil), xs...)
-	slices.Sort(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// Min returns the minimum of xs and whether xs was non-empty.
-func Min(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, true
-}
-
-// Max returns the maximum of xs and whether xs was non-empty.
-func Max(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, true
-}

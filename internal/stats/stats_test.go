@@ -82,19 +82,6 @@ func TestHistogramFractions(t *testing.T) {
 	}
 }
 
-func TestHistogramBinLabel(t *testing.T) {
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := h.BinLabel(0); got != "[0.00, 0.25)" {
-		t.Errorf("BinLabel(0) = %q", got)
-	}
-	if got := h.BinLabel(9); got != "" {
-		t.Errorf("BinLabel(9) = %q, want empty", got)
-	}
-}
-
 func TestHistogramFractionsSumToOneProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		h, err := NewHistogram(0, 1, 7)
@@ -112,124 +99,6 @@ func TestHistogramFractionsSumToOneProperty(t *testing.T) {
 			sum += fr
 		}
 		return math.Abs(sum-1) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSummary(t *testing.T) {
-	var s Summary
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 {
-		t.Error("empty summary not zero")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Observe(x)
-	}
-	if s.N() != 8 {
-		t.Errorf("N = %d, want 8", s.N())
-	}
-	if math.Abs(s.Mean()-5) > 1e-12 {
-		t.Errorf("Mean = %v, want 5", s.Mean())
-	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", s.Min(), s.Max())
-	}
-	// Sample stddev of this classic set is ~2.138.
-	if math.Abs(s.StdDev()-2.138) > 0.01 {
-		t.Errorf("StdDev = %v, want ≈2.138", s.StdDev())
-	}
-}
-
-func TestSummarySingleSample(t *testing.T) {
-	var s Summary
-	s.Observe(3)
-	if s.Min() != 3 || s.Max() != 3 || s.Mean() != 3 || s.StdDev() != 0 {
-		t.Errorf("single-sample summary wrong: %v %v %v %v", s.Min(), s.Max(), s.Mean(), s.StdDev())
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		q, want float64
-	}{
-		{0, 1},
-		{0.25, 2},
-		{0.5, 3},
-		{0.75, 4},
-		{1, 5},
-		{0.1, 1.4},
-	}
-	for _, tt := range tests {
-		got, err := Quantile(xs, tt.q)
-		if err != nil {
-			t.Fatalf("Quantile(%v): %v", tt.q, err)
-		}
-		if math.Abs(got-tt.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", tt.q, got, tt.want)
-		}
-	}
-	// Input must not be mutated.
-	unsorted := []float64{3, 1, 2}
-	if _, err := Quantile(unsorted, 0.5); err != nil {
-		t.Fatal(err)
-	}
-	if unsorted[0] != 3 {
-		t.Error("Quantile mutated its input")
-	}
-}
-
-func TestQuantileErrors(t *testing.T) {
-	if _, err := Quantile(nil, 0.5); err == nil {
-		t.Error("empty slice accepted")
-	}
-	if _, err := Quantile([]float64{1}, -0.1); err == nil {
-		t.Error("negative q accepted")
-	}
-	if _, err := Quantile([]float64{1}, 1.1); err == nil {
-		t.Error("q above 1 accepted")
-	}
-}
-
-func TestMeanMinMax(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("Mean(nil) != 0")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("Mean wrong")
-	}
-	if _, ok := Min(nil); ok {
-		t.Error("Min(nil) reported ok")
-	}
-	if m, ok := Min([]float64{3, 1, 2}); !ok || m != 1 {
-		t.Errorf("Min = (%v, %v), want (1, true)", m, ok)
-	}
-	if m, ok := Max([]float64{3, 1, 2}); !ok || m != 3 {
-		t.Errorf("Max = (%v, %v), want (3, true)", m, ok)
-	}
-	if _, ok := Max(nil); ok {
-		t.Error("Max(nil) reported ok")
-	}
-}
-
-func TestSummaryMatchesBatchProperty(t *testing.T) {
-	f := func(raw []int8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		var s Summary
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r)
-			s.Observe(xs[i])
-		}
-		if math.Abs(s.Mean()-Mean(xs)) > 1e-9 {
-			return false
-		}
-		mn, _ := Min(xs)
-		mx, _ := Max(xs)
-		return s.Min() == mn && s.Max() == mx
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -36,31 +36,6 @@ func TestCounterMonotone(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdd(t *testing.T) {
-	reg := NewRegistry()
-	g := reg.Gauge("baat_test_gauge")
-	const workers, per = 8, 1000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				g.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	want := float64(workers*per) * 0.5
-	if got := g.Value(); math.Abs(got-want) > 1e-6 {
-		t.Errorf("gauge = %v, want %v", got, want)
-	}
-	g.Set(-2)
-	if got := g.Value(); got != -2 {
-		t.Errorf("gauge after Set = %v, want -2", got)
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.Histogram("baat_test_hist", []float64{1, 2, 3})

@@ -12,27 +12,23 @@ import (
 // profile (jobs are drawn at runtime, so the profile is per-VM state, not
 // configuration), and the full lifecycle position.
 type State struct {
-	ID         string           `json:"id"`
-	Profile    workload.Profile `json:"profile"`
-	Lifecycle  Lifecycle        `json:"lifecycle"`
-	Progress   float64          `json:"progress"`
-	Elapsed    time.Duration    `json:"elapsed"`
-	Migrating  time.Duration    `json:"migrating"`
-	Migrations int              `json:"migrations"`
-	PausedFor  time.Duration    `json:"paused_for"`
+	ID        string           `json:"id"`
+	Profile   workload.Profile `json:"profile"`
+	Lifecycle Lifecycle        `json:"lifecycle"`
+	Progress  float64          `json:"progress"`
+	Elapsed   time.Duration    `json:"elapsed"`
+	Migrating time.Duration    `json:"migrating"`
 }
 
 // Snapshot captures the VM's state.
 func (v *VM) Snapshot() State {
 	return State{
-		ID:         v.id,
-		Profile:    v.profile,
-		Lifecycle:  v.state,
-		Progress:   v.progress,
-		Elapsed:    v.elapsed,
-		Migrating:  v.migrating,
-		Migrations: v.migrations,
-		PausedFor:  v.pausedFor,
+		ID:        v.id,
+		Profile:   v.profile,
+		Lifecycle: v.state,
+		Progress:  v.progress,
+		Elapsed:   v.elapsed,
+		Migrating: v.migrating,
 	}
 }
 
@@ -67,11 +63,8 @@ func (v *VM) Restore(st State) error {
 		(!st.Profile.Service && st.Progress > st.Profile.WorkUnits) {
 		return fmt.Errorf("vm %s: restore: progress %v out of range", v.id, st.Progress)
 	}
-	if st.Elapsed < 0 || st.PausedFor < 0 || st.Migrating < 0 {
+	if st.Elapsed < 0 || st.Migrating < 0 {
 		return fmt.Errorf("vm %s: restore: negative durations", v.id)
-	}
-	if st.Migrations < 0 {
-		return fmt.Errorf("vm %s: restore: negative migration count %d", v.id, st.Migrations)
 	}
 	if (st.Lifecycle == Migrating) != (st.Migrating > 0) {
 		return fmt.Errorf("vm %s: restore: migration pause %v inconsistent with lifecycle %v",
@@ -82,7 +75,5 @@ func (v *VM) Restore(st State) error {
 	v.progress = st.Progress
 	v.elapsed = st.Elapsed
 	v.migrating = st.Migrating
-	v.migrations = st.Migrations
-	v.pausedFor = st.PausedFor
 	return nil
 }

@@ -54,11 +54,9 @@ type VM struct {
 	profile workload.Profile
 	state   Lifecycle
 
-	progress   float64       // work units completed (batch)
-	elapsed    time.Duration // wall time while running (drives service phase)
-	migrating  time.Duration // remaining migration pause
-	migrations int
-	pausedFor  time.Duration
+	progress  float64       // work units completed (batch)
+	elapsed   time.Duration // wall time while running (drives service phase)
+	migrating time.Duration // remaining migration pause
 }
 
 // New creates a VM hosting the given workload profile.
@@ -80,13 +78,6 @@ func (v *VM) Profile() workload.Profile { return v.profile }
 
 // State returns the lifecycle state.
 func (v *VM) State() Lifecycle { return v.state }
-
-// Migrations returns how many times the VM has been migrated.
-func (v *VM) Migrations() int { return v.migrations }
-
-// PausedTime returns cumulative time spent paused or migrating — the
-// performance overhead of management actions.
-func (v *VM) PausedTime() time.Duration { return v.pausedFor }
 
 // Progress returns completed work units (batch jobs) .
 func (v *VM) Progress() float64 { return v.progress }
@@ -148,7 +139,6 @@ func (v *VM) BeginMigration(transfer time.Duration) error {
 	}
 	v.state = Migrating
 	v.migrating = transfer
-	v.migrations++
 	return nil
 }
 
@@ -163,20 +153,15 @@ func (v *VM) Advance(dt time.Duration, speed float64) float64 {
 	switch v.state {
 	case Migrating:
 		v.migrating -= dt
-		v.pausedFor += dt
 		if v.migrating <= 0 {
 			v.migrating = 0
 			v.state = Running
 		}
 		return 0
-	case Paused:
-		v.pausedFor += dt
-		return 0
-	case Completed:
+	case Paused, Completed:
 		return 0
 	}
 	if speed <= 0 {
-		v.pausedFor += dt
 		return 0
 	}
 	v.elapsed += dt
