@@ -49,10 +49,12 @@ conformance: ## shared battery-model contract across all tiers + chemistry fuzz 
 	$(GO) test -count=1 -run 'TestModelConformance' ./internal/battery/
 	$(GO) test -run=NONE -fuzz=FuzzModelStep -fuzztime=5s ./internal/battery/
 
-fuzz-smoke: ## short fuzz passes over the aging-metric tracker, the checkpoint decoder and the run-spec decoder
+fuzz-smoke: ## short fuzz passes over the aging-metric tracker, the checkpoint decoder, the run-spec decoder and the policy and battery-mix parsers
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 	$(GO) test -run=NONE -fuzz='^FuzzResume$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/
 	$(GO) test -run=NONE -fuzz='^FuzzRunSpec$$' -fuzztime=5s ./internal/serve/
+	$(GO) test -run=NONE -fuzz='^FuzzParsePolicySpec$$' -fuzztime=5s ./internal/core/
+	$(GO) test -run=NONE -fuzz='^FuzzParseBatteryMix$$' -fuzztime=5s ./cmd/baatsim/
 
 chaos-smoke: ## faulted golden trace, every fault kind, degraded-mode scenarios
 	$(GO) test -count=1 -run 'TestGoldenTraceFaulted$$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/

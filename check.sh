@@ -52,6 +52,8 @@ go test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 # minimization of each new interesting input stalls the run.
 go test -run=NONE -fuzz='^FuzzResume$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/
 go test -run=NONE -fuzz='^FuzzRunSpec$' -fuzztime=5s ./internal/serve/
+go test -run=NONE -fuzz='^FuzzParsePolicySpec$' -fuzztime=5s ./internal/core/
+go test -run=NONE -fuzz='^FuzzParseBatteryMix$' -fuzztime=5s ./cmd/baatsim/
 
 echo "== chaos smoke =="
 go test -count=1 -run 'TestGoldenTraceFaulted$|TestEveryFaultKindChangesRun|TestDegradedModeScenarios' ./internal/sim/

@@ -153,6 +153,10 @@ func validateFlags(fs *flag.FlagSet, f *cliFlags) error {
 	if f.ckPath != "" && f.ckEvery == 0 {
 		return errors.New("-checkpoint requires -checkpoint-every (a file with no cadence would never be written)")
 	}
+	if !(f.planned >= 0) {
+		// A NaN would otherwise fail the run's "> 0" test and silently mean off.
+		return fmt.Errorf("-planned-months must be >= 0 (0 = off), got %v", f.planned)
+	}
 	if set["telemetry-hold"] && f.telAddr == "" {
 		return errors.New("-telemetry-hold requires -telemetry-addr (there is no endpoint to hold open)")
 	}

@@ -89,3 +89,33 @@ func TestParseFlagsValidation(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsNonFinite: a NaN or infinite number on the command line
+// fails before the run starts, with an error that names the value's
+// check, instead of running, silently meaning "off", or failing later in
+// the config hash or at the first checkpoint.
+func TestRunRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		args    []string
+		wantErr string
+	}{
+		{[]string{"-planned-months", "NaN"}, "-planned-months"},
+		{[]string{"-planned-months", "-1"}, "-planned-months"},
+		{[]string{"-battery-mix", "leadacid=NaN,lfp=NaN"}, "share 0: fraction"},
+		{[]string{"-battery-mix", "leadacid=0.5,lfp=NaN"}, "share 1: fraction"},
+		{[]string{"-weather", "mix", "-sunshine", "NaN"}, "sunshine fraction"},
+		{[]string{"-accel", "NaN"}, "AccelFactor"},
+		{[]string{"-accel", "+Inf"}, "AccelFactor"},
+		{[]string{"-solar-scale", "NaN"}, "solar: scale"},
+		{[]string{"-policy", "baat,floor=NaN"}, "option floor"},
+	}
+	for _, tc := range cases {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			// One node for one day keeps a wrongly accepted run short.
+			err := run(append([]string{"-nodes", "1", "-days", "1"}, tc.args...))
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("run(%q) = %v, want an error mentioning %q", tc.args, err, tc.wantErr)
+			}
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package aging
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -33,6 +34,19 @@ func TestModelConfigValidate(t *testing.T) {
 		{"negative strat", func(c *ModelConfig) { c.StratificationPerPartialAh = -1 }},
 		{"negative feedback", func(c *ModelConfig) { c.CorrosionFeedback = -1 }},
 		{"zero temp doubling", func(c *ModelConfig) { c.TempDoublingC = 0 }},
+		// NaN fails every check, TempRefC included, and +Inf every check
+		// whose range is open above.
+		{"NaN accel", func(c *ModelConfig) { c.AccelFactor = math.NaN() }},
+		{"+Inf accel", func(c *ModelConfig) { c.AccelFactor = math.Inf(1) }},
+		{"NaN temp doubling", func(c *ModelConfig) { c.TempDoublingC = math.NaN() }},
+		{"+Inf temp doubling", func(c *ModelConfig) { c.TempDoublingC = math.Inf(1) }},
+		{"NaN temp ref", func(c *ModelConfig) { c.TempRefC = units.Celsius(math.NaN()) }},
+		{"+Inf temp ref", func(c *ModelConfig) { c.TempRefC = units.Celsius(math.Inf(1)) }},
+		{"-Inf temp ref", func(c *ModelConfig) { c.TempRefC = units.Celsius(math.Inf(-1)) }},
+		{"NaN corrosion", func(c *ModelConfig) { c.CorrosionPerHour = math.NaN() }},
+		{"+Inf corrosion", func(c *ModelConfig) { c.CorrosionPerHour = math.Inf(1) }},
+		{"NaN cycle fade", func(c *ModelConfig) { c.CycleFadePerEFC = math.NaN() }},
+		{"+Inf high-SoC stress", func(c *ModelConfig) { c.HighSoCStress = math.Inf(1) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -114,19 +114,19 @@ func DefaultSlowdownConfig() SlowdownConfig {
 
 // Validate checks the slowdown parameters.
 func (c SlowdownConfig) Validate() error {
-	if c.TriggerSoC <= 0 || c.TriggerSoC >= 1 {
+	if !(c.TriggerSoC > 0 && c.TriggerSoC < 1) {
 		return fmt.Errorf("core: trigger SoC must be in (0, 1), got %v", c.TriggerSoC)
 	}
-	if c.DDTThreshold < 0 || c.DDTThreshold > 1 {
+	if !(c.DDTThreshold >= 0 && c.DDTThreshold <= 1) {
 		return fmt.Errorf("core: DDT threshold must be in [0, 1], got %v", c.DDTThreshold)
 	}
 	if c.ReserveTime <= 0 {
 		return fmt.Errorf("core: reserve time must be positive, got %v", c.ReserveTime)
 	}
-	if c.Hysteresis < 0 || c.Hysteresis >= 1 {
+	if !(c.Hysteresis >= 0 && c.Hysteresis < 1) {
 		return fmt.Errorf("core: hysteresis must be in [0, 1), got %v", c.Hysteresis)
 	}
-	if c.FloorSoC < 0 || c.FloorSoC >= c.TriggerSoC {
+	if !(c.FloorSoC >= 0 && c.FloorSoC < c.TriggerSoC) {
 		return fmt.Errorf("core: floor SoC must be in [0, trigger %v), got %v", c.TriggerSoC, c.FloorSoC)
 	}
 	return nil
@@ -152,8 +152,8 @@ func (c PlannedAgingConfig) Validate() error {
 	if c.ServiceLife <= 0 {
 		return fmt.Errorf("core: planned-aging service life must be positive, got %v", c.ServiceLife)
 	}
-	if c.CyclesPerDay <= 0 {
-		return fmt.Errorf("core: planned-aging cycles/day must be positive, got %v", c.CyclesPerDay)
+	if !(c.CyclesPerDay > 0 && c.CyclesPerDay <= math.MaxFloat64) {
+		return fmt.Errorf("core: planned-aging cycles/day must be positive and finite, got %v", c.CyclesPerDay)
 	}
 	return nil
 }

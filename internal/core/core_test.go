@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"testing"
 	"time"
@@ -88,6 +89,17 @@ func TestConfigValidate(t *testing.T) {
 		{"bad planned life", func(c *Config) { c.Planned = PlannedAgingConfig{Enabled: true, ServiceLife: 0, CyclesPerDay: 1} }},
 		{"bad planned cycles", func(c *Config) {
 			c.Planned = PlannedAgingConfig{Enabled: true, ServiceLife: time.Hour, CyclesPerDay: 0}
+		}},
+		// NaN fails every range check; an infinite cycle count is not a plan.
+		{"NaN floor", func(c *Config) { c.Slowdown.FloorSoC = math.NaN() }},
+		{"NaN trigger", func(c *Config) { c.Slowdown.TriggerSoC = math.NaN() }},
+		{"NaN ddt", func(c *Config) { c.Slowdown.DDTThreshold = math.NaN() }},
+		{"NaN hysteresis", func(c *Config) { c.Slowdown.Hysteresis = math.NaN() }},
+		{"NaN planned cycles", func(c *Config) {
+			c.Planned = PlannedAgingConfig{Enabled: true, ServiceLife: time.Hour, CyclesPerDay: math.NaN()}
+		}},
+		{"infinite planned cycles", func(c *Config) {
+			c.Planned = PlannedAgingConfig{Enabled: true, ServiceLife: time.Hour, CyclesPerDay: math.Inf(1)}
 		}},
 	}
 	for _, tt := range tests {

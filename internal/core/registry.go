@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -350,12 +351,16 @@ func configFromOptions(opts map[string]string) (Config, error) {
 		case "planned-months":
 			var months float64
 			months, err = strconv.ParseFloat(v, 64)
-			if err == nil && months <= 0 {
-				err = fmt.Errorf("must be > 0")
+			// The bound keeps the service life inside time.Duration; an
+			// out-of-range float-to-integer conversion is
+			// implementation-defined.
+			life := months * 30 * 24 * float64(time.Hour)
+			if err == nil && !(life > 0 && life < math.MaxInt64) {
+				err = fmt.Errorf("must be > 0 and below %.1f (the longest time.Duration)", math.MaxInt64/(30*24*float64(time.Hour)))
 			}
 			if err == nil {
 				cfg.Planned.Enabled = true
-				cfg.Planned.ServiceLife = time.Duration(months * 30 * 24 * float64(time.Hour))
+				cfg.Planned.ServiceLife = time.Duration(life)
 				if cfg.Planned.CyclesPerDay == 0 {
 					cfg.Planned.CyclesPerDay = 1
 				}
@@ -363,6 +368,9 @@ func configFromOptions(opts map[string]string) (Config, error) {
 		case "cycles-per-day":
 			var cycles float64
 			cycles, err = strconv.ParseFloat(v, 64)
+			if err == nil && !(cycles > 0 && cycles <= math.MaxFloat64) {
+				err = fmt.Errorf("must be positive and finite")
+			}
 			if err == nil {
 				cfg.Planned.CyclesPerDay = cycles
 			}
@@ -387,7 +395,7 @@ func parseUnitFraction(v string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if x < 0 || x > 1 {
+	if !(x >= 0 && x <= 1) {
 		return 0, fmt.Errorf("must be in [0, 1]")
 	}
 	return x, nil

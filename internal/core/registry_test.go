@@ -135,6 +135,42 @@ func TestBuildValidatesOptionValues(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsNonFinite: every option value that becomes a float must
+// be a finite number in range, and the error must name the option. A
+// range check written as x < lo || x > hi lets NaN through, and an
+// out-of-range float-to-Duration conversion is implementation-defined.
+func TestBuildRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		spec, wantErr string
+	}{
+		{"baat,floor=NaN", "option floor"},
+		{"baat,trigger=NaN", "option trigger"},
+		{"baat,ddt-threshold=NaN", "option ddt-threshold"},
+		{"baat,hysteresis=NaN", "option hysteresis"},
+		{"peak-shave,floor=NaN", "option floor"},
+		{"baat-f,low-sun=NaN", "option low-sun"},
+		{"baat-f,tighten=NaN", "option tighten"},
+		{"baat,planned-months=6,cycles-per-day=NaN", "option cycles-per-day"},
+		{"baat,planned-months=6,cycles-per-day=+Inf", "option cycles-per-day"},
+		{"baat,planned-months=NaN", "option planned-months"},
+		{"baat,planned-months=+Inf", "option planned-months"},
+		{"baat,planned-months=1e300", "option planned-months"},
+		{"baat,planned-months=3559", "option planned-months"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.spec, func(t *testing.T) {
+			sp, err := ParsePolicySpec(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Build(sp)
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("Build(%q) = %v, want an error naming %q", tc.spec, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestConfigFromOptionsAppliesValues(t *testing.T) {
 	cfg, err := configFromOptions(map[string]string{
 		"floor":          "0.2",

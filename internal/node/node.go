@@ -436,7 +436,7 @@ func (n *Node) SoCFloor() float64 { return n.socFloor }
 // SetSoCFloor adjusts the discharge floor; planned aging sets it to
 // 1 − DoD_goal (§IV-D).
 func (n *Node) SetSoCFloor(f float64) error {
-	if f < 0 || f >= 1 {
+	if !(f >= 0 && f < 1) {
 		return fmt.Errorf("node %s: SoC floor must be in [0, 1), got %v", n.id, f)
 	}
 	n.socFloor = f

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -234,7 +235,7 @@ func TestSetSoCFloor(t *testing.T) {
 	if n.SoCFloor() != 0.5 {
 		t.Errorf("SoCFloor = %v, want 0.5", n.SoCFloor())
 	}
-	for _, bad := range []float64{-0.1, 1.0, 2.0} {
+	for _, bad := range []float64{-0.1, 1.0, 2.0, math.NaN()} {
 		if err := n.SetSoCFloor(bad); err == nil {
 			t.Errorf("floor %v accepted", bad)
 		}

@@ -193,7 +193,7 @@ func (c Config) Validate() error {
 	if c.ShardSize < 0 {
 		return fmt.Errorf("sim: shard size must be non-negative, got %d", c.ShardSize)
 	}
-	if c.ManufacturingSigma < 0 || c.ManufacturingSigma > 0.5 {
+	if !(c.ManufacturingSigma >= 0 && c.ManufacturingSigma <= 0.5) {
 		return fmt.Errorf("sim: manufacturing sigma must be in [0, 0.5], got %v", c.ManufacturingSigma)
 	}
 	if err := c.Faults.Validate(); err != nil {
@@ -205,12 +205,12 @@ func (c Config) Validate() error {
 			if !sh.Model.Valid() {
 				return fmt.Errorf("sim: battery fleet share %d: unknown battery model %q", j, sh.Model)
 			}
-			if sh.Fraction <= 0 || sh.Fraction > 1 {
+			if !(sh.Fraction > 0 && sh.Fraction <= 1) {
 				return fmt.Errorf("sim: battery fleet share %d: fraction must be in (0, 1], got %v", j, sh.Fraction)
 			}
 			sum += sh.Fraction
 		}
-		if math.Abs(sum-1) > 1e-9 {
+		if !(math.Abs(sum-1) <= 1e-9) {
 			return fmt.Errorf("sim: battery fleet fractions must sum to 1, got %v", sum)
 		}
 	}
@@ -996,22 +996,10 @@ func (s *Simulator) step(power units.Watt, inWindow bool) error {
 	remaining := float64(power)
 
 	if !inWindow {
-		// Overnight: everything charges, lowest SoC first. Requests are
-		// read and grants assigned up front; a grant equals what the
-		// charger can absorb this tick, so no redistribution pass is
-		// needed after stepping. With no power to hand out the SoC sort is
-		// skipped entirely — the common case for most of the night.
-		clear(s.chargeGrant)
-		if remaining > 0 {
-			for _, idx := range s.bySoC() {
-				if remaining <= 0 {
-					break
-				}
-				g := min(remaining, float64(s.nodes[idx].ChargeRequest()))
-				s.chargeGrant[idx] = g
-				remaining -= g
-			}
-		}
+		// Overnight: everything charges, lowest SoC first. A grant equals
+		// what the charger can absorb this tick, so no redistribution pass
+		// is needed after stepping.
+		s.grantCharge(remaining)
 		return s.stepNodes(true)
 	}
 
@@ -1045,22 +1033,63 @@ func (s *Simulator) step(power units.Watt, inWindow bool) error {
 		surplus = 0
 	}
 
-	// Pass 2: charge allocation, lowest SoC first. No surplus (demand ate
-	// the whole feed) skips the sort — frequent under scarce solar.
-	clear(s.chargeGrant)
-	if surplus > 0 {
-		for _, idx := range s.bySoC() {
-			if surplus <= 0 {
-				break
-			}
-			req := float64(s.nodes[idx].ChargeRequest())
-			g := min(surplus, req)
-			s.chargeGrant[idx] = g
-			surplus -= g
-		}
-	}
-
+	// Pass 2: charge allocation, lowest SoC first.
+	s.grantCharge(surplus)
 	return s.stepNodes(false)
+}
+
+// grantCharge splits power among the nodes' charge requests, lowest SoC
+// first: each node in turn gets min(remaining, request) until nothing
+// remains. The grants land in chargeGrant. The SoC order matters only when
+// the power runs out before the last request, so the sort is skipped when
+// there is no power at all (most of the night, or demand ate the whole
+// feed) and when the power covers every request (see coversRequests).
+func (s *Simulator) grantCharge(power float64) {
+	grant := s.chargeGrant
+	if !(power > 0) {
+		clear(grant)
+		return
+	}
+	for i, nd := range s.nodes {
+		grant[i] = float64(nd.ChargeRequest())
+	}
+	if !coversRequests(grant, power) {
+		grantBySoC(grant, s.bySoC(), power)
+	}
+}
+
+// coversRequests reports whether granting min(remaining, request) node by
+// node, in any order, starting from power, grants every request in full.
+// The requests are non-negative. Their total, summed here in n−1
+// additions, and the remainder of the sorted loop, after at most n
+// subtractions, each take a relative rounding error of at most 2⁻⁵³ per
+// operation; power > total·(1 + n·2⁻⁵¹) leaves room for both, so every
+// node's remainder stays at or above its request. A NaN or Inf request
+// fails the comparison.
+func coversRequests(req []float64, power float64) bool {
+	var total float64
+	for _, r := range req {
+		total += r
+	}
+	return power > total*(1+float64(len(req))*0x1p-51)
+}
+
+// grantBySoC walks order (ascending SoC) granting each node
+// min(power, request) until the power is gone. grant holds each node's
+// request on entry; a slot is read before it is overwritten, and the slots
+// the walk never reaches get nothing.
+func grantBySoC(grant []float64, order []int, power float64) {
+	for k, idx := range order {
+		if power <= 0 {
+			for _, rest := range order[k:] {
+				grant[rest] = 0
+			}
+			return
+		}
+		g := min(power, grant[idx])
+		grant[idx] = g
+		power -= g
+	}
 }
 
 // stepNode advances one node with the grants the step prologue assigned,

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/solar"
 )
@@ -38,6 +40,17 @@ func TestConfigValidate(t *testing.T) {
 		{"window inverted", func(c *Config) { c.WindowEnd = c.WindowStart - time.Hour }},
 		{"negative jobs", func(c *Config) { c.JobsPerDay = -1 }},
 		{"huge sigma", func(c *Config) { c.ManufacturingSigma = 0.9 }},
+		// NaN must not reach the config hash or a run.
+		{"NaN sigma", func(c *Config) { c.ManufacturingSigma = math.NaN() }},
+		{"NaN fractions", func(c *Config) {
+			c.BatteryFleet = []BatteryShare{{Model: battery.KindLeadAcid, Fraction: math.NaN()}, {Model: battery.KindLFP, Fraction: math.NaN()}}
+		}},
+		{"one NaN fraction", func(c *Config) {
+			c.BatteryFleet = []BatteryShare{{Model: battery.KindLeadAcid, Fraction: 0.5}, {Model: battery.KindLFP, Fraction: math.NaN()}}
+		}},
+		{"NaN accel", func(c *Config) { c.Node.AgingConfig.AccelFactor = math.NaN() }},
+		{"infinite accel", func(c *Config) { c.Node.AgingConfig.AccelFactor = math.Inf(1) }},
+		{"NaN solar scale", func(c *Config) { c.Solar.Scale = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

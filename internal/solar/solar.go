@@ -95,10 +95,10 @@ func (c Config) Validate() error {
 	if c.Sunrise < 0 || c.Sunset > 24*time.Hour || c.Sunset <= c.Sunrise {
 		return fmt.Errorf("solar: need 0 <= sunrise < sunset <= 24h (got %v, %v)", c.Sunrise, c.Sunset)
 	}
-	if c.Scale <= 0 {
-		return fmt.Errorf("solar: scale must be positive, got %v", c.Scale)
+	if !(c.Scale > 0 && c.Scale <= math.MaxFloat64) {
+		return fmt.Errorf("solar: scale must be positive and finite, got %v", c.Scale)
 	}
-	if c.TransientDepth < 0 || c.TransientDepth >= 1 {
+	if !(c.TransientDepth >= 0 && c.TransientDepth < 1) {
 		return fmt.Errorf("solar: transient depth must be in [0, 1), got %v", c.TransientDepth)
 	}
 	if c.Slots < 4 {
@@ -236,7 +236,7 @@ type Location struct {
 
 // Validate checks the location.
 func (l Location) Validate() error {
-	if l.SunshineFraction < 0 || l.SunshineFraction > 1 {
+	if !(l.SunshineFraction >= 0 && l.SunshineFraction <= 1) {
 		return fmt.Errorf("solar: sunshine fraction must be in [0, 1], got %v", l.SunshineFraction)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package solar
 
 import (
+	"math"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -32,6 +33,9 @@ func TestConfigValidate(t *testing.T) {
 		{"zero scale", func(c *Config) { c.Scale = 0 }},
 		{"transient depth one", func(c *Config) { c.TransientDepth = 1 }},
 		{"too few slots", func(c *Config) { c.Slots = 2 }},
+		{"NaN scale", func(c *Config) { c.Scale = math.NaN() }},
+		{"infinite scale", func(c *Config) { c.Scale = math.Inf(1) }},
+		{"NaN transient depth", func(c *Config) { c.TransientDepth = math.NaN() }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -184,7 +188,7 @@ func TestLocationValidate(t *testing.T) {
 	if err := (Location{SunshineFraction: 0.5}).Validate(); err != nil {
 		t.Errorf("valid location rejected: %v", err)
 	}
-	for _, f := range []float64{-0.1, 1.1} {
+	for _, f := range []float64{-0.1, 1.1, math.NaN()} {
 		if err := (Location{SunshineFraction: f}).Validate(); err == nil {
 			t.Errorf("fraction %v accepted", f)
 		}

@@ -181,7 +181,9 @@ func (p Profile) UtilizationAt(pos float64) float64 {
 	if len(p.Phases) == 0 {
 		return p.PeakUtilization
 	}
-	pos = math.Mod(pos, 1)
+	// Modf's fractional part is Mod(pos, 1) bit for bit on finite input
+	// (exact, with pos's sign), without Mod's loop over pos's magnitude.
+	_, pos = math.Modf(pos)
 	if pos < 0 {
 		pos += 1
 	}
