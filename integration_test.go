@@ -90,12 +90,14 @@ func TestIntegrationInvariantsEveryPolicy(t *testing.T) {
 				}
 			}
 
-			if res.SoCHistogram.Total() == 0 {
-				t.Error("no SoC samples recorded")
-			}
-			under, over := res.SoCHistogram.OutOfRange()
-			if under != 0 || over != 0 {
-				t.Errorf("SoC samples escaped [0,1]: under=%d over=%d", under, over)
+			// Every node is sampled once per in-window tick (the default
+			// window's edges fall on tick boundaries), and every sample
+			// lands in a bin.
+			cfg := baat.DefaultSimConfig()
+			ticks := int64((cfg.WindowEnd - cfg.WindowStart) / cfg.Tick)
+			want := int64(len(res.Days)) * ticks * int64(cfg.Nodes)
+			if got := res.SoCHistogram.Total(); got != want {
+				t.Errorf("SoC histogram holds %d samples, want %d (days × in-window ticks × nodes)", got, want)
 			}
 		})
 	}

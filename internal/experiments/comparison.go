@@ -21,61 +21,36 @@ func preAgeDays(cfg Config) int {
 	return days
 }
 
-// runOneDay builds the prototype fleet, optionally ages it synchronously
-// under the neutral e-Buff usage (§VI-B: "we regularly use the batteries
-// and make them gradually and synchronously aging"), then measures one day
-// of the given weather under the target policy with fresh metric logs.
-// The measured day runs on a tighter PV array (the prototype's own scale)
-// so that weather actually stresses the batteries.
-func runOneDay(cfg Config, spec core.PolicySpec, w solar.Weather, old bool) (*sim.Simulator, sim.DayStats, error) {
-	s, err := prototypeSimWithScale(cfg, specEBuff, tightScale)
-	if err != nil {
-		return nil, sim.DayStats{}, err
-	}
-	if old {
-		// The neutral burn-in is identical for every (policy, weather)
-		// cell: run it once, then fast-forward via the checkpoint memo.
-		err := preAge(cfg, s, "neutral", func() (*sim.Simulator, error) {
-			return prototypeSimWithScale(cfg, specEBuff, tightScale)
-		})
-		if err != nil {
-			return nil, sim.DayStats{}, err
-		}
-		for _, n := range s.Nodes() {
-			n.ResetMetrics()
-		}
-	}
-	if err := s.SetPolicy(spec); err != nil {
-		return nil, sim.DayStats{}, err
-	}
-	ds, err := s.RunDay(w)
-	if err != nil {
-		return nil, sim.DayStats{}, err
-	}
-	return s, ds, nil
-}
-
-// runOneDayOwnAging is the deployment variant of runOneDay used for the
-// throughput comparison: the fleet ages under the *measured* policy, so the
-// October batteries reflect six months of that scheme's management — the
+// runOneDay builds the prototype fleet under the aging policy, optionally
+// ages it to the "old" stage, then measures one day of the given weather
+// under spec with fresh metric logs. The measured day runs on a tighter PV
+// array (the prototype's own scale) so that weather actually stresses the
+// batteries.
+//
+// Aging under the neutral e-Buff usage reproduces §VI-B's synchronized
+// burn-in ("we regularly use the batteries and make them gradually and
+// synchronously aging"). Aging under the measured policy itself is the
+// deployment variant behind the throughput comparison: the October
+// batteries then reflect six months of that scheme's management — the
 // mechanism behind the paper's worst-case throughput gap (aged e-Buff
 // batteries cannot carry the cloudy day; BAAT's can).
-func runOneDayOwnAging(cfg Config, spec core.PolicySpec, w solar.Weather, old bool) (*sim.Simulator, sim.DayStats, error) {
-	s, err := prototypeSimWithScale(cfg, spec, tightScale)
+func runOneDay(cfg Config, aging, spec core.PolicySpec, w solar.Weather, old bool) (*sim.Simulator, sim.DayStats, error) {
+	build := func() (*sim.Simulator, error) { return prototypeSimWithScale(cfg, aging, tightScale) }
+	s, err := build()
 	if err != nil {
 		return nil, sim.DayStats{}, err
 	}
 	if old {
-		// Own-aging burn-ins differ per policy but repeat across weather
-		// scenarios; memoize one checkpoint per managing policy.
-		err := preAge(cfg, s, "own/"+spec.String(), func() (*sim.Simulator, error) {
-			return prototypeSimWithScale(cfg, spec, tightScale)
-		})
-		if err != nil {
+		if err := preAge(cfg, s, build); err != nil {
 			return nil, sim.DayStats{}, err
 		}
 		for _, n := range s.Nodes() {
 			n.ResetMetrics()
+		}
+	}
+	if !spec.Equal(aging) {
+		if err := s.SetPolicy(spec); err != nil {
+			return nil, sim.DayStats{}, err
 		}
 	}
 	ds, err := s.RunDay(w)
@@ -118,7 +93,7 @@ func WeatherProfile(cfg Config) (*Table, error) {
 	}
 	cells := make([]cell, len(weathers))
 	if err := runSweep(cfg.sweepWorkers(), len(weathers), func(i int) error {
-		s, ds, err := runOneDay(cfg, specEBuff, weathers[i], false)
+		s, ds, err := runOneDay(cfg, specEBuff, specEBuff, weathers[i], false)
 		if err != nil {
 			return err
 		}
@@ -178,7 +153,7 @@ func AgingComparison(cfg Config) (*Table, error) {
 	cells := make([]cell, len(scenarios)*len(table4))
 	if err := runSweep(cfg.sweepWorkers(), len(cells), func(i int) error {
 		sc, spec := scenarios[i/len(table4)], table4[i%len(table4)]
-		s, _, err := runOneDay(cfg, spec, sc.w, sc.old)
+		s, _, err := runOneDay(cfg, specEBuff, spec, sc.w, sc.old)
 		if err != nil {
 			return err
 		}
@@ -382,7 +357,7 @@ func Throughput(cfg Config) (*Table, error) {
 	cells := make([]sim.DayStats, len(scenarios)*len(table4))
 	if err := runSweep(cfg.sweepWorkers(), len(cells), func(i int) error {
 		sc, spec := scenarios[i/len(table4)], table4[i%len(table4)]
-		_, ds, err := runOneDayOwnAging(cfg, spec, sc.w, sc.old)
+		_, ds, err := runOneDay(cfg, spec, spec, sc.w, sc.old)
 		if err != nil {
 			return err
 		}

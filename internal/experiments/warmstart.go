@@ -38,10 +38,10 @@ type warmEntry struct {
 }
 
 // warmStarts memoizes burn-in checkpoints keyed by the simulator's config
-// hash plus an aging-policy discriminator. The hash covers everything that
-// shapes the burn-in (seed, acceleration, services, PV scale, fault plan),
-// and ResumeFrom re-verifies it, so a wrong entry fails loudly instead of
-// silently corrupting a variant.
+// hash. The hash covers everything that shapes the burn-in (aging policy,
+// seed, acceleration, services, PV scale, fault plan), and ResumeFrom
+// re-verifies it, so a wrong entry fails loudly instead of silently
+// corrupting a variant.
 var warmStarts = struct {
 	sync.Mutex
 	m map[string]*warmEntry
@@ -67,23 +67,19 @@ func runBurnIn(cfg Config, s *sim.Simulator) error {
 	return nil
 }
 
-// preAge brings s to the "old" battery stage. agingKey discriminates which
-// policy manages the fleet while it ages ("neutral" for the synchronized
-// burn-in, the policy name for own-aging deployment runs); build must
-// construct a simulator equivalent to s with that aging policy installed.
-// The first caller per (config, agingKey) runs the burn-in on a fresh
-// simulator and checkpoints it; everyone — including that first caller's s
-// — restores the checkpoint, so the warm path exercises exactly one code
-// path regardless of cache state.
-func preAge(cfg Config, s *sim.Simulator, agingKey string, build func() (*sim.Simulator, error)) error {
+// preAge brings s to the "old" battery stage under the policy s was built
+// with; build must construct a simulator equivalent to s. The first caller
+// per config runs the burn-in on a fresh simulator and checkpoints it;
+// everyone — including that first caller's s — restores the checkpoint, so
+// the warm path exercises exactly one code path regardless of cache state.
+func preAge(cfg Config, s *sim.Simulator, build func() (*sim.Simulator, error)) error {
 	if warmStartOff.Load() {
 		return runBurnIn(cfg, s)
 	}
-	hash, err := s.ConfigHash()
+	key, err := s.ConfigHash()
 	if err != nil {
 		return err
 	}
-	key := hash + "/" + agingKey
 
 	warmStarts.Lock()
 	e := warmStarts.m[key]

@@ -1,19 +1,60 @@
 package fleet
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
-	"github.com/green-dc/baat/internal/stats"
 )
+
+// SoCBins counts state-of-charge samples in the seven equal bins of Fig 19:
+// bin k holds [k/7, (k+1)/7), and the top bin also holds SoC = 1. Both
+// battery models clamp SoC to [0, 1] on every update, and a restored pack's
+// SoC is validated to that range, so no sample falls outside the bins.
+type SoCBins [7]int64
+
+// Observe counts one sample.
+func (b *SoCBins) Observe(soc float64) {
+	b[min(int(soc*7), len(b)-1)]++
+}
+
+// Add merges o's counts into b.
+func (b *SoCBins) Add(o *SoCBins) {
+	for i, c := range o {
+		b[i] += c
+	}
+}
+
+// Counts returns the per-bin counts as a new slice.
+func (b *SoCBins) Counts() []int64 { return append([]int64(nil), b[:]...) }
+
+// Total returns the number of samples.
+func (b *SoCBins) Total() int64 {
+	var n int64
+	for _, c := range b {
+		n += c
+	}
+	return n
+}
+
+// Fractions returns each bin's share of the samples (zeros when empty).
+func (b *SoCBins) Fractions() []float64 {
+	out := make([]float64, len(b))
+	total := b.Total()
+	if total == 0 {
+		return out
+	}
+	for i, c := range b {
+		out[i] = float64(c) / float64(total)
+	}
+	return out
+}
 
 // Summary aggregates one pass over a set of nodes — typically one shard's
 // index range for one tick. Per-shard summaries merged in shard order
 // (Add) recombine to exactly the values a single whole-fleet pass would
 // produce for every integer field and for MinHealth: counts count each
-// node once, histogram bins add, EOLIndex keeps the lowest index a serial
+// node once, SoC bins add, EOLIndex keeps the lowest index a serial
 // scan would find, and a minimum does not depend on grouping. The float
 // sum SoCSum recombines up to floating-point associativity: deterministic
 // for a fixed shard size, but rounded differently than a flat sum, so it
@@ -38,10 +79,10 @@ type Summary struct {
 	// SoCSum accumulates state of charge across the pass
 	// (telemetry-grade; see the type comment).
 	SoCSum float64
-	// Hist, when non-nil, receives one SoC observation per node when the
-	// caller asks for it (the engine only samples inside the operating
-	// window, matching the Fig 19 distribution).
-	Hist *stats.Histogram
+	// Bins receives one SoC sample per node when the caller asks for it
+	// (the engine only samples inside the operating window, matching the
+	// Fig 19 distribution).
+	Bins SoCBins
 	// Changed collects, in ascending order, the indices of nodes whose
 	// suspect state differs from the caller-tracked previous state. It is
 	// appended by ObserveChanged and not merged by Add: callers walk the
@@ -49,8 +90,7 @@ type Summary struct {
 	Changed []int
 }
 
-// Reset clears the summary for a new pass, keeping Hist's geometry and
-// Changed's capacity.
+// Reset clears the summary for a new pass, keeping Changed's capacity.
 func (s *Summary) Reset() {
 	s.Valid = false
 	s.Nodes = 0
@@ -59,23 +99,21 @@ func (s *Summary) Reset() {
 	s.EOLIndex = -1
 	s.MinHealth = math.Inf(1)
 	s.SoCSum = 0
-	if s.Hist != nil {
-		s.Hist.Reset()
-	}
+	s.Bins = SoCBins{}
 	s.Changed = s.Changed[:0]
 }
 
 // ObserveNode folds node i into the summary and returns its state of
 // charge (saving the caller a second pack read for its own per-node
-// bookkeeping). observeSoC gates the histogram sample.
+// bookkeeping). observeSoC gates the Bins sample.
 func (s *Summary) ObserveNode(i int, n *node.Node, observeSoC bool) float64 {
 	s.Nodes++
 	// node.SoC/Health are the devirtualized fast accessors: no interface
 	// call. This fold runs for every node every tick.
 	soc := n.SoC()
 	s.SoCSum += soc
-	if observeSoC && s.Hist != nil {
-		s.Hist.Observe(soc)
+	if observeSoC {
+		s.Bins.Observe(soc)
 	}
 	health := n.Health()
 	if health < s.MinHealth {
@@ -104,8 +142,8 @@ func (s *Summary) ObserveChanged(i int) {
 // order reproduces a serial whole-fleet scan: the first-match field
 // (EOLIndex) keeps the earliest, MinHealth keeps the minimum, and counts
 // and bins add exactly. Changed is deliberately not merged (see the field
-// comment). Histograms must share geometry.
-func (s *Summary) Add(o *Summary) error {
+// comment).
+func (s *Summary) Add(o *Summary) {
 	s.Nodes += o.Nodes
 	s.Suspect += o.Suspect
 	s.Capped += o.Capped
@@ -116,10 +154,5 @@ func (s *Summary) Add(o *Summary) error {
 		s.MinHealth = o.MinHealth
 	}
 	s.SoCSum += o.SoCSum
-	if s.Hist != nil && o.Hist != nil {
-		if err := s.Hist.Merge(o.Hist); err != nil {
-			return fmt.Errorf("fleet: merge summary: %w", err)
-		}
-	}
-	return nil
+	s.Bins.Add(&o.Bins)
 }

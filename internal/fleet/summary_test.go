@@ -17,7 +17,6 @@ import (
 
 	"github.com/green-dc/baat/internal/faults"
 	"github.com/green-dc/baat/internal/node"
-	"github.com/green-dc/baat/internal/stats"
 	"github.com/green-dc/baat/internal/units"
 	"github.com/green-dc/baat/internal/vm"
 	"github.com/green-dc/baat/internal/workload"
@@ -83,15 +82,9 @@ func perturbedFleet(t *testing.T, shardSize int) *Fleet {
 	return f
 }
 
-// newSummary allocates a summary with the engine's seven-bin SoC
-// histogram attached.
-func newSummary(t *testing.T) *Summary {
-	t.Helper()
-	hist, err := stats.NewHistogram(0, 1, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &Summary{Hist: hist}
+// newSummary allocates a summary reset for a new pass.
+func newSummary() *Summary {
+	s := &Summary{}
 	s.Reset()
 	return s
 }
@@ -120,18 +113,16 @@ func TestSummaryShardRecombination(t *testing.T) {
 			prev := make([]bool, propNodes)
 
 			// Reference: one serial whole-fleet pass.
-			whole := newSummary(t)
+			whole := newSummary()
 			summarize(whole, f, 0, propNodes, prev)
 
 			// Per-shard passes merged in shard order.
-			total := newSummary(t)
+			total := newSummary()
 			var changed []int
 			for _, sh := range f.Shards() {
-				part := newSummary(t)
+				part := newSummary()
 				summarize(part, f, sh.Lo, sh.Hi, prev)
-				if err := total.Add(part); err != nil {
-					t.Fatal(err)
-				}
+				total.Add(part)
 				changed = append(changed, part.Changed...)
 			}
 			total.Valid = true
@@ -147,11 +138,8 @@ func TestSummaryShardRecombination(t *testing.T) {
 			if total.MinHealth != whole.MinHealth {
 				t.Errorf("min health = %v, want %v", total.MinHealth, whole.MinHealth)
 			}
-			if !slices.Equal(total.Hist.Counts(), whole.Hist.Counts()) {
-				t.Errorf("histogram bins diverged: %v vs %v", total.Hist.Counts(), whole.Hist.Counts())
-			}
-			if total.Hist.Total() != whole.Hist.Total() {
-				t.Errorf("histogram totals diverged: %d vs %d", total.Hist.Total(), whole.Hist.Total())
+			if total.Bins != whole.Bins {
+				t.Errorf("SoC bins diverged: %v vs %v", total.Bins, whole.Bins)
 			}
 			if !slices.Equal(changed, whole.Changed) {
 				t.Errorf("changed indices diverged: %v vs %v", changed, whole.Changed)
@@ -176,15 +164,13 @@ func TestSummaryTieBreaks(t *testing.T) {
 	f := defaultFleet(t, 8, 4) // untouched fleet: every node identical
 	prev := make([]bool, 8)
 	merged := func() (whole, total *Summary) {
-		whole = newSummary(t)
+		whole = newSummary()
 		summarize(whole, f, 0, 8, prev)
-		total = newSummary(t)
+		total = newSummary()
 		for _, sh := range f.Shards() {
-			part := newSummary(t)
+			part := newSummary()
 			summarize(part, f, sh.Lo, sh.Hi, prev)
-			if err := total.Add(part); err != nil {
-				t.Fatal(err)
-			}
+			total.Add(part)
 		}
 		return whole, total
 	}

@@ -108,7 +108,9 @@ type Run struct {
 	cond *sync.Cond
 	// spec is the live scenario; mutations rewrite its fields (always
 	// replacing pointer fields, never writing through them, so checkpoint
-	// records that copied the struct stay frozen).
+	// records that copied the struct stay frozen). weather follows the same
+	// rule: it is replaced, never written into, because checkpoint records
+	// share it.
 	spec    RunSpec
 	s       *sim.Simulator
 	weather []solar.Weather
@@ -183,7 +185,7 @@ func newForkedRun(id, parentID string, day int, ck checkpointRecord) (*Run, erro
 		telemetry:   rec.Handler(),
 		spec:        ck.spec,
 		s:           s,
-		weather:     slices.Clone(ck.weather),
+		weather:     ck.weather,
 		state:       StatePaused,
 		day:         day,
 		target:      day,
@@ -195,7 +197,7 @@ func newForkedRun(id, parentID string, day int, ck checkpointRecord) (*Run, erro
 	r.checkpoints[day] = checkpointRecord{
 		data:    append([]byte(nil), buf.Bytes()...),
 		spec:    ck.spec,
-		weather: slices.Clone(ck.weather),
+		weather: ck.weather,
 	}
 	r.cond = sync.NewCond(&r.mu)
 	go r.loop()
@@ -269,7 +271,7 @@ func (r *Run) loop() {
 			r.checkpoints[r.day] = checkpointRecord{
 				data:    ck,
 				spec:    r.spec,
-				weather: slices.Clone(r.weather),
+				weather: r.weather,
 			}
 		}
 		switch {
@@ -464,9 +466,11 @@ func (r *Run) mutate(m Mutation) (applied, noops []string, err error) {
 				if r.state == StateRunning {
 					from++
 				}
-				for i := from; i < len(r.weather); i++ {
-					r.weather[i] = loc.DrawWeather(stream.Rand)
+				weather := slices.Clone(r.weather)
+				for i := from; i < len(weather); i++ {
+					weather[i] = loc.DrawWeather(stream.Rand)
 				}
+				r.weather = weather
 				r.spec.Sunshine = ptr(v)
 			})
 			applied = append(applied, "sunshine")

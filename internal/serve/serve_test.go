@@ -342,7 +342,8 @@ func checkStreamEvents(t *testing.T, events []sseEvent, days int) {
 // and sunshine, and checks that (a) the mutation report distinguishes
 // applied from no-op, (b) the run completes under the new scenario, and
 // (c) a fork from a pre-mutation checkpoint resurrects the original
-// scenario — the spec snapshot, not the mutated one.
+// scenario — the spec snapshot, not the mutated one, and the original
+// weather, so the fork finishes exactly as an unmutated twin does.
 func TestMutateMidRun(t *testing.T) {
 	c := newTestClient(t)
 	inf := c.create(RunSpec{Days: 6, Seed: 4})
@@ -355,20 +356,21 @@ func TestMutateMidRun(t *testing.T) {
 		Noop    []string `json:"noop"`
 		Run     RunInfo  `json:"run"`
 	}
-	mut := Mutation{Policy: "ebuff", Sunshine: ptr(0.9), Faults: ptr("chaos")}
+	// Sunshine 0.1 redraws days 4–6, sunny at 0.5, as cloudy, rainy, cloudy.
+	mut := Mutation{Policy: "ebuff", Sunshine: ptr(0.1), Faults: ptr("chaos")}
 	if st := c.doJSON("POST", "/runs/"+id+"/mutate", mut, &mres); st != http.StatusOK {
 		t.Fatalf("mutate: status %d", st)
 	}
 	if !slices.Equal(mres.Applied, []string{"policy", "sunshine", "faults"}) || len(mres.Noop) != 0 {
 		t.Fatalf("mutation report applied=%v noop=%v", mres.Applied, mres.Noop)
 	}
-	if mres.Run.Policy != "ebuff" || mres.Run.Faults != "chaos" || mres.Run.Sunshine != 0.9 {
+	if mres.Run.Policy != "ebuff" || mres.Run.Faults != "chaos" || mres.Run.Sunshine != 0.1 {
 		t.Fatalf("mutated spec not reflected in status: %+v", mres.Run)
 	}
 
 	// Re-sending the same scenario is all no-ops — including via a policy
 	// alias, which must canonicalize before comparing.
-	mut = Mutation{Policy: "e-buff", Sunshine: ptr(0.9), Faults: ptr("chaos")}
+	mut = Mutation{Policy: "e-buff", Sunshine: ptr(0.1), Faults: ptr("chaos")}
 	if st := c.doJSON("POST", "/runs/"+id+"/mutate", mut, &mres); st != http.StatusOK {
 		t.Fatalf("no-op mutate: status %d", st)
 	}
@@ -392,6 +394,13 @@ func TestMutateMidRun(t *testing.T) {
 	}
 	c.post("/runs/" + child.ID + "/resume")
 	c.waitState(child.ID, StateDone)
+
+	twin := c.create(RunSpec{Days: 6, Seed: 4})
+	c.post("/runs/" + twin.ID + "/start")
+	c.waitState(twin.ID, StateDone)
+	if !bytes.Equal(c.resultBytes(child.ID), c.resultBytes(twin.ID)) {
+		t.Error("fork of the pre-mutation checkpoint diverged from an unmutated twin: the sunshine redraw leaked into its weather")
+	}
 }
 
 // TestMutatePolicyOptions drives the registry's option vocabulary through

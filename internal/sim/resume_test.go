@@ -12,11 +12,15 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/faults"
+	"github.com/green-dc/baat/internal/solar"
+	"github.com/green-dc/baat/internal/telemetry"
 )
 
 // resumeSplitDay is where the split runs checkpoint: halfway through the
@@ -238,11 +242,27 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 	}
 
 	cases := map[string][]byte{
-		"truncated":      good[:len(good)/2],
-		"not json":       []byte("not a checkpoint"),
-		"wrong format":   mangle("format", func(m map[string]any) { m["format"] = 999 }),
-		"format 2":       mangle("format", func(m map[string]any) { m["format"] = 2 }),
-		"format 3":       mangle("format", func(m map[string]any) { m["format"] = 3 }),
+		"truncated":    good[:len(good)/2],
+		"not json":     []byte("not a checkpoint"),
+		"wrong format": mangle("format", func(m map[string]any) { m["format"] = 999 }),
+		"format 2":     mangle("format", func(m map[string]any) { m["format"] = 2 }),
+		"format 3":     mangle("format", func(m map[string]any) { m["format"] = 3 }),
+		"format 4":     mangle("format", func(m map[string]any) { m["format"] = 4 }),
+		"six soc bins": mangle("soc_hist", func(m map[string]any) {
+			st := m["state"].(map[string]any)
+			st["soc_hist"] = st["soc_hist"].([]any)[:6]
+		}),
+		"eight soc bins": mangle("soc_hist", func(m map[string]any) {
+			st := m["state"].(map[string]any)
+			st["soc_hist"] = append(st["soc_hist"].([]any), 1)
+		}),
+		"negative soc count": mangle("soc_hist", func(m map[string]any) {
+			st := m["state"].(map[string]any)
+			st["soc_hist"].([]any)[3] = -1
+		}),
+		"no soc bins": mangle("soc_hist", func(m map[string]any) {
+			delete(m["state"].(map[string]any), "soc_hist")
+		}),
 		"wrong confhash": mangle("confhash", func(m map[string]any) { m["config_hash"] = "deadbeef" }),
 		"negative clock": mangle("clock", func(m map[string]any) {
 			st := m["state"].(map[string]any)
@@ -276,5 +296,65 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 			t.Errorf("%s: rejected resume changed the simulator (checkpoint %d -> %d bytes)",
 				name, before.Len(), after.Len())
 		}
+	}
+}
+
+// TestResumeMidQuarantine checkpoints while node 2's sensor chain is
+// quarantined. The checkpoint carries no degraded-mode flags; Restore
+// rebuilds them from the restored nodes, so the resumed day must emit
+// exactly the uninterrupted run's degraded-mode transitions — no spurious
+// entry at the resume, and the same recovery.
+func TestResumeMidQuarantine(t *testing.T) {
+	rule := faults.Rule{Kind: faults.SensorNaN, Node: 2, Day: 1, At: 23 * time.Hour, Duration: 3 * time.Hour}
+	build := func() (*Simulator, *telemetry.Recorder) {
+		rec := telemetry.NewRecorder()
+		s := newSim(t, "ebuff", func(c *Config) {
+			c.Telemetry = rec
+			c.Faults = faults.Config{Rules: []faults.Rule{rule}}
+		})
+		return s, rec
+	}
+	// day2Transitions returns the degraded-mode events from 24 h on, with
+	// Seq cleared: the two recorders number their events differently.
+	day2Transitions := func(rec *telemetry.Recorder) []telemetry.Event {
+		var out []telemetry.Event
+		for _, ev := range rec.Events() {
+			if ev.At >= 24*time.Hour && (ev.Type == telemetry.EventDegradedMode || ev.Type == telemetry.EventDegradedRecovered) {
+				ev.Seq = 0
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+
+	full, fullRec := build()
+	if _, err := full.RunDay(solar.Sunny); err != nil {
+		t.Fatal(err)
+	}
+	if !full.nodes[2].MetricsSuspect() {
+		t.Fatal("node 2 is not quarantined at the checkpoint")
+	}
+	var ck bytes.Buffer
+	if err := full.Checkpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := full.RunDay(solar.Sunny); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed, resumedRec := build()
+	if err := resumed.ResumeFrom(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := resumed.RunDay(solar.Sunny); err != nil {
+		t.Fatal(err)
+	}
+
+	want := day2Transitions(fullRec)
+	if len(want) == 0 {
+		t.Fatal("the uninterrupted run emitted no degraded-mode transition on day 2")
+	}
+	if got := day2Transitions(resumedRec); !slices.Equal(got, want) {
+		t.Errorf("resumed run's degraded-mode transitions diverged:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -105,7 +105,7 @@ func TestSetFaultsDisable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Faults != nil || st.Degraded != nil {
+	if st.Faults != nil {
 		t.Fatal("disabled fault plan still serializes injector state")
 	}
 	// The post-disable checkpoint restores into a faultless simulator whose

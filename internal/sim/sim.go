@@ -32,7 +32,6 @@ import (
 	"github.com/green-dc/baat/internal/rng"
 	"github.com/green-dc/baat/internal/signal"
 	"github.com/green-dc/baat/internal/solar"
-	"github.com/green-dc/baat/internal/stats"
 	"github.com/green-dc/baat/internal/telemetry"
 	"github.com/green-dc/baat/internal/units"
 	"github.com/green-dc/baat/internal/vm"
@@ -280,7 +279,7 @@ type Result struct {
 	Nodes  []NodeSummary
 	// SoCHistogram aggregates in-window SoC samples across all nodes into
 	// the seven bins of Fig 19.
-	SoCHistogram *stats.Histogram
+	SoCHistogram fleet.SoCBins
 	// FleetLifetime is the time until the first battery reached
 	// end-of-life; zero if no battery did within the run.
 	FleetLifetime time.Duration
@@ -313,12 +312,12 @@ type Simulator struct {
 	// *node.Node keeps working while the tick loops walk dense memory.
 	fleet *fleet.Fleet
 	nodes []*node.Node
-	// mfgRng seeds construction-time variation; wxRng drives weather and
-	// cloud patterns; policyRng feeds policy tie-breaking. Each is a named
-	// PCG substream of Config.Seed (internal/rng), so every policy replays
-	// identical solar days (§VI-B's matched-scenario methodology) and every
-	// stream position round-trips through Snapshot/Restore.
-	mfgRng    *rng.Stream
+	// wxRng drives weather and cloud patterns; policyRng feeds policy
+	// tie-breaking. Each is a named PCG substream of Config.Seed
+	// (internal/rng), so every policy replays identical solar days (§VI-B's
+	// matched-scenario methodology) and every stream position round-trips
+	// through Snapshot/Restore. The manufacturing stream is drawn only
+	// while New builds the fleet, so it is not kept.
 	wxRng     *rng.Stream
 	policyRng *rng.Stream
 	gen       *workload.Generator
@@ -344,11 +343,12 @@ type Simulator struct {
 
 	// inj drives deterministic fault injection (nil when Config.Faults is
 	// empty); degraded mirrors each node's last observed suspect state so
-	// transitions emit exactly one event per edge.
+	// transitions emit exactly one event per edge. After every tick it
+	// equals each node's MetricsSuspect(), which is how Restore rebuilds it.
 	inj      *faults.Injector
 	degraded []bool
 
-	socHist   *stats.Histogram
+	socBins   fleet.SoCBins
 	eolAt     time.Duration
 	placedSvc bool
 
@@ -398,7 +398,7 @@ type Simulator struct {
 	pctx core.Context
 
 	// Telemetry handles captured at construction (nil no-ops without a
-	// recorder); telSoC mirrors socHist's seven Fig 19 bins.
+	// recorder); telSoC mirrors socBins' seven Fig 19 bins.
 	tel            *telemetry.Recorder
 	telTicks       *telemetry.Counter
 	telDays        *telemetry.Counter
@@ -440,10 +440,6 @@ func New(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	hist, err := stats.NewHistogram(0, 1, 7) // the seven SoC bins of Fig 19
-	if err != nil {
-		return nil, err
-	}
 
 	workers := cfg.Workers
 	if workers < 0 {
@@ -459,12 +455,10 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:       cfg,
 		policy:    policy,
-		mfgRng:    mfgRng,
 		wxRng:     wxRng,
 		policyRng: policyRng,
 		gen:       gen,
 		forecast:  signal.NewSolarForecaster(cfg.Seed, signal.DefaultHorizon),
-		socHist:   hist,
 		workers:   workers,
 		history:   make([]DayStats, 0, 64),
 
@@ -569,19 +563,9 @@ func New(cfg Config) (*Simulator, error) {
 	s.shardSums = make([]fleet.Summary, len(shards))
 	s.shardErrs = make([]error, len(shards))
 	for i := range s.shardSums {
-		h, err := stats.NewHistogram(0, 1, 7)
-		if err != nil {
-			return nil, err
-		}
-		s.shardSums[i].Hist = h
 		s.shardSums[i].Changed = make([]int, 0, shards[i].Len())
 		s.shardSums[i].Reset()
 	}
-	fleetHist, err := stats.NewHistogram(0, 1, 7)
-	if err != nil {
-		return nil, err
-	}
-	s.fleetSum.Hist = fleetHist
 	s.fleetSum.Reset()
 
 	n := cfg.Nodes
@@ -910,14 +894,11 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 
 		if inWindow {
 			// The shard workers already binned this tick's SoC samples
-			// (and accumulated low-SoC dwell into dayLow); the per-shard
-			// histograms merge bin-by-bin, exactly.
-			if err := s.socHist.Merge(s.fleetSum.Hist); err != nil {
-				return DayStats{}, err
-			}
+			// (and accumulated low-SoC dwell into dayLow).
+			s.socBins.Add(&s.fleetSum.Bins)
 			if s.tel != nil {
 				// The telemetry histogram uses right-closed buckets where
-				// stats uses left-closed bins, so it cannot be back-filled
+				// SoCBins are left-closed, so it cannot be back-filled
 				// from the shard bins; it keeps its own per-sample pass,
 				// gated on a recorder actually being attached.
 				for _, n := range s.nodes {
@@ -1131,9 +1112,7 @@ func (s *Simulator) stepNodes(offline bool) error {
 	}
 	s.fleetSum.Reset()
 	for si := range s.shardSums {
-		if err := s.fleetSum.Add(&s.shardSums[si]); err != nil {
-			return err
-		}
+		s.fleetSum.Add(&s.shardSums[si])
 	}
 	s.fleetSum.Valid = true
 	return nil
@@ -1316,6 +1295,6 @@ func (s *Simulator) finish(res *Result) {
 			Counters:   n.Battery().Counters(),
 		})
 	}
-	res.SoCHistogram = s.socHist
+	res.SoCHistogram = s.socBins
 	res.FleetLifetime = s.eolAt
 }

@@ -12,10 +12,10 @@ import (
 
 	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/faults"
+	"github.com/green-dc/baat/internal/fleet"
 	"github.com/green-dc/baat/internal/node"
 	"github.com/green-dc/baat/internal/signal"
 	"github.com/green-dc/baat/internal/solar"
-	"github.com/green-dc/baat/internal/stats"
 	"github.com/green-dc/baat/internal/vm"
 	"github.com/green-dc/baat/internal/workload"
 )
@@ -27,15 +27,20 @@ import (
 // format 3 replaced each node's power-table history with its last reading;
 // format 4 dropped state nothing reads: that last reading, the node tick
 // counters, server uptime, VM pause and migration counters, the
-// forecaster's day count and the metric series.
-const CheckpointFormat = 4
+// forecaster's day count and the metric series; format 5 reduced the SoC
+// histogram to its seven counts and dropped state a rebuilt simulator
+// already has: the manufacturing stream, which nothing draws after New,
+// and the degraded-mode flags, which equal each restored node's
+// MetricsSuspect().
+const CheckpointFormat = 5
 
 // State is the serializable state of a Simulator: the full state of every
-// node, the pending job queue, every named RNG stream position, the fault
-// injector's bookkeeping, and the engine's own clock and accounting. The
-// Config is construction-time input; a snapshot restores only onto a
-// simulator built from an equivalent Config (enforced by the checkpoint
-// envelope's config hash).
+// node, the pending job queue, the position of every RNG stream drawn
+// after construction, the fault injector's bookkeeping, and the engine's
+// own clock and accounting. The Config is construction-time input; a
+// snapshot restores only onto a simulator built from an equivalent Config
+// (enforced by the checkpoint envelope's config hash), which already has
+// everything New derived from it.
 type State struct {
 	Clock     time.Duration `json:"clock"`
 	Day       int           `json:"day"`
@@ -46,7 +51,6 @@ type State struct {
 	Nodes   []node.State `json:"nodes"`
 	Pending []vm.State   `json:"pending"`
 
-	MfgRNG    []byte                  `json:"mfg_rng"`
 	WxRNG     []byte                  `json:"wx_rng"`
 	PolicyRNG []byte                  `json:"policy_rng"`
 	Generator workload.GeneratorState `json:"generator"`
@@ -63,10 +67,12 @@ type State struct {
 	// with silently reset controller state.
 	PolicyState []byte `json:"policy_state,omitempty"`
 
-	Faults   *faults.InjectorState `json:"faults,omitempty"`
-	Degraded []bool                `json:"degraded,omitempty"`
+	Faults *faults.InjectorState `json:"faults,omitempty"`
 
-	SoCHist stats.HistogramState `json:"soc_hist"`
+	// SoCHist holds the seven Fig 19 bin counts. It is a slice, not a
+	// fleet.SoCBins, so that Restore can reject a length other than seven:
+	// decoding into an array would drop extra elements silently.
+	SoCHist []int64 `json:"soc_hist"`
 
 	// History carries the per-day stats of every completed day, so a
 	// resumed run can report the whole horizon. Its length must equal Day:
@@ -122,10 +128,9 @@ func (s *Simulator) Snapshot() (State, error) {
 		PlacedSvc: s.placedSvc,
 		EOLAt:     s.eolAt,
 		Generator: s.gen.Snapshot(),
-		SoCHist:   s.socHist.Snapshot(),
+		SoCHist:   s.socBins.Counts(),
 	}
-	st.MfgRNG, _ = s.mfgRng.MarshalBinary() // never fails for PCG sources
-	st.WxRNG, _ = s.wxRng.MarshalBinary()
+	st.WxRNG, _ = s.wxRng.MarshalBinary() // never fails for PCG sources
 	st.PolicyRNG, _ = s.policyRng.MarshalBinary()
 	fst, err := s.forecast.Snapshot()
 	if err != nil {
@@ -148,7 +153,6 @@ func (s *Simulator) Snapshot() (State, error) {
 	if s.inj != nil {
 		ist := s.inj.Snapshot()
 		st.Faults = &ist
-		st.Degraded = append([]bool(nil), s.degraded...)
 	}
 	if len(s.history) > 0 {
 		st.History = append([]DayStats(nil), s.history...)
@@ -174,12 +178,18 @@ func (s *Simulator) Restore(st State) error {
 	if (st.Faults != nil) != (s.inj != nil) {
 		return fmt.Errorf("sim: restore: snapshot and configuration disagree on fault injection")
 	}
-	if s.inj != nil && len(st.Degraded) != len(s.nodes) {
-		return fmt.Errorf("sim: restore: snapshot tracks %d degraded flags, fleet has %d nodes",
-			len(st.Degraded), len(s.nodes))
-	}
-	if len(st.MfgRNG) == 0 || len(st.WxRNG) == 0 || len(st.PolicyRNG) == 0 {
+	if len(st.WxRNG) == 0 || len(st.PolicyRNG) == 0 {
 		return fmt.Errorf("sim: restore: missing RNG stream state")
+	}
+	var bins fleet.SoCBins
+	if len(st.SoCHist) != len(bins) {
+		return fmt.Errorf("sim: restore: SoC histogram has %d bins, want %d", len(st.SoCHist), len(bins))
+	}
+	for i, c := range st.SoCHist {
+		if c < 0 {
+			return fmt.Errorf("sim: restore: negative SoC histogram count in bin %d", i)
+		}
+		bins[i] = c
 	}
 	if len(st.History) != st.Day {
 		return fmt.Errorf("sim: restore: %d history entries for %d completed days", len(st.History), st.Day)
@@ -214,9 +224,6 @@ func (s *Simulator) Restore(st State) error {
 			return fmt.Errorf("sim: restore: %w", err)
 		}
 	}
-	if err := s.mfgRng.UnmarshalBinary(st.MfgRNG); err != nil {
-		return fmt.Errorf("sim: restore: manufacturing stream: %w", err)
-	}
 	if err := s.wxRng.UnmarshalBinary(st.WxRNG); err != nil {
 		return fmt.Errorf("sim: restore: weather stream: %w", err)
 	}
@@ -234,14 +241,13 @@ func (s *Simulator) Restore(st State) error {
 			return fmt.Errorf("sim: restore: policy %s: %w", s.policy.Name(), err)
 		}
 	}
-	if err := s.socHist.Restore(st.SoCHist); err != nil {
-		return fmt.Errorf("sim: restore: %w", err)
-	}
 	if s.inj != nil {
 		if err := s.inj.Restore(*st.Faults); err != nil {
 			return fmt.Errorf("sim: restore: %w", err)
 		}
-		copy(s.degraded, st.Degraded)
+		for i, nd := range s.nodes {
+			s.degraded[i] = nd.MetricsSuspect()
+		}
 	}
 
 	s.clock = st.Clock
@@ -249,6 +255,7 @@ func (s *Simulator) Restore(st State) error {
 	s.vmCounter = st.VMCounter
 	s.placedSvc = st.PlacedSvc
 	s.eolAt = st.EOLAt
+	s.socBins = bins
 	s.pending = pending
 	s.history = append(s.history[:0], st.History...)
 	return nil
