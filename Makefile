@@ -1,14 +1,27 @@
-# Development targets. `make check` is the pre-commit gate CI expects.
+# Development targets. `make check` is the pre-commit gate CI expects;
+# ./check.sh runs the same gate.
 
 GO ?= go
 
-.PHONY: check fmt vet build test test-race bench-test bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke docs-check policy-registry-check golden-update
+.PHONY: check fmt fmt-check vet build test test-race bench-test bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke docs-check policy-registry-check golden-update
 
-check: ## gofmt -l + vet + build + race tests
-	./check.sh
+# The gate's steps run one at a time, in the order check lists them, even
+# under -j: each later step assumes the earlier ones passed.
+.NOTPARALLEL:
+
+check: fmt-check docs-check policy-registry-check vet build test-race bench-test bench-smoke bench-regression conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke ## the full pre-commit gate, every step below in this order
+	@echo OK
 
 fmt: ## rewrite formatting in place
 	gofmt -w .
+
+fmt-check: ## fail on any file gofmt would rewrite
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "unformatted files:" >&2; \
+		echo "$$unformatted" >&2; \
+		exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...
@@ -22,13 +35,18 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-bench-test: ## vet + test the nested benchmark module (root ./... skips it)
+# bench/ is a nested module, so the root ./... skips it. Its tests replay
+# every registered policy across a checkpoint and resume.
+bench-test: ## vet + test the nested benchmark module
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench: ## quick-mode experiment benchmarks
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-bench-smoke: ## one-iteration fleet-stepping benchmark (compile + run sanity; warehouse sizes are covered by bench-regression)
+# Sub-warehouse sizes only: the 65536-node entry runs (gated) in
+# bench-regression, the next step of check; repeating it here would double
+# its ~30 s cost for no extra coverage.
+bench-smoke: ## one-iteration fleet-stepping benchmark (compile + run sanity)
 	$(GO) test -run=NONE -bench='FleetStep/nodes=(16|256|2048)$$/' -benchtime=1x ./internal/sim/
 
 bench-regression: ## run the fixed suite and fail on regressions vs BENCH_baseline.json
@@ -45,10 +63,14 @@ profile: ## CPU+heap profile of the 65536-node serial fleet step (then: go tool 
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/sim/
 	@echo "profile: go tool pprof -top cpu.pprof   # or -http=:8080 for the flame graph"
 
+# The shared battery-model contract (internal/battery/modeltest) across all
+# three tiers, plus a short fuzz pass over every chemistry's step path.
 conformance: ## shared battery-model contract across all tiers + chemistry fuzz smoke
 	$(GO) test -count=1 -run 'TestModelConformance' ./internal/battery/
 	$(GO) test -run=NONE -fuzz=FuzzModelStep -fuzztime=5s ./internal/battery/
 
+# FuzzResume runs with minimization off: with multi-KB checkpoint inputs the
+# default 60 s minimization of each new interesting input stalls the run.
 fuzz-smoke: ## short fuzz passes over the aging-metric tracker, the checkpoint decoder, the run-spec decoder and the policy and battery-mix parsers
 	$(GO) test -run=NONE -fuzz=FuzzAgingMetrics -fuzztime=5s ./internal/aging/
 	$(GO) test -run=NONE -fuzz='^FuzzResume$$' -fuzztime=5s -fuzzminimizetime=0 ./internal/sim/

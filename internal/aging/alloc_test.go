@@ -49,3 +49,36 @@ func TestMetricsSnapshotAllocFree(t *testing.T) {
 		t.Fatalf("Tracker.Metrics allocates %.1f objects per call, want 0", allocs)
 	}
 }
+
+// TestRestoreAllocFree: a checkpoint resume restores every node's tracker
+// and damage model, and a good snapshot must restore without formatting
+// any field name.
+func TestRestoreAllocFree(t *testing.T) {
+	tr, err := NewTracker(2100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(DefaultModelConfig(), 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Sample{Dt: time.Hour, Current: 8, SoC: 0.25, Temperature: 30}
+	if err := tr.Observe(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Observe(s); err != nil {
+		t.Fatal(err)
+	}
+	ts, ms := tr.Snapshot(), m.Snapshot()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := tr.Restore(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Restore(ms); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Tracker.Restore + Model.Restore allocate %.1f objects per call, want 0", allocs)
+	}
+}

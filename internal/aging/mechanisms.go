@@ -111,10 +111,10 @@ type ModelConfig struct {
 }
 
 // DefaultModelConfig returns rate constants calibrated so that the paper's
-// prototype usage pattern (daily cycling of a 12 V 35 Ah unit behind a
-// solar-powered server for six months) reproduces the measured drift:
-// ≈9 % loaded-voltage drop (Fig 3), ≈14 % per-cycle energy drop (Fig 4),
-// and ≈8 % round-trip-efficiency drop (Fig 5). See TestCalibrationSixMonths.
+// prototype usage pattern, StudyCycle stepped in its hourly legs for six
+// months, reproduces the measured drift: ≈9 % loaded-voltage drop (Fig 3),
+// ≈14 % per-cycle energy drop (Fig 4), and ≈8 % round-trip-efficiency
+// drop (Fig 5). See TestCalibrationSixMonths.
 func DefaultModelConfig() ModelConfig {
 	return ModelConfig{
 		AccelFactor:                1,
@@ -226,16 +226,6 @@ type Model struct {
 	sinceFull float64 // Ah discharged since the last full recharge
 	hours     float64 // accelerated hours observed (the LFP √t calendar clock)
 
-	// tfTemp/tfValue memoize tempFactor keyed by the clamped temperature
-	// (cfg is fixed at construction). A hit is bit-identical to
-	// recomputing. It hits only while a pack still rests at its initial
-	// temperature: 2,355 of the 8,640 calls on the first day of the default
-	// six-node config, none on its later days, and none of the 1,179,648
-	// calls on a timed day of the 4096-node warehouse benchmark.
-	tfTemp  float64
-	tfValue float64
-	tfValid bool
-
 	// chem is cfg.Chemistry.Normalize() hoisted to an integer tag at
 	// construction so the per-sample Observe dispatch is a jump, not a
 	// string comparison.
@@ -301,12 +291,7 @@ func (m *Model) hoursOf(d time.Duration) float64 {
 // that degraded-pack feedback cannot run the rates to infinity.
 func (m *Model) tempFactor(t units.Celsius) float64 {
 	c := units.Clamp(float64(t), -20, 90)
-	if m.tfValid && c == m.tfTemp {
-		return m.tfValue
-	}
-	exp := (c - float64(m.cfg.TempRefC)) / m.cfg.TempDoublingC
-	m.tfTemp, m.tfValue, m.tfValid = c, pow2(exp), true
-	return m.tfValue
+	return pow2((c - float64(m.cfg.TempRefC)) / m.cfg.TempDoublingC)
 }
 
 // ln2 is math.Log(2) evaluated once, the value math.Pow(2, y) computes on

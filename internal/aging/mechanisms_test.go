@@ -271,8 +271,9 @@ func TestDegradationRendering(t *testing.T) {
 
 // TestCalibrationSixMonths pins the damage-model constants to the paper's
 // measured six-month drift (Figs 3–5): under daily cyclic use of a 12 V
-// 35 Ah unit the prototype lost ≈9 % loaded terminal voltage, ≈14 % of
-// per-cycle stored energy, and ≈8 % round-trip efficiency.
+// 35 Ah unit (StudyCycle: ~20 Ah out at 5 A, ≈57 % DoD, then a full solar
+// recharge and a rest) the prototype lost ≈9 % loaded terminal voltage,
+// ≈14 % of per-cycle stored energy, and ≈8 % round-trip efficiency.
 func TestCalibrationSixMonths(t *testing.T) {
 	pack, err := battery.New(battery.DefaultSpec())
 	if err != nil {
@@ -287,29 +288,7 @@ func TestCalibrationSixMonths(t *testing.T) {
 	v0 := loadedVoltage()
 
 	for day := 0; day < days; day++ {
-		// Aggressive daily cycle: ~20 Ah out at 5 A (≈57 % DoD), then a
-		// full solar recharge, then rest — the paper's cyclic-usage
-		// pattern for a battery bridging solar shortfall.
-		for h := 0; h < 4; h++ {
-			res, err := pack.Discharge(60, time.Hour, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := model.Observe(Sample{Dt: time.Hour, Current: res.Current, SoC: pack.SoC(), Temperature: pack.Temperature()}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for h := 0; h < 6; h++ {
-			res, err := pack.Charge(60, time.Hour, 25)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := model.Observe(Sample{Dt: time.Hour, Current: res.Current, SoC: pack.SoC(), Temperature: pack.Temperature()}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pack.Rest(14*time.Hour, 25)
-		if err := model.Observe(Sample{Dt: 14 * time.Hour, Current: 0, SoC: pack.SoC(), Temperature: pack.Temperature()}); err != nil {
+		if err := StudyCycle.Drive(pack, model); err != nil {
 			t.Fatal(err)
 		}
 		pack.ApplyDegradation(model.Degradation())

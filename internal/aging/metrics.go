@@ -119,13 +119,11 @@ type Tracker struct {
 	ahIn      float64
 	ahByRange [4]float64 // discharge Ah per SoC band (A..D)
 
-	total    time.Duration
-	deep     time.Duration
-	disTime  time.Duration
-	lowTime  time.Duration
-	drSum    float64 // A·h of discharge time, for mean DR
-	drLowSum float64
-	drPeak   float64
+	total   time.Duration
+	deep    time.Duration
+	disTime time.Duration
+	lowTime time.Duration
+	drPeak  float64
 
 	// dtLast/dtHours memoize Sample.Dt.Hours() exactly as aging.Model does:
 	// the tick width is constant within a run, and the cached value is the
@@ -198,13 +196,11 @@ func (t *Tracker) Observe(s Sample) error {
 		t.ahOut += ah
 		t.ahByRange[RangeOf(soc)-RangeA] += ah
 		t.disTime += s.Dt
-		t.drSum += float64(s.Current) * hours
 		if float64(s.Current) > t.drPeak {
 			t.drPeak = float64(s.Current)
 		}
 		if soc < DeepDischargeSoC {
 			t.lowTime += s.Dt
-			t.drLowSum += float64(s.Current) * hours
 		}
 	} else if s.Current < 0 { // charging
 		t.ahIn += -float64(s.Current) * hours
@@ -226,11 +222,14 @@ func (t *Tracker) Metrics() Metrics {
 	if t.total > 0 {
 		m.DDT = float64(t.deep) / float64(t.total)
 	}
+	// Every discharge Ah is booked in ahOut, and band D is exactly the
+	// deep-discharge test, so these are the mean rates over discharge time
+	// and over deep-discharge time.
 	if h := t.disTime.Hours(); h > 0 {
-		m.DR = t.drSum / h
+		m.DR = t.ahOut / h
 	}
 	if h := t.lowTime.Hours(); h > 0 {
-		m.DRLowSoC = t.drLowSum / h
+		m.DRLowSoC = t.ahByRange[RangeD-RangeA] / h
 	}
 	m.DRPeak = t.drPeak
 	return m

@@ -19,9 +19,7 @@ type TrackerState struct {
 	DisTime time.Duration `json:"dis_time"`
 	LowTime time.Duration `json:"low_time"`
 
-	DRSum    float64 `json:"dr_sum"`
-	DRLowSum float64 `json:"dr_low_sum"`
-	DRPeak   float64 `json:"dr_peak"`
+	DRPeak float64 `json:"dr_peak"`
 }
 
 // Snapshot captures the tracker's accumulated state.
@@ -34,8 +32,6 @@ func (t *Tracker) Snapshot() TrackerState {
 		Deep:      t.deep,
 		DisTime:   t.disTime,
 		LowTime:   t.lowTime,
-		DRSum:     t.drSum,
-		DRLowSum:  t.drLowSum,
 		DRPeak:    t.drPeak,
 	}
 }
@@ -45,25 +41,20 @@ func (t *Tracker) Snapshot() TrackerState {
 // rejected wholesale — the tracker guarantees finite metrics by
 // construction, and a restore must not be a way around that.
 func (t *Tracker) Restore(st TrackerState) error {
-	nonNeg := func(name string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("aging: restore tracker: %s must be finite and non-negative, got %v", name, v)
-		}
-		return nil
+	bad := func(name string, v float64) error {
+		return fmt.Errorf("aging: restore tracker: %s must be finite and non-negative, got %v", name, v)
 	}
-	checks := []error{
-		nonNeg("ah out", st.AhOut),
-		nonNeg("ah in", st.AhIn),
-		nonNeg("dr sum", st.DRSum),
-		nonNeg("dr low sum", st.DRLowSum),
-		nonNeg("dr peak", st.DRPeak),
+	for _, q := range [...]struct {
+		name string
+		v    float64
+	}{{"ah out", st.AhOut}, {"ah in", st.AhIn}, {"dr peak", st.DRPeak}} {
+		if !nonNeg(q.v) {
+			return bad(q.name, q.v)
+		}
 	}
 	for i, ah := range st.AhByRange {
-		checks = append(checks, nonNeg(fmt.Sprintf("ah by range[%d]", i), ah))
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
+		if !nonNeg(ah) {
+			return bad(fmt.Sprintf("ah by range[%d]", i), ah)
 		}
 	}
 	for _, d := range []struct {
@@ -84,10 +75,15 @@ func (t *Tracker) Restore(st TrackerState) error {
 	t.deep = st.Deep
 	t.disTime = st.DisTime
 	t.lowTime = st.LowTime
-	t.drSum = st.DRSum
-	t.drLowSum = st.DRLowSum
 	t.drPeak = st.DRPeak
 	return nil
+}
+
+// nonNeg reports whether a restored accumulator is finite and
+// non-negative. Restore names the field only when this fails, so a good
+// snapshot restores without formatting a string.
+func nonNeg(v float64) bool {
+	return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0
 }
 
 // ModelState is the serializable state of a damage Model: accumulated
@@ -122,25 +118,26 @@ func (m *Model) Snapshot() ModelState {
 // Damage is cumulative and irreversible, so every field must be finite
 // and non-negative; anything else is a corrupt checkpoint.
 func (m *Model) Restore(st ModelState) error {
-	nonNeg := func(name string, v float64) error {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return fmt.Errorf("aging: restore model: %s must be finite and non-negative, got %v", name, v)
-		}
-		return nil
+	bad := func(name string, v float64) error {
+		return fmt.Errorf("aging: restore model: %s must be finite and non-negative, got %v", name, v)
 	}
-	checks := []error{
-		nonNeg("res growth", st.ResGrowth),
-		nonNeg("cap fade", st.CapFade),
-		nonNeg("eff loss", st.EffLoss),
-		nonNeg("since full", st.SinceFull),
-		nonNeg("hours", st.Hours),
+	for _, q := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"res growth", st.ResGrowth},
+		{"cap fade", st.CapFade},
+		{"eff loss", st.EffLoss},
+		{"since full", st.SinceFull},
+		{"hours", st.Hours},
+	} {
+		if !nonNeg(q.v) {
+			return bad(q.name, q.v)
+		}
 	}
 	for i, v := range st.ByMechanism {
-		checks = append(checks, nonNeg(Mechanism(i+1).String()+" stress", v))
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
+		if !nonNeg(v) {
+			return bad(Mechanism(i+1).String()+" stress", v)
 		}
 	}
 	m.byMech = st.ByMechanism

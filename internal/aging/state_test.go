@@ -7,6 +7,7 @@ package aging
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,7 +94,7 @@ func TestQuickTrackerRestoreRejectsCorrupt(t *testing.T) {
 		func(st *TrackerState) { st.Total = -time.Second },
 		func(st *TrackerState) { st.Deep = st.Total + time.Hour },
 		func(st *TrackerState) { st.LowTime = st.Total + time.Hour },
-		func(st *TrackerState) { st.DRSum = math.NaN() },
+		func(st *TrackerState) { st.DisTime = st.Total + time.Hour },
 		func(st *TrackerState) { st.DRPeak = -0.5 },
 	}
 	prop := func(walk []int16, which uint8) bool {
@@ -142,5 +143,36 @@ func TestQuickModelRestoreRejectsCorrupt(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRestoreNamesFailingField: a rejected restore names the field that
+// failed, the indexed and per-mechanism fields included.
+func TestRestoreNamesFailingField(t *testing.T) {
+	tr, err := NewTracker(7000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(DefaultModelConfig(), 70)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := tr.Snapshot()
+	ts.AhByRange[2] = -1
+	ms := m.Snapshot()
+	ms.ByMechanism[Sulphation-1] = math.NaN()
+	hs := m.Snapshot()
+	hs.Hours = math.Inf(1)
+	for _, c := range []struct {
+		want string
+		err  error
+	}{
+		{"ah by range[2]", tr.Restore(ts)},
+		{"sulphation stress", m.Restore(ms)},
+		{"hours", m.Restore(hs)},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("restore error %v, want one naming %q", c.err, c.want)
+		}
 	}
 }

@@ -201,14 +201,12 @@ type Pack struct {
 	deg  Degradation
 
 	// Cumulative counters feeding the aging metrics.
-	ahOut      units.AmpereHour // total discharge throughput
-	ahIn       units.AmpereHour // total charge throughput (gross, at terminals)
-	whOut      units.WattHour
-	whIn       units.WattHour
-	operating  time.Duration
-	cycleStart float64 // SoC at the start of the current discharge half-cycle
-	inCycle    bool
-	cycles     float64 // equivalent full cycles (throughput-based)
+	ahOut     units.AmpereHour // total discharge throughput
+	ahIn      units.AmpereHour // total charge throughput (gross, at terminals)
+	whOut     units.WattHour
+	whIn      units.WattHour
+	operating time.Duration
+	cycles    float64 // equivalent full cycles (throughput-based)
 
 	// Telemetry handles, captured once at construction so the per-step
 	// cost is one nil check plus an atomic add. All are nil (and no-ops)

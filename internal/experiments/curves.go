@@ -64,81 +64,33 @@ func UsageScenarios(cfg Config) (*Table, error) {
 		days = 20
 	}
 
-	type scenario struct {
+	// Each scenario is one day of its usage pattern; jitter perturbs the
+	// per-unit depth to expose aging variation.
+	scenarios := []struct {
 		name string
-		// drive runs one day of the pattern on the pack and model; jitter
-		// perturbs per-unit depth to expose aging variation.
-		drive func(pack *battery.Pack, model *aging.Model, jitter float64) error
-	}
-	observe := func(pack *battery.Pack, model *aging.Model, res battery.StepResult, dt time.Duration) error {
-		return model.Observe(aging.Sample{
-			Dt:          dt,
-			Current:     res.Current,
-			SoC:         pack.SoC(),
-			Temperature: pack.Temperature(),
-		})
-	}
-	scenarios := []scenario{
-		{
-			name: "power backup (rarely used)",
-			drive: func(pack *battery.Pack, model *aging.Model, jitter float64) error {
-				// Float at full; a brief monthly self-test discharge.
-				if err := pack.Rest(24*time.Hour, 25); err != nil {
-					return err
-				}
-				return observe(pack, model, battery.StepResult{}, 24*time.Hour)
-			},
-		},
-		{
-			name: "demand response (occasional)",
-			drive: func(pack *battery.Pack, model *aging.Model, jitter float64) error {
-				// A one-hour evening peak shave (~15 % DoD), then recharge.
-				res, err := pack.Discharge(units.Watt(60+20*jitter), time.Hour, 25)
-				if err != nil {
-					return err
-				}
-				if err := observe(pack, model, res, time.Hour); err != nil {
-					return err
-				}
-				cres, err := pack.Charge(60, 2*time.Hour, 25)
-				if err != nil {
-					return err
-				}
-				if err := observe(pack, model, cres, 2*time.Hour); err != nil {
-					return err
-				}
-				if err := pack.Rest(21*time.Hour, 25); err != nil {
-					return err
-				}
-				return observe(pack, model, battery.StepResult{}, 21*time.Hour)
-			},
-		},
-		{
-			name: "power smoothing (cyclic)",
-			drive: func(pack *battery.Pack, model *aging.Model, jitter float64) error {
-				// Deep daily cycling with unit-to-unit depth spread.
-				for h := 0; h < 4; h++ {
-					res, err := pack.Discharge(units.Watt(55+35*jitter), time.Hour, 25)
-					if err != nil {
-						return err
-					}
-					if err := observe(pack, model, res, time.Hour); err != nil {
-						return err
-					}
-				}
-				cres, err := pack.Charge(70, 5*time.Hour, 25)
-				if err != nil {
-					return err
-				}
-				if err := observe(pack, model, cres, 5*time.Hour); err != nil {
-					return err
-				}
-				if err := pack.Rest(15*time.Hour, 25); err != nil {
-					return err
-				}
-				return observe(pack, model, battery.StepResult{}, 15*time.Hour)
-			},
-		},
+		day  func(jitter float64) aging.DutyCycle
+	}{
+		{"power backup (rarely used)", func(float64) aging.DutyCycle {
+			// Float at full and never discharge: jitter has no depth to
+			// perturb, so the three units age alike and the spread is 0.
+			return aging.DutyCycle{{W: 0, Dt: 24 * time.Hour, Steps: 1}}
+		}},
+		{"demand response (occasional)", func(jitter float64) aging.DutyCycle {
+			// A one-hour evening peak shave (~15 % DoD), then recharge.
+			return aging.DutyCycle{
+				{W: units.Watt(60 + 20*jitter), Dt: time.Hour, Steps: 1},
+				{W: -60, Dt: 2 * time.Hour, Steps: 1},
+				{W: 0, Dt: 21 * time.Hour, Steps: 1},
+			}
+		}},
+		{"power smoothing (cyclic)", func(jitter float64) aging.DutyCycle {
+			// Deep daily cycling with unit-to-unit depth spread.
+			return aging.DutyCycle{
+				{W: units.Watt(55 + 35*jitter), Dt: time.Hour, Steps: 4},
+				{W: -70, Dt: 5 * time.Hour, Steps: 1},
+				{W: 0, Dt: 15 * time.Hour, Steps: 1},
+			}
+		}},
 	}
 
 	t := &Table{
@@ -160,8 +112,9 @@ func UsageScenarios(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
+			day := sc.day(jitter)
 			for d := 0; d < days; d++ {
-				if err := sc.drive(pack, model, jitter); err != nil {
+				if err := day.Drive(pack, model); err != nil {
 					return nil, err
 				}
 				pack.ApplyDegradation(model.Degradation())
@@ -209,7 +162,8 @@ func DemandSensitivity(cfg Config) (*Table, error) {
 	}
 	for i, c := range classes {
 		// Synthesize a day of battery usage matching the class: power
-		// sets the discharge current, energy sets how long it runs.
+		// sets the discharge current, energy sets how long it runs, and a
+		// partial recharge fills the rest of the window.
 		pack, err := battery.New(battery.DefaultSpec())
 		if err != nil {
 			return nil, err
@@ -226,25 +180,8 @@ func DemandSensitivity(cfg Config) (*Table, error) {
 		if c.MoreEnergy {
 			hours = 8
 		}
-		for h := 0; h < hours; h++ {
-			res, err := pack.Discharge(power, time.Hour, 25)
-			if err != nil {
-				return nil, err
-			}
-			if err := tracker.Observe(aging.Sample{
-				Dt: time.Hour, Current: res.Current, SoC: pack.SoC(), Temperature: pack.Temperature(),
-			}); err != nil {
-				return nil, err
-			}
-		}
-		// Partial recharge for the rest of the window.
-		cres, err := pack.Charge(50, 2*time.Hour, 25)
-		if err != nil {
-			return nil, err
-		}
-		if err := tracker.Observe(aging.Sample{
-			Dt: 2 * time.Hour, Current: cres.Current, SoC: pack.SoC(), Temperature: pack.Temperature(),
-		}); err != nil {
+		day := aging.DutyCycle{{W: power, Dt: time.Hour, Steps: hours}, {W: -50, Dt: 2 * time.Hour, Steps: 1}}
+		if err := day.Drive(pack, tracker); err != nil {
 			return nil, err
 		}
 		m := tracker.Metrics()

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/green-dc/baat/internal/aging"
 	"github.com/green-dc/baat/internal/battery"
@@ -10,8 +9,8 @@ import (
 
 // driftRun replays the measurement study of §II-B: one 12 V 35 Ah unit
 // cycled daily behind a solar-powered server for six months, sampling the
-// observables monthly. It is the same usage pattern the damage-model
-// calibration pins.
+// observables monthly. The day is aging.StudyCycle, the usage pattern the
+// damage-model calibration pins.
 type driftRun struct {
 	months     []int
 	voltage    []float64 // loaded terminal voltage at the 10 A test load
@@ -39,62 +38,23 @@ func runDrift(cfg Config) (*driftRun, error) {
 	}
 
 	run := &driftRun{}
-	record := func(month int, whOut, whIn float64) {
+	for month := 1; month <= months; month++ {
+		start := pack.Counters()
+		for day := 0; day < daysPerMonth; day++ {
+			if err := aging.StudyCycle.Drive(pack, model); err != nil {
+				return nil, err
+			}
+			pack.ApplyDegradation(model.Degradation())
+		}
+		end := pack.Counters()
 		run.months = append(run.months, month)
 		run.voltage = append(run.voltage, float64(pack.TerminalVoltage(10)))
 		// Deliverable per-cycle energy at present health: the Fig 4
 		// "stored energy in each charging cycle".
 		run.capacity = append(run.capacity, float64(pack.StoredEnergy()))
-		eff := 0.0
-		if whIn > 0 {
-			eff = whOut / whIn
-		}
-		run.efficiency = append(run.efficiency, eff)
-	}
-
-	observe := func(res battery.StepResult, dt time.Duration) error {
-		return model.Observe(aging.Sample{
-			Dt:          dt,
-			Current:     res.Current,
-			SoC:         pack.SoC(),
-			Temperature: pack.Temperature(),
-		})
-	}
-
-	// Month 0 baseline uses the first month's in/out for efficiency, so
-	// record after each month including an initial pseudo-sample.
-	for month := 1; month <= months; month++ {
-		var whOut, whIn float64
-		for day := 0; day < daysPerMonth; day++ {
-			for h := 0; h < 4; h++ { // ~57 % DoD discharge at ~5 A
-				res, err := pack.Discharge(60, time.Hour, 25)
-				if err != nil {
-					return nil, err
-				}
-				whOut += float64(res.Energy)
-				if err := observe(res, time.Hour); err != nil {
-					return nil, err
-				}
-			}
-			for h := 0; h < 6; h++ { // solar recharge
-				res, err := pack.Charge(60, time.Hour, 25)
-				if err != nil {
-					return nil, err
-				}
-				whIn += -float64(res.Energy)
-				if err := observe(res, time.Hour); err != nil {
-					return nil, err
-				}
-			}
-			if err := pack.Rest(14*time.Hour, 25); err != nil {
-				return nil, err
-			}
-			if err := observe(battery.StepResult{}, 14*time.Hour); err != nil {
-				return nil, err
-			}
-			pack.ApplyDegradation(model.Degradation())
-		}
-		record(month, whOut, whIn)
+		// The month's round-trip efficiency: energy delivered over energy
+		// charged in, both at the terminals.
+		run.efficiency = append(run.efficiency, float64(end.WhOut-start.WhOut)/float64(end.WhIn-start.WhIn))
 	}
 	return run, nil
 }

@@ -8,8 +8,8 @@ package sim
 // equivalence tests in parallel_test.go guarantee the two variants compute
 // identical results; this benchmark only measures wall time.
 //
-// CI runs it with `-benchtime=1x` (see check.sh bench-smoke); use the
-// default benchtime for stable speedup numbers.
+// CI runs it with `-benchtime=1x` (the Makefile's bench-smoke target);
+// use the default benchtime for stable speedup numbers.
 
 import (
 	"flag"

@@ -248,6 +248,7 @@ func TestResumeRejectsCorruptCheckpoint(t *testing.T) {
 		"format 2":     mangle("format", func(m map[string]any) { m["format"] = 2 }),
 		"format 3":     mangle("format", func(m map[string]any) { m["format"] = 3 }),
 		"format 4":     mangle("format", func(m map[string]any) { m["format"] = 4 }),
+		"format 5":     mangle("format", func(m map[string]any) { m["format"] = 5 }),
 		"six soc bins": mangle("soc_hist", func(m map[string]any) {
 			st := m["state"].(map[string]any)
 			st["soc_hist"] = st["soc_hist"].([]any)[:6]

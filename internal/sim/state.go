@@ -31,8 +31,9 @@ import (
 // histogram to its seven counts and dropped state a rebuilt simulator
 // already has: the manufacturing stream, which nothing draws after New,
 // and the degraded-mode flags, which equal each restored node's
-// MetricsSuspect().
-const CheckpointFormat = 5
+// MetricsSuspect(); format 6 dropped the aging tracker's two
+// discharge-rate sums, which repeated its discharge Ah and its band-D Ah.
+const CheckpointFormat = 6
 
 // State is the serializable state of a Simulator: the full state of every
 // node, the pending job queue, the position of every RNG stream drawn
