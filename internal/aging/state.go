@@ -39,7 +39,13 @@ func (t *Tracker) Snapshot() TrackerState {
 // Restore overwrites the tracker's accumulated state from a snapshot,
 // keeping its lifetime denominator. Non-finite or negative quantities are
 // rejected wholesale — the tracker guarantees finite metrics by
-// construction, and a restore must not be a way around that.
+// construction, and a restore must not be a way around that. So is a
+// state no sample sequence can reach, whose metrics would be nonsense:
+// low-SoC discharge time must fit in both the discharge and the deep
+// time, the band Ah must add up to the discharge Ah, and neither the
+// discharge Ah nor band D's Ah may exceed the peak rate held over its
+// time. The last two compare float sums taken in different orders, so
+// they allow a relative restoreSlack.
 func (t *Tracker) Restore(st TrackerState) error {
 	bad := func(name string, v float64) error {
 		return fmt.Errorf("aging: restore tracker: %s must be finite and non-negative, got %v", name, v)
@@ -68,6 +74,25 @@ func (t *Tracker) Restore(st TrackerState) error {
 	if st.Deep > st.Total || st.DisTime > st.Total || st.LowTime > st.Total {
 		return fmt.Errorf("aging: restore tracker: sub-durations exceed total observed time")
 	}
+	if st.LowTime > st.DisTime || st.LowTime > st.Deep {
+		return fmt.Errorf("aging: restore tracker: low time %v exceeds dis time %v or deep %v",
+			st.LowTime, st.DisTime, st.Deep)
+	}
+	var banded float64
+	for _, ah := range st.AhByRange {
+		banded += ah
+	}
+	if !(math.Abs(banded-st.AhOut) <= restoreSlack*st.AhOut) {
+		return fmt.Errorf("aging: restore tracker: ah by range sums to %v, want ah out %v", banded, st.AhOut)
+	}
+	if st.AhOut > st.DRPeak*st.DisTime.Hours()*(1+restoreSlack) {
+		return fmt.Errorf("aging: restore tracker: ah out %v exceeds dr peak %v A over dis time %v",
+			st.AhOut, st.DRPeak, st.DisTime)
+	}
+	if d := st.AhByRange[RangeD-RangeA]; d > st.DRPeak*st.LowTime.Hours()*(1+restoreSlack) {
+		return fmt.Errorf("aging: restore tracker: ah by range[%d] %v exceeds dr peak %v A over low time %v",
+			RangeD-RangeA, d, st.DRPeak, st.LowTime)
+	}
 	t.ahOut = st.AhOut
 	t.ahIn = st.AhIn
 	t.ahByRange = st.AhByRange
@@ -78,6 +103,12 @@ func (t *Tracker) Restore(st TrackerState) error {
 	t.drPeak = st.DRPeak
 	return nil
 }
+
+// restoreSlack is the relative rounding Restore allows when it checks
+// accumulated float sums against each other. A tracker's sums differ only
+// in summation order, by about one ULP per sample, so 1e-6 holds for any
+// run shorter than ~10⁹ samples.
+const restoreSlack = 1e-6
 
 // nonNeg reports whether a restored accumulator is finite and
 // non-negative. Restore names the field only when this fails, so a good

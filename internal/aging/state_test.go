@@ -85,7 +85,8 @@ func TestQuickModelSnapshotRestoreIdentity(t *testing.T) {
 }
 
 // TestQuickTrackerRestoreRejectsCorrupt: every accumulator rejects NaN,
-// infinities, negatives, and sub-durations exceeding the total.
+// infinities, negatives, sub-durations exceeding the total, and states no
+// sample sequence reaches.
 func TestQuickTrackerRestoreRejectsCorrupt(t *testing.T) {
 	corruptions := []func(*TrackerState){
 		func(st *TrackerState) { st.AhOut = math.NaN() },
@@ -96,6 +97,22 @@ func TestQuickTrackerRestoreRejectsCorrupt(t *testing.T) {
 		func(st *TrackerState) { st.LowTime = st.Total + time.Hour },
 		func(st *TrackerState) { st.DisTime = st.Total + time.Hour },
 		func(st *TrackerState) { st.DRPeak = -0.5 },
+		// Band Ah far from the discharge Ah, and discharge with no peak
+		// rate: this state reported PC = 11.25 and DRLowSoC = 300 A.
+		func(st *TrackerState) {
+			*st = TrackerState{AhOut: 1, AhByRange: [4]float64{10, 0, 0, 5},
+				Total: 2 * time.Hour, Deep: time.Minute, DisTime: time.Hour, LowTime: time.Minute}
+		},
+		// A peak rate below the mean rate over the discharge time.
+		func(st *TrackerState) {
+			*st = TrackerState{AhOut: 10, AhByRange: [4]float64{10, 0, 0, 0},
+				Total: 2 * time.Hour, DisTime: time.Hour, DRPeak: 5}
+		},
+		// More low-SoC discharge time than discharge time.
+		func(st *TrackerState) {
+			*st = TrackerState{AhOut: 5, AhByRange: [4]float64{0, 0, 0, 5},
+				Total: 3 * time.Hour, Deep: 2 * time.Hour, DisTime: time.Hour, LowTime: 2 * time.Hour, DRPeak: 5}
+		},
 	}
 	prop := func(walk []int16, which uint8) bool {
 		tr, err := NewTracker(7000)

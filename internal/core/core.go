@@ -48,12 +48,11 @@ type Context struct {
 	// records nothing.
 	Telemetry *telemetry.Recorder
 	// Summary, when non-nil and Valid, is the engine's merged per-shard
-	// fleet summary for the current tick. Its integer aggregates (suspect
-	// and DVFS-capped counts, end-of-life index, extremum indices) let a
-	// policy skip O(nodes) scans whose outcome the summary already
-	// decides; the float sums are telemetry-grade and must never pick
-	// between otherwise-equal trace-visible decisions. Nil is valid:
-	// every policy must behave identically without it, just slower.
+	// fleet summary for the current tick. Its fields (the DVFS-capped
+	// count, the first end-of-life index, the SoC bins) are exact at any
+	// shard grouping, and let a policy skip O(nodes) scans whose outcome
+	// the summary already decides. Nil is valid: every policy must behave
+	// identically without it, just slower.
 	Summary *fleet.Summary
 	// Signals is the forward-looking signal plane: a deterministic solar
 	// forecast (24–72 h lookahead) and a time-of-use electricity tariff.

@@ -64,7 +64,7 @@ func drain(t *testing.T, n *node.Node, target float64) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 24*60 && n.Battery().SoC() > target; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,7 +260,7 @@ func TestSlowdownTriggersOnLowSoCHighDR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8*60 && n.Battery().SoC() > 0.2; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -42,7 +42,7 @@ func shaveCtx(nodes []*node.Node, tod time.Duration) *Context {
 func stepDark(t *testing.T, n *node.Node, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

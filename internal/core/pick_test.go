@@ -71,7 +71,7 @@ func randomFleet(t *testing.T, rng *rand.Rand, size, maxVMs int) []*node.Node {
 			t.Fatal(err)
 		}
 		for range rng.IntN(600) {
-			if _, err := n.Step(time.Minute, 0, 0); err != nil {
+			if err := n.Step(time.Minute, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -80,14 +80,14 @@ func randomFleet(t *testing.T, rng *rand.Rand, size, maxVMs int) []*node.Node {
 		}
 		if rng.IntN(3) == 0 {
 			for range rng.IntN(240) {
-				if _, err := n.Step(time.Minute, 0, 400); err != nil {
+				if err := n.Step(time.Minute, 0, 400); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		if rng.IntN(5) == 0 {
 			n.SetSensorFault(faults.SensorFault{Mode: faults.ModeNaN})
-			if _, err := n.Step(time.Minute, 0, 0); err != nil {
+			if err := n.Step(time.Minute, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			n.SetSensorFault(faults.SensorFault{})

@@ -50,7 +50,7 @@ func TestPredictLifetimesEmptyFleet(t *testing.T) {
 func TestPredictLifetimesFreshFleetIsFarOut(t *testing.T) {
 	ctx := newCtx(t, 1)
 	// Let a tiny bit of time pass with no use.
-	if _, err := ctx.Nodes[0].Step(time.Minute, 0, 0); err != nil {
+	if err := ctx.Nodes[0].Step(time.Minute, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	preds := PredictLifetimes(ctx)

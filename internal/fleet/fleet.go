@@ -10,15 +10,11 @@
 // The fleet is partitioned into rack-group shards (Shard), each owning a
 // contiguous index range. Shards hold no randomness of their own, so
 // sharded runs stay bit-identical however many goroutines execute them.
-// Per-shard Summary values accumulate integer aggregates (suspect and
-// capped counts, SoC histogram bins, the first end-of-life index) that
-// recombine exactly — bin-by-bin, count-by-count — to whole-fleet values,
-// which is what lets a controller consume O(shards) summaries instead of
-// rescanning O(nodes) state. The float fields (worst health and the SoC
-// sum) merge in shard order; the minimum is exact, and the sum is
-// deterministic for a fixed shard size but rounds differently from a flat
-// serial sum, so consumers must treat it as telemetry-grade and never let
-// it pick between otherwise-equal trace-visible decisions.
+// Per-shard Summary values hold only exact aggregates — the capped
+// count, the SoC histogram bins and the first end-of-life index — which
+// recombine to whole-fleet values under any shard grouping. That lets a
+// controller consume O(shards) summaries instead of rescanning O(nodes)
+// state.
 //
 // Pool is the reusable worker fan-out that executes shards concurrently:
 // workers are long-lived and claim shard indices from an atomic cursor,
@@ -64,33 +60,6 @@ type Config struct {
 	Model func(i int) battery.Kind
 }
 
-// Columns is the fleet-wide allocator scratch: one dense column per
-// per-node quantity the tick prologue reads or writes (SoC snapshot,
-// demand, grants, sort order). The engine reuses them every tick, so the
-// steady-state step path allocates nothing. SortKey and SortScratch are
-// the radix-ordering scratch for the engine's incremental SoC order: a
-// key column and a ping-pong index buffer, preallocated here so the
-// per-control-pass sort stays alloc-free.
-type Columns struct {
-	SoC         []float64
-	Demand      []float64
-	LoadGrant   []float64
-	ChargeGrant []float64
-	Order       []int
-	SortKey     []uint64
-	SortScratch []int
-}
-
-// tierRun is a maximal run of consecutive node indices whose battery
-// models occupy consecutive slots of one per-tier slab. Fleets are
-// usually one run (homogeneous) or a few (the contiguous chemistry blocks
-// of Config.BatteryFleet).
-type tierRun struct {
-	lo, hi int  // node index range [lo, hi)
-	off    int  // slab offset of node lo's model within its tier slab
-	linear bool // linears slab vs packs slab
-}
-
 // Fleet is the struct-of-arrays storage of a node fleet. All component
 // state lives in the contiguous slabs below; the views slice exposes the
 // conventional *node.Node handles into them.
@@ -103,8 +72,6 @@ type Fleet struct {
 	trackers []aging.Tracker
 	models   []aging.Model
 	shards   []Shard
-	cols     Columns
-	runs     []tierRun
 }
 
 // New builds a fleet: one contiguous slab per component type, every node
@@ -141,11 +108,6 @@ func New(cfg Config) (*Fleet, error) {
 		models:   make([]aging.Model, n),
 	}
 	packCursor, linCursor := 0, 0
-	type placement struct {
-		linear bool
-		off    int
-	}
-	places := make([]placement, n)
 	for i := 0; i < n; i++ {
 		ncfg, err := cfg.Node(i)
 		if err != nil {
@@ -167,11 +129,9 @@ func New(cfg Config) (*Fleet, error) {
 			Model:   &f.models[i],
 		}
 		if kind == battery.KindLinear {
-			places[i] = placement{linear: true, off: linCursor}
 			parts.Linear = &f.linears[linCursor]
 			linCursor++
 		} else {
-			places[i] = placement{off: packCursor}
 			parts.Pack = &f.packs[packCursor]
 			packCursor++
 		}
@@ -180,49 +140,9 @@ func New(cfg Config) (*Fleet, error) {
 		}
 		f.views[i] = &f.nodes[i]
 	}
-	f.cols = Columns{
-		SoC:         make([]float64, n),
-		Demand:      make([]float64, n),
-		LoadGrant:   make([]float64, n),
-		ChargeGrant: make([]float64, n),
-		Order:       make([]int, n),
-		SortKey:     make([]uint64, n),
-		SortScratch: make([]int, n),
-	}
-	// Coalesce the per-node placements into maximal tier runs; slab
-	// cursors advance in node order, so consecutive same-tier nodes are
-	// automatically consecutive in their slab.
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && places[j].linear == places[i].linear {
-			j++
-		}
-		f.runs = append(f.runs, tierRun{lo: i, hi: j, off: places[i].off, linear: places[i].linear})
-		i = j
-	}
 	f.shards = partition(n, cfg.ShardSize)
 	return f, nil
 }
-
-// SoCColumn fills dst (length Len) with every node's state of charge,
-// sweeping the per-chemistry battery slabs with the columnar batch
-// kernels instead of calling through each node. The engine calls this for
-// the snapshot behind every SoC ordering pass.
-func (f *Fleet) SoCColumn(dst []float64) {
-	if len(dst) != len(f.nodes) {
-		panic("fleet: SoCColumn length mismatch")
-	}
-	for _, r := range f.runs {
-		if r.linear {
-			battery.LinearSoCs(f.linears[r.off:r.off+(r.hi-r.lo)], dst[r.lo:r.hi])
-		} else {
-			battery.PackSoCs(f.packs[r.off:r.off+(r.hi-r.lo)], dst[r.lo:r.hi])
-		}
-	}
-}
-
-// Len returns the fleet size.
-func (f *Fleet) Len() int { return len(f.nodes) }
 
 // Views returns the conventional *node.Node handles into the fleet's
 // slabs. The slice is shared, not copied: callers must treat it as
@@ -233,7 +153,3 @@ func (f *Fleet) Views() []*node.Node { return f.views }
 // Shards returns the rack-group partition. The slice is shared; shard
 // boundaries are fixed at construction.
 func (f *Fleet) Shards() []Shard { return f.shards }
-
-// Cols returns the fleet's allocator scratch columns (shared, reused
-// every tick by the engine).
-func (f *Fleet) Cols() *Columns { return &f.cols }

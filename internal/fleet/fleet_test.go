@@ -36,10 +36,10 @@ func TestFleetMatchesNodeNew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := view.StepOffline(time.Minute, units.Watt(50)); err != nil {
+		if err := view.StepOffline(time.Minute, units.Watt(50)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.StepOffline(time.Minute, units.Watt(50)); err != nil {
+		if err := ref.StepOffline(time.Minute, units.Watt(50)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := json.Marshal(view.Snapshot())

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"math"
-
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
 )
@@ -51,22 +49,15 @@ func (b *SoCBins) Fractions() []float64 {
 }
 
 // Summary aggregates one pass over a set of nodes — typically one shard's
-// index range for one tick. Per-shard summaries merged in shard order
-// (Add) recombine to exactly the values a single whole-fleet pass would
-// produce for every integer field and for MinHealth: counts count each
-// node once, SoC bins add, EOLIndex keeps the lowest index a serial
-// scan would find, and a minimum does not depend on grouping. The float
-// sum SoCSum recombines up to floating-point associativity: deterministic
-// for a fixed shard size, but rounded differently than a flat sum, so it
-// feeds a telemetry gauge only — never trace-visible decisions.
+// index range for one tick. Every merged field is exact: per-shard
+// summaries merged in shard order (Add) recombine to the values a single
+// whole-fleet pass would produce under any shard grouping. Counts count
+// each node once, SoC bins add, and EOLIndex keeps the lowest index a
+// serial scan would find.
 type Summary struct {
 	// Valid reports the summary reflects a completed pass; the engine
 	// leaves it false until the first tick has run.
 	Valid bool
-	// Nodes is how many nodes the pass observed.
-	Nodes int
-	// Suspect counts nodes whose sensor chain is quarantined.
-	Suspect int
 	// Capped counts servers below their top DVFS level — the population
 	// a frequency-restoring controller would touch. Zero lets such a
 	// controller skip its O(n) scan entirely.
@@ -74,11 +65,6 @@ type Summary struct {
 	// EOLIndex is the lowest node index at or below end-of-life health,
 	// or -1. The engine uses it in place of a per-tick fleet scan.
 	EOLIndex int
-	// MinHealth is the weakest battery's remaining-capacity fraction.
-	MinHealth float64
-	// SoCSum accumulates state of charge across the pass
-	// (telemetry-grade; see the type comment).
-	SoCSum float64
 	// Bins receives one SoC sample per node when the caller asks for it
 	// (the engine only samples inside the operating window, matching the
 	// Fig 19 distribution).
@@ -93,12 +79,8 @@ type Summary struct {
 // Reset clears the summary for a new pass, keeping Changed's capacity.
 func (s *Summary) Reset() {
 	s.Valid = false
-	s.Nodes = 0
-	s.Suspect = 0
 	s.Capped = 0
 	s.EOLIndex = -1
-	s.MinHealth = math.Inf(1)
-	s.SoCSum = 0
 	s.Bins = SoCBins{}
 	s.Changed = s.Changed[:0]
 }
@@ -107,23 +89,14 @@ func (s *Summary) Reset() {
 // charge (saving the caller a second pack read for its own per-node
 // bookkeeping). observeSoC gates the Bins sample.
 func (s *Summary) ObserveNode(i int, n *node.Node, observeSoC bool) float64 {
-	s.Nodes++
 	// node.SoC/Health are the devirtualized fast accessors: no interface
 	// call. This fold runs for every node every tick.
 	soc := n.SoC()
-	s.SoCSum += soc
 	if observeSoC {
 		s.Bins.Observe(soc)
 	}
-	health := n.Health()
-	if health < s.MinHealth {
-		s.MinHealth = health
-	}
-	if s.EOLIndex < 0 && health < battery.EndOfLifeHealth {
+	if s.EOLIndex < 0 && n.Health() < battery.EndOfLifeHealth {
 		s.EOLIndex = i
-	}
-	if n.MetricsSuspect() {
-		s.Suspect++
 	}
 	srv := n.Server()
 	if srv.FrequencyIndex() < srv.TopFrequencyIndex() {
@@ -140,19 +113,12 @@ func (s *Summary) ObserveChanged(i int) {
 
 // Add merges o into s. Merging per-shard summaries in ascending shard
 // order reproduces a serial whole-fleet scan: the first-match field
-// (EOLIndex) keeps the earliest, MinHealth keeps the minimum, and counts
-// and bins add exactly. Changed is deliberately not merged (see the field
-// comment).
+// (EOLIndex) keeps the earliest, and counts and bins add exactly. Changed
+// is deliberately not merged (see the field comment).
 func (s *Summary) Add(o *Summary) {
-	s.Nodes += o.Nodes
-	s.Suspect += o.Suspect
 	s.Capped += o.Capped
 	if s.EOLIndex < 0 {
 		s.EOLIndex = o.EOLIndex
 	}
-	if o.MinHealth < s.MinHealth {
-		s.MinHealth = o.MinHealth
-	}
-	s.SoCSum += o.SoCSum
 	s.Bins.Add(&o.Bins)
 }

@@ -2,15 +2,12 @@ package fleet
 
 // The shard-aggregation property tests: per-shard summaries, merged in
 // shard order, must recombine to exactly the values one whole-fleet pass
-// produces — integer fields (counts, histogram bins, indices) and the
-// worst health exactly, the state-of-charge sum to floating-point
-// associativity tolerance. The fleet is perturbed through the real node
-// step path so SoC, health, DVFS state, and suspect flags all vary across
-// nodes.
+// produces — counts, histogram bins, indices and the suspect edges. The
+// fleet is perturbed through the real node step path so SoC, health, DVFS
+// state, and suspect flags all vary across nodes.
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"testing"
 	"time"
@@ -60,7 +57,7 @@ func perturbedFleet(t *testing.T, shardSize int) *Fleet {
 			}
 		}
 		for k := 0; k < 1+i%5; k++ {
-			if _, err := nd.Step(15*time.Minute, units.Watt(float64(10*i)), 0); err != nil {
+			if err := nd.Step(15*time.Minute, units.Watt(float64(10*i)), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -74,7 +71,7 @@ func perturbedFleet(t *testing.T, shardSize int) *Fleet {
 		}
 		if i%6 == 2 {
 			nd.SetSensorFault(faults.SensorFault{Mode: faults.ModeNaN})
-			if _, err := nd.Step(time.Minute, 0, 0); err != nil {
+			if err := nd.Step(time.Minute, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,16 +124,11 @@ func TestSummaryShardRecombination(t *testing.T) {
 			}
 			total.Valid = true
 
-			// Integer fields recombine exactly.
-			if total.Nodes != whole.Nodes || total.Suspect != whole.Suspect || total.Capped != whole.Capped {
-				t.Errorf("counts diverged: merged {nodes %d, suspect %d, capped %d}, whole {%d, %d, %d}",
-					total.Nodes, total.Suspect, total.Capped, whole.Nodes, whole.Suspect, whole.Capped)
+			if total.Capped != whole.Capped {
+				t.Errorf("capped = %d, want %d", total.Capped, whole.Capped)
 			}
 			if total.EOLIndex != whole.EOLIndex {
 				t.Errorf("EOLIndex = %d, want %d", total.EOLIndex, whole.EOLIndex)
-			}
-			if total.MinHealth != whole.MinHealth {
-				t.Errorf("min health = %v, want %v", total.MinHealth, whole.MinHealth)
 			}
 			if total.Bins != whole.Bins {
 				t.Errorf("SoC bins diverged: %v vs %v", total.Bins, whole.Bins)
@@ -144,14 +136,9 @@ func TestSummaryShardRecombination(t *testing.T) {
 			if !slices.Equal(changed, whole.Changed) {
 				t.Errorf("changed indices diverged: %v vs %v", changed, whole.Changed)
 			}
-
-			// The float sum recombines to associativity tolerance.
-			if tol := 1e-12 * math.Max(1, whole.SoCSum); math.Abs(total.SoCSum-whole.SoCSum) > tol {
-				t.Errorf("SoCSum = %v, want %v (±%g)", total.SoCSum, whole.SoCSum, tol)
-			}
-			if whole.Suspect == 0 || whole.Capped == 0 || whole.EOLIndex < 0 {
-				t.Errorf("perturbation too tame (suspect %d, capped %d, eol %d); properties not exercised",
-					whole.Suspect, whole.Capped, whole.EOLIndex)
+			if len(whole.Changed) == 0 || whole.Capped == 0 || whole.EOLIndex < 0 {
+				t.Errorf("perturbation too tame (suspect edges %d, capped %d, eol %d); properties not exercised",
+					len(whole.Changed), whole.Capped, whole.EOLIndex)
 			}
 		})
 	}

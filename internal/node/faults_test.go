@@ -18,7 +18,7 @@ import (
 func stepTicks(t *testing.T, n *Node, ticks int) {
 	t.Helper()
 	for i := 0; i < ticks; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}

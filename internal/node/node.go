@@ -20,7 +20,6 @@ import (
 	"github.com/green-dc/baat/internal/aging"
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/faults"
-	"github.com/green-dc/baat/internal/powernet"
 	"github.com/green-dc/baat/internal/server"
 	"github.com/green-dc/baat/internal/telemetry"
 	"github.com/green-dc/baat/internal/units"
@@ -31,7 +30,7 @@ type Config struct {
 	BatterySpec battery.Spec
 	ServerSpec  server.Spec
 	AgingConfig aging.ModelConfig
-	Losses      powernet.Losses
+	Losses      Losses
 
 	// Ambient is the machine-room temperature.
 	Ambient units.Celsius
@@ -77,7 +76,7 @@ func DefaultConfig() Config {
 		BatterySpec: battery.Parallel(battery.DefaultSpec(), 2),
 		ServerSpec:  server.DefaultSpec(),
 		AgingConfig: aging.DefaultModelConfig(),
-		Losses:      powernet.DefaultLosses(),
+		Losses:      DefaultLosses(),
 		Ambient:     25,
 		SoCFloor:    0.05,
 	}
@@ -140,23 +139,43 @@ const DefaultSensorQuarantine = 10 * time.Minute
 // metrics.
 const DefaultStaleAfter = 3
 
-// StepResult summarizes one tick of node operation.
-type StepResult struct {
-	// Demand is the server draw the node tried to satisfy.
-	Demand units.Watt
-	// SolarUsed is solar power consumed (load + charging), at the bus.
-	SolarUsed units.Watt
-	// BatteryPower is terminal battery power: positive discharging into
-	// the load, negative charging.
-	BatteryPower units.Watt
-	// UtilityPower is grid draw (only with UtilityBackup).
-	UtilityPower units.Watt
-	// Down reports the server spent the tick dark.
-	Down bool
-	// WorkDone is the compute work completed this tick.
-	WorkDone float64
-	// Source is the dominant feed this tick.
-	Source powernet.Source
+// Losses captures the conversion efficiencies along the power path of the
+// prototype (DSN'15 Fig 11, module 4): the power switcher feeds the server
+// from solar directly or from the battery through the DC-AC inverter, and
+// charges the battery through the charger.
+type Losses struct {
+	// InverterEfficiency applies to battery → server AC delivery.
+	InverterEfficiency float64
+	// ChargerEfficiency applies to solar/utility → battery charging.
+	ChargerEfficiency float64
+	// SolarDirectEfficiency applies to solar → server direct feed.
+	SolarDirectEfficiency float64
+}
+
+// DefaultLosses returns typical small-system conversion efficiencies.
+func DefaultLosses() Losses {
+	return Losses{
+		InverterEfficiency:    0.90,
+		ChargerEfficiency:     0.93,
+		SolarDirectEfficiency: 0.95,
+	}
+}
+
+// Validate checks that efficiencies are physical.
+func (l Losses) Validate() error {
+	for _, e := range []struct {
+		name string
+		v    float64
+	}{
+		{"inverter", l.InverterEfficiency},
+		{"charger", l.ChargerEfficiency},
+		{"solar-direct", l.SolarDirectEfficiency},
+	} {
+		if e.v <= 0 || e.v > 1 {
+			return fmt.Errorf("node: %s efficiency must be in (0, 1], got %v", e.name, e.v)
+		}
+	}
+	return nil
 }
 
 // Node is one server+battery unit.
@@ -179,9 +198,9 @@ type Node struct {
 	// (exactly one is non-nil, fixed at construction). The per-tick paths
 	// dispatch through the batt* leaf helpers below, which nil-check these
 	// and make direct calls the compiler can inline — one devirtualized
-	// call per node per tick is a measurable win at warehouse scale, and
-	// it is what the per-chemistry batch kernels in internal/battery lean
-	// on for columnar reads.
+	// call per node per tick is a measurable win at warehouse scale. The
+	// engine's SoC order and shard summaries read SoC and Health the
+	// same way.
 	pack *battery.Pack
 	lin  *battery.Linear
 
@@ -340,8 +359,8 @@ func (n *Node) Battery() battery.Model { return n.batt }
 // per node per tick.
 
 // SoC returns the battery's state of charge in [0, 1] without an
-// interface call — the fleet summary and SoC ordering read it for every
-// node every tick.
+// interface call — the shard summaries read it for every node every tick,
+// and the engine's SoC order whenever it is taken.
 func (n *Node) SoC() float64 {
 	if n.pack != nil {
 		return n.pack.SoC()
@@ -529,25 +548,22 @@ func (n *Node) batteryAvailable() bool {
 
 // Step advances the node by dt. solarForLoad is bus solar power granted for
 // the server feed; solarForCharge is bus solar granted for battery charging.
-func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (StepResult, error) {
+// The node books what the tick did in its own accounting (Stats, the
+// pack's counters, the aging tracker), so Step reports only failure.
+func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) error {
 	if dt <= 0 {
-		return StepResult{}, fmt.Errorf("node %s: step duration must be positive, got %v", n.id, dt)
+		return fmt.Errorf("node %s: step duration must be positive, got %v", n.id, dt)
 	}
 	if solarForLoad < 0 || solarForCharge < 0 {
-		return StepResult{}, fmt.Errorf("node %s: negative solar allocation (%v, %v)", n.id, solarForLoad, solarForCharge)
+		return fmt.Errorf("node %s: negative solar allocation (%v, %v)", n.id, solarForLoad, solarForCharge)
 	}
-	res := StepResult{}
 
 	// A node with no active VMs is scheduled off: no idle burn, no
 	// downtime accounting — the prototype only powers servers that host
 	// work (§V-B). Any solar grant charges the battery.
 	if n.srv.ActiveVMCount() == 0 {
 		n.srv.SetPowered(false)
-		off, err := n.StepOffline(dt, solarForLoad+solarForCharge)
-		if err != nil {
-			return StepResult{}, err
-		}
-		return off, nil
+		return n.StepOffline(dt, solarForLoad+solarForCharge)
 	}
 
 	// Decide whether the server can run this tick. Recovery needs either
@@ -556,21 +572,19 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 	wasDown := !n.srv.Powered()
 	n.srv.SetPowered(true)
 	demand := n.srv.Power()
-	res.Demand = demand
 
 	solarDeliverable := units.Watt(float64(solarForLoad) * n.cfg.Losses.SolarDirectEfficiency)
 	deficit := demand - solarDeliverable
 	canRecover := !wasDown || solarDeliverable >= demand || n.SoC() > n.socFloor+0.05
 
 	run := true
-	var batteryNeed units.Watt
+	var batteryNeed, utility units.Watt
 	if deficit > 0 {
 		// Battery must bridge deficit through the inverter.
 		batteryNeed = units.Watt(float64(deficit) / n.cfg.Losses.InverterEfficiency)
 		if !canRecover || !n.batteryAvailable() || n.battMaxDischargePower() < batteryNeed {
 			if n.UtilityAvailable() {
-				res.UtilityPower = deficit
-				res.Source = powernet.SourceUtility
+				utility = deficit
 				batteryNeed = 0
 				n.telUtility.Inc()
 			} else {
@@ -579,33 +593,30 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 		}
 	}
 
+	// solarUsed is the bus solar consumed (load + charging). batteryPower,
+	// the terminal power of a discharge, gates charging and resting below;
+	// a discharge whose power rounds to zero still lets the pack charge,
+	// so it stays a float rather than a flag.
+	var solarUsed, batteryPower units.Watt
 	var sr battery.StepResult
 	var err error
 	if run {
-		res.SolarUsed = solarForLoad
+		solarUsed = solarForLoad
 		if demand > 0 && solarDeliverable >= demand {
 			// Solar alone carries the load; excess granted for the load is
 			// returned (only what was needed is counted).
-			res.SolarUsed = units.Watt(float64(demand) / n.cfg.Losses.SolarDirectEfficiency)
-			if res.Source == powernet.SourceNone {
-				res.Source = powernet.SourceSolar
-			}
+			solarUsed = units.Watt(float64(demand) / n.cfg.Losses.SolarDirectEfficiency)
 		}
 		if batteryNeed > 0 {
 			sr, err = n.battDischarge(batteryNeed, dt, n.cfg.Ambient)
 			if err != nil {
-				return StepResult{}, err
+				return err
 			}
 			if sr.CutOff {
 				// The pack tripped mid-step: treat the tick as dark.
 				run = false
 			} else {
-				res.BatteryPower = units.Watt(float64(sr.Voltage) * float64(sr.Current))
-				if solarDeliverable > 0 {
-					res.Source = powernet.SourceMixed
-				} else {
-					res.Source = powernet.SourceBattery
-				}
+				batteryPower = units.Watt(float64(sr.Voltage) * float64(sr.Current))
 			}
 		}
 	}
@@ -613,87 +624,74 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) (
 	if !run {
 		// Dark tick: server checkpoints; all granted solar charges the pack.
 		n.srv.SetPowered(false)
-		res.Down = true
-		res.SolarUsed = 0
-		res.Source = powernet.SourceNone
+		solarUsed = 0
 		solarForCharge += solarForLoad
 		n.telDark.Inc()
 	}
 
 	// Charging with the charge allocation (plus reclaimed load solar on a
 	// dark tick).
-	if solarForCharge > 0 && res.BatteryPower == 0 {
-		chargePower := units.Watt(float64(solarForCharge) * n.cfg.Losses.ChargerEfficiency)
-		cr, cerr := n.battCharge(chargePower, dt, n.cfg.Ambient)
-		if cerr != nil {
-			return StepResult{}, cerr
-		}
-		if cr.Charge != 0 {
-			accepted := -float64(cr.Energy) / n.hours(dt) // battery-side watts
-			res.SolarUsed += units.Watt(accepted / n.cfg.Losses.ChargerEfficiency)
-			res.BatteryPower = units.Watt(-accepted)
-			sr = cr
-		}
-	} else if res.BatteryPower == 0 {
-		if rerr := n.battRest(dt, n.cfg.Ambient); rerr != nil {
-			return StepResult{}, rerr
-		}
+	if solarForCharge > 0 && batteryPower == 0 {
+		var charged units.Watt
+		charged, err = n.charge(solarForCharge, dt, &sr)
+		solarUsed += charged
+	} else if batteryPower == 0 {
+		err = n.battRest(dt, n.cfg.Ambient)
+	}
+	if err != nil {
+		return err
 	}
 
 	// Advance compute and bookkeeping.
-	res.WorkDone = n.srv.Step(dt)
+	n.srv.Step(dt)
 	n.clock += dt
 	hrs := n.hours(dt)
-	n.solarWh += units.WattHour(float64(res.SolarUsed) * hrs) // units.EnergyOver, memoized hours
-	n.utilityWh += units.WattHour(float64(res.UtilityPower) * hrs)
-
-	if err := n.observe(dt, sr); err != nil {
-		return StepResult{}, err
-	}
-	return res, nil
+	n.solarWh += units.WattHour(float64(solarUsed) * hrs) // units.EnergyOver, memoized hours
+	n.utilityWh += units.WattHour(float64(utility) * hrs)
+	return n.observe(dt, sr)
 }
 
 // StepOffline advances the node through a tick outside the operating
 // window (the prototype shuts servers down after 18:30, §V-B): the server is
 // off by schedule — not counted as downtime — while the battery charges from
 // any solar grant or rests.
-func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) (StepResult, error) {
+func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 	if dt <= 0 {
-		return StepResult{}, fmt.Errorf("node %s: step duration must be positive, got %v", n.id, dt)
+		return fmt.Errorf("node %s: step duration must be positive, got %v", n.id, dt)
 	}
 	if solarForCharge < 0 {
-		return StepResult{}, fmt.Errorf("node %s: negative solar allocation %v", n.id, solarForCharge)
+		return fmt.Errorf("node %s: negative solar allocation %v", n.id, solarForCharge)
 	}
 	n.srv.SetPowered(false)
-	res := StepResult{Source: powernet.SourceNone}
 
 	var sr battery.StepResult
+	var solarUsed units.Watt
+	var err error
 	if solarForCharge > 0 {
-		chargePower := units.Watt(float64(solarForCharge) * n.cfg.Losses.ChargerEfficiency)
-		cr, err := n.battCharge(chargePower, dt, n.cfg.Ambient)
-		if err != nil {
-			return StepResult{}, err
-		}
-		if cr.Charge != 0 {
-			accepted := -float64(cr.Energy) / n.hours(dt)
-			res.SolarUsed = units.Watt(accepted / n.cfg.Losses.ChargerEfficiency)
-			res.BatteryPower = units.Watt(-accepted)
-			res.Source = powernet.SourceSolar
-			sr = cr
-		}
+		solarUsed, err = n.charge(solarForCharge, dt, &sr)
 	} else {
-		if rerr := n.battRest(dt, n.cfg.Ambient); rerr != nil {
-			return StepResult{}, rerr
-		}
+		err = n.battRest(dt, n.cfg.Ambient)
+	}
+	if err != nil {
+		return err
 	}
 
 	n.clock += dt
-	n.solarWh += units.WattHour(float64(res.SolarUsed) * n.hours(dt)) // units.EnergyOver, memoized hours
+	n.solarWh += units.WattHour(float64(solarUsed) * n.hours(dt)) // units.EnergyOver, memoized hours
+	return n.observe(dt, sr)
+}
 
-	if err := n.observe(dt, sr); err != nil {
-		return StepResult{}, err
+// charge feeds bus solar through the charger into the pack. It returns the
+// bus solar the pack accepted; when the pack took any charge it also
+// replaces *sr with the charge step, the sample the aging books observe.
+func (n *Node) charge(solar units.Watt, dt time.Duration, sr *battery.StepResult) (units.Watt, error) {
+	cr, err := n.battCharge(units.Watt(float64(solar)*n.cfg.Losses.ChargerEfficiency), dt, n.cfg.Ambient)
+	if err != nil || cr.Charge == 0 {
+		return 0, err
 	}
-	return res, nil
+	*sr = cr
+	accepted := -float64(cr.Energy) / n.hours(dt) // battery-side watts
+	return units.Watt(accepted / n.cfg.Losses.ChargerEfficiency), nil
 }
 
 // observe closes out a step: the true battery sample feeds the damage

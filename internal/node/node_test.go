@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/green-dc/baat/internal/powernet"
+	"github.com/green-dc/baat/internal/units"
 	"github.com/green-dc/baat/internal/vm"
 	"github.com/green-dc/baat/internal/workload"
 )
@@ -39,6 +39,30 @@ func attachVM(t *testing.T, n *Node, id string, k workload.Kind) *vm.VM {
 	return v
 }
 
+// stepDelta is what one Step booked in the node's own accounting.
+type stepDelta struct {
+	down  time.Duration    // server downtime
+	solar units.WattHour   // bus solar consumed, load and charging
+	work  float64          // compute work completed
+	ahOut units.AmpereHour // charge the pack discharged
+}
+
+// stepOnce runs one Step and diffs the node's accounting around it.
+func stepOnce(t *testing.T, n *Node, dt time.Duration, load, charge units.Watt) stepDelta {
+	t.Helper()
+	before, ahOut := n.Stats(), n.Battery().Counters().AhOut
+	if err := n.Step(dt, load, charge); err != nil {
+		t.Fatal(err)
+	}
+	after := n.Stats()
+	return stepDelta{
+		down:  after.Downtime - before.Downtime,
+		solar: after.SolarEnergy - before.SolarEnergy,
+		work:  after.Throughput - before.Throughput,
+		ahOut: n.Battery().Counters().AhOut - ahOut,
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
@@ -70,28 +94,45 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+func TestLossesValidate(t *testing.T) {
+	if err := DefaultLosses().Validate(); err != nil {
+		t.Fatalf("default losses invalid: %v", err)
+	}
+	tests := []struct {
+		name   string
+		mutate func(*Losses)
+	}{
+		{"zero inverter", func(l *Losses) { l.InverterEfficiency = 0 }},
+		{"charger above one", func(l *Losses) { l.ChargerEfficiency = 1.1 }},
+		{"negative solar", func(l *Losses) { l.SolarDirectEfficiency = -0.5 }},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			l := DefaultLosses()
+			tt.mutate(&l)
+			if err := l.Validate(); err == nil {
+				t.Error("Validate() = nil, want error")
+			}
+		})
+	}
+}
+
 func TestSolarCoversLoad(t *testing.T) {
 	n := newNode(t)
 	attachVM(t, n, "v1", workload.WordCount)
 	demand := n.Demand()
-	res, err := n.Step(time.Minute, demand*2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Down {
+	d := stepOnce(t, n, time.Minute, demand*2, 0)
+	if d.down != 0 {
 		t.Fatal("node went dark with abundant solar")
 	}
-	if res.Source != powernet.SourceSolar {
-		t.Errorf("source = %v, want solar", res.Source)
-	}
-	if res.BatteryPower > 0 {
-		t.Errorf("battery discharged (%v) despite solar surplus", res.BatteryPower)
+	if d.ahOut != 0 {
+		t.Errorf("battery discharged %v despite solar surplus", d.ahOut)
 	}
 	// Only the needed solar is consumed, not the whole grant.
-	if res.SolarUsed >= demand*2 {
-		t.Errorf("SolarUsed = %v, want < grant %v", res.SolarUsed, demand*2)
+	if grant := units.EnergyOver(demand*2, time.Minute); d.solar <= 0 || d.solar >= grant {
+		t.Errorf("solar energy = %v, want in (0, grant %v)", d.solar, grant)
 	}
-	if res.WorkDone <= 0 {
+	if d.work <= 0 {
 		t.Error("no work done")
 	}
 }
@@ -99,18 +140,12 @@ func TestSolarCoversLoad(t *testing.T) {
 func TestBatteryBridgesDeficit(t *testing.T) {
 	n := newNode(t)
 	attachVM(t, n, "v1", workload.SoftwareTesting)
-	res, err := n.Step(time.Minute, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Down {
+	d := stepOnce(t, n, time.Minute, 0, 0)
+	if d.down != 0 {
 		t.Fatal("node went dark with a healthy battery")
 	}
-	if res.Source != powernet.SourceBattery {
-		t.Errorf("source = %v, want battery", res.Source)
-	}
-	if res.BatteryPower <= 0 {
-		t.Errorf("battery power = %v, want positive discharge", res.BatteryPower)
+	if d.ahOut <= 0 || d.solar != 0 {
+		t.Errorf("discharged %v with solar %v, want a battery-only tick", d.ahOut, d.solar)
 	}
 	if n.Battery().SoC() >= 1 {
 		t.Error("SoC did not drop")
@@ -121,15 +156,9 @@ func TestMixedSolarAndBattery(t *testing.T) {
 	n := newNode(t)
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	demand := n.Demand()
-	res, err := n.Step(time.Minute, demand/2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Source != powernet.SourceMixed {
-		t.Errorf("source = %v, want mixed", res.Source)
-	}
-	if res.BatteryPower <= 0 {
-		t.Error("battery did not bridge the partial deficit")
+	d := stepOnce(t, n, time.Minute, demand/2, 0)
+	if d.ahOut <= 0 || d.solar <= 0 {
+		t.Errorf("discharged %v with solar %v, want both", d.ahOut, d.solar)
 	}
 }
 
@@ -138,11 +167,7 @@ func TestNodeGoesDarkWhenBatteryEmpty(t *testing.T) {
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	var wentDark bool
 	for i := 0; i < 10*60; i++ { // up to 10 hours on battery alone
-		res, err := n.Step(time.Minute, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Down {
+		if stepOnce(t, n, time.Minute, 0, 0).down > 0 {
 			wentDark = true
 			break
 		}
@@ -163,7 +188,7 @@ func TestDarkNodeChargesAndRecovers(t *testing.T) {
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	// Drain until dark.
 	for !n.Stats().isDown() {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		if n.Clock() > 12*time.Hour {
@@ -174,11 +199,7 @@ func TestDarkNodeChargesAndRecovers(t *testing.T) {
 	// Generous solar charges the battery and revives the server.
 	var recovered bool
 	for i := 0; i < 6*60; i++ {
-		res, err := n.Step(time.Minute, 400, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Down {
+		if stepOnce(t, n, time.Minute, 400, 200).down == 0 {
 			recovered = true
 			break
 		}
@@ -199,11 +220,7 @@ func TestUtilityBackupPreventsDarkness(t *testing.T) {
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	// Exhaust the battery; with utility backup the node must stay up.
 	for i := 0; i < 12*60; i++ {
-		res, err := n.Step(time.Minute, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Down {
+		if stepOnce(t, n, time.Minute, 0, 0).down > 0 {
 			t.Fatal("node went dark despite utility backup")
 		}
 	}
@@ -216,7 +233,7 @@ func TestSoCFloorStopsDischarge(t *testing.T) {
 	n := newNode(t, func(c *Config) { c.SoCFloor = 0.6 })
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	for i := 0; i < 8*60; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +268,7 @@ func TestChargeRequest(t *testing.T) {
 	// Drain, then the request becomes positive.
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	for i := 0; i < 120; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -262,13 +279,13 @@ func TestChargeRequest(t *testing.T) {
 
 func TestStepValidation(t *testing.T) {
 	n := newNode(t)
-	if _, err := n.Step(0, 0, 0); err == nil {
+	if err := n.Step(0, 0, 0); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := n.Step(time.Minute, -1, 0); err == nil {
+	if err := n.Step(time.Minute, -1, 0); err == nil {
 		t.Error("negative load solar accepted")
 	}
-	if _, err := n.Step(time.Minute, 0, -1); err == nil {
+	if err := n.Step(time.Minute, 0, -1); err == nil {
 		t.Error("negative charge solar accepted")
 	}
 }
@@ -277,7 +294,7 @@ func TestMetricsAccumulate(t *testing.T) {
 	n := newNode(t)
 	attachVM(t, n, "v1", workload.SoftwareTesting)
 	for i := 0; i < 240; i++ {
-		if _, err := n.Step(time.Minute, 0, 0); err != nil {
+		if err := n.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -306,7 +323,7 @@ func TestAgingFeedsBackToPack(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6*60; i++ {
-		if _, err := hard.Step(time.Minute, 0, 0); err != nil {
+		if err := hard.Step(time.Minute, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -325,12 +342,8 @@ func TestIdleNodeScheduledOff(t *testing.T) {
 	if d := n.Demand(); d != 0 {
 		t.Errorf("empty node demands %v", d)
 	}
-	res, err := n.Step(time.Minute, 1000, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Demand != 0 || res.Down {
-		t.Errorf("empty node stepped with demand %v, down %v", res.Demand, res.Down)
+	if d := stepOnce(t, n, time.Minute, 1000, 0); d.down != 0 || d.work != 0 {
+		t.Errorf("empty node stepped with downtime %v, work %v", d.down, d.work)
 	}
 	if n.Server().Powered() {
 		t.Error("idle server left powered")

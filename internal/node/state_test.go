@@ -27,7 +27,7 @@ func walkedNode(t *testing.T, seed int64) *Node {
 	rng := rand.New(rand.NewPCG(uint64(seed), 0))
 	for i := 0; i < 50; i++ {
 		solar := units.Watt(rng.Float64() * 400)
-		if _, err := n.Step(time.Minute, solar, solar/2); err != nil {
+		if err := n.Step(time.Minute, solar, solar/2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func TestQuickNodeSnapshotRestoreIdentity(t *testing.T) {
 		// Drift: more ticks move the clock, battery, and aging state.
 		rng := rand.New(rand.NewPCG(uint64(seed), 1))
 		for i := 0; i < 25; i++ {
-			if _, err := n.Step(time.Minute, units.Watt(rng.Float64()*400), 0); err != nil {
+			if err := n.Step(time.Minute, units.Watt(rng.Float64()*400), 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,7 +86,7 @@ func TestQuickNodeRestoreRejectsCorrupt(t *testing.T) {
 		n := walkedNode(t, seed)
 		snap := n.Snapshot()
 		for i := 0; i < 25; i++ {
-			if _, err := n.Step(time.Minute, 0, 0); err != nil {
+			if err := n.Step(time.Minute, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

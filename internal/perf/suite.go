@@ -105,12 +105,6 @@ func RunSuite() (Report, error) {
 	// on the same scaling axis instead of only at the 64-node size.
 	addFleet(fmt.Sprintf("fleet_step/nodes=%d/workers=1/model=lfp", suiteWarehouseNodes), true,
 		suiteWarehouseNodes, fleetStepBench(suiteWarehouseNodes, 1, battery.KindLFP))
-	// The columnar batch kernels behind the engine's SoC ordering snapshot:
-	// one op sweeps a warehouse-sized per-chemistry column. Pinned at zero
-	// allocations — the kernels read slabs into caller-owned columns.
-	add("soc_column/model=leadacid", true, socColumnBench(battery.KindLeadAcid))
-	add("soc_column/model=lfp", true, socColumnBench(battery.KindLFP))
-	add("soc_column/model=linear", true, socColumnBench(battery.KindLinear))
 	// The policy stage of the tick pipeline, one entry per registered
 	// policy: one Control pass per op over a stressed fleet.
 	for _, info := range core.Registered() {
@@ -213,42 +207,6 @@ func policyControlBench(name string, nodes int) func(b *testing.B) {
 			if err := p.Control(ctx); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// socColumnBench measures one columnar SoC sweep over a warehouse-sized
-// same-chemistry column — the batch kernel the fleet's SoC snapshot runs
-// per control pass instead of 65536 per-node calls.
-func socColumnBench(kind battery.Kind) func(b *testing.B) {
-	return func(b *testing.B) {
-		spec, err := battery.DefaultSpecFor(kind)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dst := make([]float64, suiteWarehouseNodes)
-		if kind == battery.KindLinear {
-			lins := make([]battery.Linear, suiteWarehouseNodes)
-			for i := range lins {
-				if err := battery.NewLinearInto(&lins[i], spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				battery.LinearSoCs(lins, dst)
-			}
-			return
-		}
-		packs := make([]battery.Pack, suiteWarehouseNodes)
-		for i := range packs {
-			if err := battery.NewInto(&packs[i], spec); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			battery.PackSoCs(packs, dst)
 		}
 	}
 }

@@ -75,7 +75,7 @@ func TestStepOfflineAllocFree(t *testing.T) {
 
 // TestRunDayAllocBudgetMixedFleet covers the heterogeneous slab layout: a
 // half lead-acid, half LFP fleet must hit the same per-day budget as a
-// homogeneous one — the mixed columns are sized at construction, never
+// homogeneous one — the per-tier slabs are sized at construction, never
 // grown on the tick path.
 func TestRunDayAllocBudgetMixedFleet(t *testing.T) {
 	s := newSim(t, "ebuff", func(c *Config) {

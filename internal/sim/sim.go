@@ -359,12 +359,12 @@ type Simulator struct {
 	// allocation budget for typical horizons.
 	history []DayStats
 
-	// Per-tick scratch: the fleet's dense columns, sized at construction
-	// and reused every step so the steady-state tick path allocates
-	// nothing (pinned by the AllocsPerRun guards in alloc_test.go).
-	// socOrder/socSnap back bySoC: the index order is sorted against a SoC
-	// snapshot read once per call, so the sort does one pack read per node
-	// instead of O(n log n).
+	// Per-tick scratch, one slot per node, sized at construction and
+	// reused every step so the steady-state tick path allocates nothing
+	// (pinned by the AllocsPerRun guards in alloc_test.go). socOrder,
+	// socSnap, socKey and socTmp back bySoC: the index order is sorted
+	// against a SoC snapshot read once per call, so the sort does one pack
+	// read per node instead of O(n log n).
 	demands     []float64
 	loadGrant   []float64
 	chargeGrant []float64
@@ -376,10 +376,10 @@ type Simulator struct {
 	// Shard-step state: stepOffline carries the current tick's path to the
 	// shard workers, shardSums/shardErrs are each shard's private summary
 	// and error slot, and fleetSum is the whole-fleet merge (in shard
-	// order) the controller and telemetry consume. The merge is what makes
-	// control cost sublinear: EOL detection, gauge updates, and the e-Buff
-	// frequency-restore scan all read O(shards) aggregates instead of
-	// rescanning O(nodes) state.
+	// order) the engine and the policy consume. The merge is what makes
+	// per-tick bookkeeping sublinear: EOL detection, the Fig 19 bins and
+	// the e-Buff frequency-restore scan all read O(shards) aggregates
+	// instead of rescanning O(nodes) state.
 	stepOffline bool
 	shardSums   []fleet.Summary
 	shardErrs   []error
@@ -539,14 +539,14 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.fleet = fl
 	s.nodes = fl.Views()
-	cols := fl.Cols()
-	s.demands = cols.Demand
-	s.loadGrant = cols.LoadGrant
-	s.chargeGrant = cols.ChargeGrant
-	s.socOrder = cols.Order
-	s.socSnap = cols.SoC
-	s.socKey = cols.SortKey
-	s.socTmp = cols.SortScratch
+	n := cfg.Nodes
+	s.demands = make([]float64, n)
+	s.loadGrant = make([]float64, n)
+	s.chargeGrant = make([]float64, n)
+	s.socOrder = make([]int, n)
+	s.socSnap = make([]float64, n)
+	s.socKey = make([]uint64, n)
+	s.socTmp = make([]int, n)
 
 	shards := fl.Shards()
 	if s.workers > len(shards) {
@@ -568,7 +568,6 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.fleetSum.Reset()
 
-	n := cfg.Nodes
 	s.dayThr = make([]float64, n)
 	s.dayDown = make([]time.Duration, n)
 	s.daySolar = make([]units.WattHour, n)
@@ -1077,11 +1076,9 @@ func grantBySoC(grant []float64, order []int, power float64) {
 // selecting the offline (overnight charging) or in-window path.
 func (s *Simulator) stepNode(i int, offline bool) error {
 	if offline {
-		_, err := s.nodes[i].StepOffline(s.cfg.Tick, units.Watt(s.chargeGrant[i]))
-		return err
+		return s.nodes[i].StepOffline(s.cfg.Tick, units.Watt(s.chargeGrant[i]))
 	}
-	_, err := s.nodes[i].Step(s.cfg.Tick, units.Watt(s.loadGrant[i]), units.Watt(s.chargeGrant[i]))
-	return err
+	return s.nodes[i].Step(s.cfg.Tick, units.Watt(s.loadGrant[i]), units.Watt(s.chargeGrant[i]))
 }
 
 // stepNodes advances every node shard by shard and merges the per-shard
@@ -1206,23 +1203,28 @@ func (s *Simulator) applyDegradedTransitions() {
 }
 
 // updateFleetGauges refreshes the fleet-level telemetry gauges once per
-// control period: simulated clock, worst battery health (the EOL criterion
-// of §II-B), and average state of charge — all read from the current
-// tick's merged shard summary, so the gauge update is O(1) instead of a
-// fleet rescan.
+// control period, and only when a recorder is attached: simulated clock,
+// worst battery health (the EOL criterion of §II-B), average state of
+// charge and, under fault injection, the quarantined-node count. The
+// health, SoC and suspect figures come from one scan of the nodes in node
+// order, so they are the same at any shard size or worker count.
 func (s *Simulator) updateFleetGauges() {
 	if s.tel == nil {
 		return
 	}
 	s.telClock.Set(s.clock.Seconds())
-	sum := &s.fleetSum
-	if !sum.Valid || sum.Nodes == 0 {
-		return
+	minHealth, socSum, suspect := 1.0, 0.0, 0
+	for _, nd := range s.nodes {
+		minHealth = min(minHealth, nd.Health())
+		socSum += nd.SoC()
+		if nd.MetricsSuspect() {
+			suspect++
+		}
 	}
-	s.telMinHealth.Set(min(sum.MinHealth, 1.0))
-	s.telFleetAvgSoC.Set(sum.SoCSum / float64(sum.Nodes))
+	s.telMinHealth.Set(minHealth)
+	s.telFleetAvgSoC.Set(socSum / float64(len(s.nodes)))
 	if s.inj != nil {
-		s.telSuspect.Set(float64(sum.Suspect))
+		s.telSuspect.Set(float64(suspect))
 	}
 }
 
@@ -1234,16 +1236,17 @@ func controlBounds() []float64 {
 }
 
 // bySoC returns node indices sorted by ascending state of charge (ties by
-// ascending index). The SoC snapshot is filled by the fleet's columnar
-// batch kernels — a dense sweep of the per-chemistry slabs instead of one
-// interface call per node — and the permutation comes from the radix
-// order in socorder.go: O(n) per control pass, zero allocations, and
-// byte-identical to the stable comparison sort it replaced (the order is
-// a strict total order, so any correct sort produces the same bytes).
-// Ordering a pre-read snapshot is exact: nothing mutates pack state
-// between the snapshot and the grant assignment that consumes it.
+// ascending index). The SoC snapshot is read through the devirtualized
+// Node.SoC in node order, and the permutation comes from the radix order
+// in socorder.go: O(n) per call, zero allocations, and byte-identical to
+// the stable comparison sort it replaced (the order is a strict total
+// order, so any correct sort produces the same bytes). Ordering a pre-read
+// snapshot is exact: nothing mutates pack state between the snapshot and
+// the grant assignment that consumes it.
 func (s *Simulator) bySoC() []int {
-	s.fleet.SoCColumn(s.socSnap)
+	for i, nd := range s.nodes {
+		s.socSnap[i] = nd.SoC()
+	}
 	sortBySoC(s.socOrder, s.socTmp, s.socKey, s.socSnap)
 	return s.socOrder
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/green-dc/baat/internal/faults"
 	"github.com/green-dc/baat/internal/solar"
 	"github.com/green-dc/baat/internal/telemetry"
 )
@@ -145,6 +146,70 @@ func TestTelemetryEngineCounters(t *testing.T) {
 
 	if got := snap.Gauge(telemetry.MetricFleetMinHealth); got <= 0 || got > 1 {
 		t.Errorf("fleet min health gauge = %v, want in (0, 1]", got)
+	}
+}
+
+// TestFleetGaugesMatchNodes pins the min-health, mean-SoC and suspect
+// gauges to a direct node-order scan of the fleet after a 12-node chaos
+// day, and requires the same bits from a two-node-shard parallel layout:
+// the gauges read the nodes, not the shard summaries.
+func TestFleetGaugesMatchNodes(t *testing.T) {
+	chaos, err := faults.Profile("chaos", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A sensor dropout over midnight keeps one node quarantined when the
+	// day's last control period reads the suspect count.
+	chaos.Rules = append(chaos.Rules, faults.Rule{
+		Kind: faults.SensorDrop, Node: 5, Day: 1, At: 23 * time.Hour, Duration: 2 * time.Hour,
+	})
+	gauges := func(layout func(*Config)) ([3]float64, *Simulator) {
+		rec := telemetry.NewRecorder()
+		s := newSim(t, "baat", func(c *Config) {
+			c.Nodes = 12
+			c.Telemetry = rec
+			c.Faults = chaos
+			c.Node.AgingConfig.AccelFactor = 50
+			// The window runs to midnight, so the day's last control
+			// period, which refreshes the gauges, follows its last tick.
+			c.WindowEnd = 24 * time.Hour
+		}, layout)
+		if _, err := s.RunDay(solar.Rainy); err != nil {
+			t.Fatal(err)
+		}
+		snap := rec.Snapshot()
+		return [3]float64{
+			snap.Gauge(telemetry.MetricFleetMinHealth),
+			snap.Gauge(telemetry.MetricFleetAvgSoC),
+			snap.Gauge(telemetry.MetricFleetSuspectNodes),
+		}, s
+	}
+
+	got, s := gauges(func(*Config) {})
+	nodes := s.Nodes()
+	minHealth, socSum, suspect := 1.0, 0.0, 0
+	for _, nd := range nodes {
+		minHealth = min(minHealth, nd.Health())
+		socSum += nd.SoC()
+		if nd.MetricsSuspect() {
+			suspect++
+		}
+	}
+	want := [3]float64{minHealth, socSum / float64(len(nodes)), float64(suspect)}
+	if got != want {
+		t.Errorf("gauges {min health, mean SoC, suspect} = %v, want %v from the nodes", got, want)
+	}
+	if minHealth >= 1 || suspect == 0 {
+		t.Errorf("chaos day too tame (min health %v, %d suspect nodes); gauges not exercised", minHealth, suspect)
+	}
+
+	sharded, _ := gauges(func(c *Config) {
+		c.ShardSize = 2
+		c.Workers = 2
+		c.ParallelThreshold = -1
+	})
+	if sharded != got {
+		t.Errorf("gauges at shard size 2, two workers = %v, want %v at the default layout", sharded, got)
 	}
 }
 

@@ -12,7 +12,11 @@
 #   4. docs/OBSERVABILITY.md and the telemetry catalogue agree both ways:
 #      every canonical metric in internal/telemetry/names.go and every
 #      event type in internal/telemetry/tracer.go is documented there, and
-#      every baat_* metric the document names exists in names.go.
+#      every baat_* metric the document names exists in names.go;
+#   5. every backticked `pkg.Ident` in README.md, DESIGN.md or docs/*.md
+#      whose pkg is an internal/<pkg> package names an identifier that
+#      package declares (exported or not), so a deleted symbol cannot
+#      linger in the docs either. `go doc -u` resolves each in ~30 ms.
 # Usage: ./scripts/docs_check.sh  (from the repository root)
 set -eu
 
@@ -68,6 +72,18 @@ for name in $(grep -oE 'baat_[a-z0-9_]+' "$obs" | sort -u); do
         echo "docs-check: $obs documents $name, which internal/telemetry/names.go does not define" >&2
         fail=1
     fi
+done
+
+for md in README.md DESIGN.md docs/*.md; do
+    refs=$(grep -oE '`[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*' "$md" | tr -d '`' | sort -u) || true
+    for ref in $refs; do
+        pkg=${ref%%.*}
+        [ -d "internal/$pkg" ] || continue
+        if ! ${GO:-go} doc -u "./internal/$pkg" "${ref#*.}" >/dev/null 2>&1; then
+            echo "docs-check: $md names \`$ref\`, which internal/$pkg does not declare" >&2
+            fail=1
+        fi
+    done
 done
 
 if [ "$fail" -ne 0 ]; then
