@@ -90,7 +90,7 @@ serve-smoke: ## start the baatsim serve daemon, fork a run over the API, diff th
 docs-check: ## docs linked from README, links resolve, named dirs exist, telemetry catalogue documented
 	./scripts/docs_check.sh
 
-policy-registry-check: ## no core.Kind enum or policy-name dispatch outside internal/core
+policy-registry-check: ## no core.Kind enum or policy-name dispatch outside internal/core, and internal/core imports neither fleet nor sim
 	./scripts/policy_registry_check.sh
 
 golden-update: ## regenerate the 30-day golden trace fixtures (clean + faulted)

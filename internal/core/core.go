@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"github.com/green-dc/baat/internal/aging"
-	"github.com/green-dc/baat/internal/fleet"
 	"github.com/green-dc/baat/internal/node"
 	"github.com/green-dc/baat/internal/signal"
 	"github.com/green-dc/baat/internal/telemetry"
@@ -47,13 +46,6 @@ type Context struct {
 	// adjustments) as counters and traced events. Nil is valid and
 	// records nothing.
 	Telemetry *telemetry.Recorder
-	// Summary, when non-nil and Valid, is the engine's merged per-shard
-	// fleet summary for the current tick. Its fields (the DVFS-capped
-	// count, the first end-of-life index, the SoC bins) are exact at any
-	// shard grouping, and let a policy skip O(nodes) scans whose outcome
-	// the summary already decides. Nil is valid: every policy must behave
-	// identically without it, just slower.
-	Summary *fleet.Summary
 	// Signals is the forward-looking signal plane: a deterministic solar
 	// forecast (24–72 h lookahead) and a time-of-use electricity tariff.
 	// Either field may be nil (unit-test contexts); policies must degrade

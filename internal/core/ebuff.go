@@ -33,15 +33,10 @@ func (*eBuff) PlaceVM(ctx *Context, v *vm.VM) (*node.Node, error) {
 	return nil, ErrNoCapacity
 }
 
-// Control restores any external frequency caps to full speed — e-Buff
-// always runs servers flat out, spending battery as needed. When the
-// engine's shard summary shows no server below its top frequency the whole
-// scan is a no-op and is skipped, making the common-case control cost
-// independent of fleet size.
+// Control steps every server up to its top frequency — e-Buff always runs
+// servers flat out, spending battery as needed. A server already at the
+// top is left as it is, so the pass only undoes caps set from outside.
 func (*eBuff) Control(ctx *Context) error {
-	if ctx.Summary != nil && ctx.Summary.Valid && ctx.Summary.Capped == 0 {
-		return nil
-	}
 	for _, n := range ctx.Nodes {
 		for n.Server().StepUpFrequency() {
 		}

@@ -10,11 +10,8 @@
 // The fleet is partitioned into rack-group shards (Shard), each owning a
 // contiguous index range. Shards hold no randomness of their own, so
 // sharded runs stay bit-identical however many goroutines execute them.
-// Per-shard Summary values hold only exact aggregates — the capped
-// count, the SoC histogram bins and the first end-of-life index — which
-// recombine to whole-fleet values under any shard grouping. That lets a
-// controller consume O(shards) summaries instead of rescanning O(nodes)
-// state.
+// SoCBins is the Fig 19 state-of-charge histogram; integer bin counts add
+// exactly, so per-shard bins summed in any order give the whole fleet's.
 //
 // Pool is the reusable worker fan-out that executes shards concurrently:
 // workers are long-lived and claim shard indices from an atomic cursor,

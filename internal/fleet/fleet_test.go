@@ -88,8 +88,8 @@ func TestPartition(t *testing.T) {
 		if next != tt.nodes {
 			t.Errorf("partition(%d, %d): covers %d nodes, want %d", tt.nodes, tt.size, next, tt.nodes)
 		}
-		if last := shards[len(shards)-1].Len(); last != tt.wantLast {
-			t.Errorf("partition(%d, %d): last shard holds %d, want %d", tt.nodes, tt.size, last, tt.wantLast)
+		if last := shards[len(shards)-1]; last.Hi-last.Lo != tt.wantLast {
+			t.Errorf("partition(%d, %d): last shard holds %d, want %d", tt.nodes, tt.size, last.Hi-last.Lo, tt.wantLast)
 		}
 	}
 }

@@ -11,11 +11,10 @@ import (
 // goroutines, captures no closures, and allocates nothing — the fix for
 // the per-tick goroutine churn that made small-fleet parallel stepping
 // slower than serial. The run callback receives a shard index and must
-// confine any cross-shard effects to state owned by that shard (plus its
-// own error/summary slot); the claim order is scheduling-dependent, so
-// the callback must not care which worker runs it or in what order —
-// determinism comes from per-shard state plus ordered reduction by the
-// caller.
+// confine its effects to state owned by that shard (plus its own result
+// slot); the claim order is scheduling-dependent, so the callback must not
+// care which worker runs it or in what order — determinism comes from
+// per-shard state plus ordered reduction by the caller.
 //
 // A Pool is not safe for concurrent Runs; Start, Run…Run, Stop is the
 // lifecycle, all from one goroutine. The engine scopes a pool to one

@@ -3,15 +3,11 @@ package fleet
 // Shard is one rack-group partition of the fleet: the contiguous node
 // index range [Lo, Hi). Shards are the unit of parallel work — distinct
 // shards touch disjoint node state, so any assignment of shards to workers
-// computes the same fleet state — and the unit of aggregation: per-shard
-// Summary values merge in shard order into whole-fleet aggregates.
+// computes the same fleet state.
 type Shard struct {
 	// Lo and Hi bound the shard's node index range: [Lo, Hi).
 	Lo, Hi int
 }
-
-// Len returns the number of nodes in the shard.
-func (s Shard) Len() int { return s.Hi - s.Lo }
 
 // partition slices n nodes into shards of the given size (default
 // DefaultShardSize; the last shard takes the remainder).

@@ -199,8 +199,8 @@ type Node struct {
 	// dispatch through the batt* leaf helpers below, which nil-check these
 	// and make direct calls the compiler can inline — one devirtualized
 	// call per node per tick is a measurable win at warehouse scale. The
-	// engine's SoC order and shard summaries read SoC and Health the
-	// same way.
+	// engine's SoC order and shard tallies read SoC and Health the same
+	// way.
 	pack *battery.Pack
 	lin  *battery.Linear
 
@@ -359,8 +359,8 @@ func (n *Node) Battery() battery.Model { return n.batt }
 // per node per tick.
 
 // SoC returns the battery's state of charge in [0, 1] without an
-// interface call — the shard summaries read it for every node every tick,
-// and the engine's SoC order whenever it is taken.
+// interface call — the shard tallies read it for every node every
+// in-window tick, and the engine's SoC order whenever it is taken.
 func (n *Node) SoC() float64 {
 	if n.pack != nil {
 		return n.pack.SoC()

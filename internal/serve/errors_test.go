@@ -32,6 +32,8 @@ func TestErrorContract(t *testing.T) {
 		setup      func(t *testing.T, c *testClient) (method, path string, body string)
 		wantStatus int
 		wantCode   string
+		// wantField, when set, must appear in the error message.
+		wantField string
 	}{
 		{
 			name: "get unknown run",
@@ -128,6 +130,24 @@ func TestErrorContract(t *testing.T) {
 			},
 			wantStatus: http.StatusBadRequest,
 			wantCode:   CodeBadRequest,
+		},
+		{
+			name: "create with an oversized fleet",
+			setup: func(t *testing.T, c *testClient) (string, string, string) {
+				return "POST", "/runs", `{"nodes": 65537}`
+			},
+			wantStatus: http.StatusBadRequest,
+			wantCode:   CodeBadRequest,
+			wantField:  "nodes",
+		},
+		{
+			name: "create with an oversized job batch",
+			setup: func(t *testing.T, c *testClient) (string, string, string) {
+				return "POST", "/runs", `{"jobs_per_day": 65537}`
+			},
+			wantStatus: http.StatusBadRequest,
+			wantCode:   CodeBadRequest,
+			wantField:  "jobs_per_day",
 		},
 		{
 			name: "create with invalid sunshine",
@@ -310,6 +330,9 @@ func TestErrorContract(t *testing.T) {
 			}
 			if strings.TrimSpace(apiErr.Message) == "" {
 				t.Fatalf("%s %s: empty error message", method, path)
+			}
+			if !strings.Contains(apiErr.Message, tc.wantField) {
+				t.Fatalf("%s %s: error message %q does not name %q", method, path, apiErr.Message, tc.wantField)
 			}
 		})
 	}

@@ -20,7 +20,7 @@ import (
 
 func FuzzRunSpec(f *testing.F) {
 	// The served-prototype benchmark's create body, the equivalence suite's
-	// chaos scenario, and a run that never checkpoints.
+	// chaos scenario, a run that never checkpoints, and the size bounds.
 	f.Add([]byte(`{"nodes": 6, "days": 60, "seed": 1001, "faults": "chaos", "accel": 10, "policy": "baat"}`))
 	equiv, err := json.Marshal(equivSpec(8, 11))
 	if err != nil {
@@ -28,6 +28,9 @@ func FuzzRunSpec(f *testing.F) {
 	}
 	f.Add(equiv)
 	f.Add([]byte(`{"checkpoint_every": -1}`))
+	// The largest fleet and morning batch a run may ask for.
+	f.Add([]byte(`{"nodes": 65536}`))
+	f.Add([]byte(`{"jobs_per_day": 65536}`))
 
 	// asJSON renders a spec for failure messages (%+v would print the
 	// optional fields as pointers).

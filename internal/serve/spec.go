@@ -19,6 +19,18 @@ import (
 // finite; ten simulated years is far beyond any battery study's window.
 const maxDays = 3650
 
+// maxNodes bounds one run's fleet. sim.New allocates the whole fleet's
+// component state up front, about 1.5 KB a node, so the bound keeps one
+// run near 100 MB. It is the largest fleet the perf suite gates
+// (fleet_step/nodes=65536).
+const maxNodes = 65536
+
+// maxJobsPerDay bounds one run's morning batch, which the workload
+// generator allocates as one slice each simulated morning. No test or
+// benchmark asks for more than a few hundred jobs a day (aging-stress asks
+// for 307), so 65,536 leaves two orders of magnitude of headroom.
+const maxJobsPerDay = 65536
+
 // RunSpec is the JSON body of POST /runs: everything needed to construct
 // one simulation, mirroring the cmd/baatsim flags so a served run with a
 // given spec reproduces the CLI run with the same settings (identical
@@ -41,7 +53,7 @@ type RunSpec struct {
 	PolicyOptions map[string]string `json:"policy_options,omitempty"`
 	// Days is the simulated horizon (default 7, max 3650).
 	Days int `json:"days,omitempty"`
-	// Nodes is the fleet size (default 6, the prototype).
+	// Nodes is the fleet size (default 6, the prototype; max 65536).
 	Nodes int `json:"nodes,omitempty"`
 	// Seed pins all randomness (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -51,7 +63,7 @@ type RunSpec struct {
 	Weather string `json:"weather,omitempty"`
 	// Sunshine is the sunshine fraction for mix weather (default 0.5).
 	Sunshine *float64 `json:"sunshine,omitempty"`
-	// JobsPerDay is the batch arrivals per morning (default 2).
+	// JobsPerDay is the batch arrivals per morning (default 2, max 65536).
 	JobsPerDay *int `json:"jobs_per_day,omitempty"`
 	// SolarScale scales the PV array relative to the prototype
 	// (default 1.5).
@@ -147,8 +159,8 @@ func (sp RunSpec) normalize() (RunSpec, error) {
 	if sp.Days < 0 || sp.Days > maxDays {
 		return sp, fmt.Errorf("days must be in [1, %d], got %d", maxDays, sp.Days)
 	}
-	if sp.Nodes < 0 {
-		return sp, fmt.Errorf("nodes must be positive, got %d", sp.Nodes)
+	if sp.Nodes < 0 || sp.Nodes > maxNodes {
+		return sp, fmt.Errorf("nodes must be in [1, %d], got %d", maxNodes, sp.Nodes)
 	}
 	switch sp.Weather {
 	case "sunny", "cloudy", "rainy":
@@ -160,8 +172,8 @@ func (sp RunSpec) normalize() (RunSpec, error) {
 	default:
 		return sp, fmt.Errorf("unknown weather %q (want sunny, cloudy, rainy, or mix)", sp.Weather)
 	}
-	if *sp.JobsPerDay < 0 {
-		return sp, fmt.Errorf("jobs_per_day must be non-negative, got %d", *sp.JobsPerDay)
+	if *sp.JobsPerDay < 0 || *sp.JobsPerDay > maxJobsPerDay {
+		return sp, fmt.Errorf("jobs_per_day must be in [0, %d], got %d", maxJobsPerDay, *sp.JobsPerDay)
 	}
 	if *sp.SolarScale <= 0 {
 		return sp, fmt.Errorf("solar_scale must be positive, got %v", *sp.SolarScale)

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -123,6 +124,31 @@ func TestDegradedModeScenarios(t *testing.T) {
 				t.Errorf("degraded transitions = %d, want 2", got)
 			}
 		})
+	}
+}
+
+// TestDegradedEventsInNodeOrder pins the order of degraded-mode events
+// within a tick: when every node's sensor chain fails at the same tick, and
+// recovers at the same tick, the events name the nodes in ascending index
+// order.
+func TestDegradedEventsInNodeOrder(t *testing.T) {
+	s, rec := degradedSim(t, "baat", faults.Rule{
+		Kind: faults.SensorNaN, Node: -1, Day: 1, At: 9 * time.Hour, Duration: time.Hour,
+	})
+	if _, err := s.RunDay(solar.Sunny); err != nil {
+		t.Fatal(err)
+	}
+	got := map[telemetry.EventType][]string{}
+	for _, ev := range rec.Events() {
+		if ev.Type == telemetry.EventDegradedMode || ev.Type == telemetry.EventDegradedRecovered {
+			got[ev.Type] = append(got[ev.Type], ev.Node)
+		}
+	}
+	want := []string{"node-0", "node-1", "node-2", "node-3"}
+	for _, typ := range []telemetry.EventType{telemetry.EventDegradedMode, telemetry.EventDegradedRecovered} {
+		if !slices.Equal(got[typ], want) {
+			t.Errorf("%s events name %v, want %v", typ, got[typ], want)
+		}
 	}
 }
 

@@ -84,15 +84,16 @@ type Config struct {
 	// resolve to runtime.GOMAXPROCS(0); counts above the shard count are
 	// trimmed to it. Work is distributed shard-by-shard (ShardSize): solar
 	// grants are fixed before the fan-out, each shard owns all state its
-	// nodes touch, and per-shard summaries merge in shard order, so the
-	// worker count never changes results — parallel runs are bit-identical
-	// to serial ones (enforced by this package's equivalence tests).
+	// nodes touch, and the engine reads the shards' tallies in shard order,
+	// so the worker count never changes results — parallel runs are
+	// bit-identical to serial ones (enforced by this package's equivalence
+	// tests).
 	Workers int
 	// ShardSize is the rack-group partition width of the struct-of-arrays
-	// fleet layout — the unit of parallel work and summary aggregation.
-	// Zero means fleet.DefaultShardSize. A pure performance knob: like
-	// Workers it never changes results, and it is excluded from the
-	// checkpoint config hash.
+	// fleet layout — the unit of parallel work. Zero means
+	// fleet.DefaultShardSize. A pure performance knob: like Workers it
+	// never changes results, and it is excluded from the checkpoint config
+	// hash.
 	ShardSize int `json:",omitempty"`
 	// ParallelThreshold is the fleet size below which Workers > 1 falls
 	// back to serial stepping: for small fleets the fan-out handshake
@@ -374,16 +375,10 @@ type Simulator struct {
 	socTmp      []int
 
 	// Shard-step state: stepOffline carries the current tick's path to the
-	// shard workers, shardSums/shardErrs are each shard's private summary
-	// and error slot, and fleetSum is the whole-fleet merge (in shard
-	// order) the engine and the policy consume. The merge is what makes
-	// per-tick bookkeeping sublinear: EOL detection, the Fig 19 bins and
-	// the e-Buff frequency-restore scan all read O(shards) aggregates
-	// instead of rescanning O(nodes) state.
+	// shard workers, and tallies holds what each shard's pass reports back
+	// to the engine, one slot per shard.
 	stepOffline bool
-	shardSums   []fleet.Summary
-	shardErrs   []error
-	fleetSum    fleet.Summary
+	tallies     []shardTally
 
 	// Per-day scratch for RunDay's start-of-day baselines.
 	dayThr   []float64
@@ -560,13 +555,7 @@ func New(cfg Config) (*Simulator, error) {
 	if s.parallel {
 		s.pool = fleet.NewPool(s.workers, s.runShard)
 	}
-	s.shardSums = make([]fleet.Summary, len(shards))
-	s.shardErrs = make([]error, len(shards))
-	for i := range s.shardSums {
-		s.shardSums[i].Changed = make([]int, 0, shards[i].Len())
-		s.shardSums[i].Reset()
-	}
-	s.fleetSum.Reset()
+	s.tallies = make([]shardTally, len(shards))
 
 	s.dayThr = make([]float64, n)
 	s.dayDown = make([]time.Duration, n)
@@ -576,7 +565,6 @@ func New(cfg Config) (*Simulator, error) {
 		Nodes:     s.nodes,
 		Rng:       s.policyRng.Rand,
 		Telemetry: s.tel,
-		Summary:   &s.fleetSum,
 		Signals:   signal.Signals{Solar: s.forecast, Price: signal.DefaultTOUTariff()},
 	}
 	return s, nil
@@ -881,20 +869,22 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 		}
 		s.clock += s.cfg.Tick
 		s.telTicks.Inc()
-		if s.eolAt == 0 && s.fleetSum.EOLIndex >= 0 {
-			// The shard summaries already located the first node past the
-			// end-of-life line, replacing the per-tick fleet scan.
-			nd := s.nodes[s.fleetSum.EOLIndex]
-			s.eolAt = s.clock
-			s.telEOL.Inc()
-			s.tel.Emit(s.clock, telemetry.EventBatteryEOL, nd.ID(),
-				fmt.Sprintf("health %.3f below end-of-life threshold", nd.Stats().Health))
+		if s.eolAt == 0 {
+			if i := s.firstEndOfLife(); i >= 0 {
+				nd := s.nodes[i]
+				s.eolAt = s.clock
+				s.telEOL.Inc()
+				s.tel.Emit(s.clock, telemetry.EventBatteryEOL, nd.ID(),
+					fmt.Sprintf("health %.3f below end-of-life threshold", nd.Stats().Health))
+			}
 		}
 
 		if inWindow {
 			// The shard workers already binned this tick's SoC samples
 			// (and accumulated low-SoC dwell into dayLow).
-			s.socBins.Add(&s.fleetSum.Bins)
+			for si := range s.tallies {
+				s.socBins.Add(&s.tallies[si].bins)
+			}
 			if s.tel != nil {
 				// The telemetry histogram uses right-closed buckets where
 				// SoCBins are left-closed, so it cannot be back-filled
@@ -1081,69 +1071,81 @@ func (s *Simulator) stepNode(i int, offline bool) error {
 	return s.nodes[i].Step(s.cfg.Tick, units.Watt(s.loadGrant[i]), units.Watt(s.chargeGrant[i]))
 }
 
-// stepNodes advances every node shard by shard and merges the per-shard
-// summaries into fleetSum. Each shard's physics touches only state its
-// nodes own (packs, servers, aging trackers, sensor state) plus atomic
-// telemetry counters, so any assignment of shards to workers computes the
-// same fleet state. Errors are reduced in shard order — within a shard
-// the walk is ascending, so the first failing node by index wins — and
-// the summary merge also runs in shard order, so neither the reported
-// error nor any aggregate depends on goroutine scheduling.
+// shardTally is what one shard's pass reports to the engine: the SoC
+// samples of its nodes in the operating window (Fig 19), the lowest index
+// among its nodes below end-of-life health (-1 if none) and its first step
+// error. The engine reads the tallies in shard order, which is ascending
+// node order, so every value is the one a serial scan would find.
+type shardTally struct {
+	bins fleet.SoCBins
+	eol  int
+	err  error
+}
+
+// stepNodes advances every node shard by shard. Each shard's physics
+// touches only state its nodes own (packs, servers, aging trackers, sensor
+// state) and its own tally, plus atomic telemetry counters, so any
+// assignment of shards to workers computes the same fleet state. Errors
+// are reduced in shard order — within a shard the walk is ascending, so
+// the first failing node by index wins — and so the reported error does
+// not depend on goroutine scheduling.
 func (s *Simulator) stepNodes(offline bool) error {
 	s.stepOffline = offline
-	nShards := len(s.shardSums)
 	if s.parallel {
 		// Run distributes shards across the pool's workers (or executes
 		// serially if RunDay has not started the pool — the results are
 		// identical either way, that is the whole contract).
-		s.pool.Run(nShards)
+		s.pool.Run(len(s.tallies))
 	} else {
-		for si := 0; si < nShards; si++ {
+		for si := range s.tallies {
 			s.runShard(si)
 		}
 	}
-	for si := 0; si < nShards; si++ {
-		if err := s.shardErrs[si]; err != nil {
+	for si := range s.tallies {
+		if err := s.tallies[si].err; err != nil {
 			return err
 		}
 	}
-	s.fleetSum.Reset()
-	for si := range s.shardSums {
-		s.fleetSum.Add(&s.shardSums[si])
-	}
-	s.fleetSum.Valid = true
 	return nil
 }
 
-// runShard advances one shard's nodes in ascending index order, folding
-// each into the shard's private summary. It is the pool's work unit: no
-// shared mutable state beyond the shard's own slots, no allocations
-// (Changed appends stay within the capacity reserved at construction).
+// runShard advances one shard's nodes in ascending index order and writes
+// the shard's tally. It is the pool's work unit: no shared mutable state
+// beyond the shard's own nodes and tally slot, and no allocations.
 func (s *Simulator) runShard(si int) {
 	sh := s.fleet.Shards()[si]
-	sum := &s.shardSums[si]
-	sum.Reset()
-	s.shardErrs[si] = nil
 	offline := s.stepOffline
+	t := shardTally{eol: -1}
 	for i := sh.Lo; i < sh.Hi; i++ {
-		if err := s.stepNode(i, offline); err != nil {
-			s.shardErrs[si] = err
-			return
+		if t.err = s.stepNode(i, offline); t.err != nil {
+			break
 		}
 		nd := s.nodes[i]
-		soc := sum.ObserveNode(i, nd, !offline)
-		if !offline && soc < aging.DeepDischargeSoC {
-			// Fig 18's per-node low-SoC dwell; dayLow is indexed by node,
-			// so shards write disjoint slots.
-			s.dayLow[i] += s.cfg.Tick
+		if t.eol < 0 && nd.Health() < battery.EndOfLifeHealth {
+			t.eol = i
 		}
-		if s.inj != nil && nd.MetricsSuspect() != s.degraded[i] {
-			// degraded is only read here; the serial merge phase
-			// (applyDegradedTransitions) flips it after the fan-out.
-			sum.ObserveChanged(i)
+		if !offline {
+			soc := nd.SoC()
+			t.bins.Observe(soc)
+			if soc < aging.DeepDischargeSoC {
+				// Fig 18's per-node low-SoC dwell; dayLow is indexed by
+				// node, so shards write disjoint slots.
+				s.dayLow[i] += s.cfg.Tick
+			}
 		}
 	}
-	sum.Valid = true
+	s.tallies[si] = t
+}
+
+// firstEndOfLife returns the lowest index among the nodes below
+// end-of-life health after this tick's step, or -1 if there is none.
+func (s *Simulator) firstEndOfLife() int {
+	for si := range s.tallies {
+		if i := s.tallies[si].eol; i >= 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // applyFaults pushes one tick of injector output onto the fleet. It runs
@@ -1178,26 +1180,24 @@ func (s *Simulator) applyFaults(fs *faults.TickState) {
 
 // applyDegradedTransitions emits one telemetry event per suspect-state
 // edge, so traces show when each node entered and left degraded metrics
-// mode. The shard workers detected the edges (Summary.Changed, ascending
-// within each shard); walking the shards in order here visits nodes in
-// exactly the ascending-index order the old serial scan used, so event
-// order is unchanged — and the serial phase now costs O(edges), not
-// O(nodes).
+// mode. It runs serially after the fan-out and scans the nodes in node
+// order, comparing each node's suspect state with the degraded mirror, so
+// the events come out in the same order at any shard size or worker count.
 func (s *Simulator) applyDegradedTransitions() {
-	for si := range s.shardSums {
-		for _, i := range s.shardSums[si].Changed {
-			nd := s.nodes[i]
-			suspect := !s.degraded[i]
-			s.degraded[i] = suspect
-			s.telDegraded.Inc()
-			if suspect {
-				s.tel.Emit(s.clock, telemetry.EventDegradedMode, nd.ID(),
-					fmt.Sprintf("metrics quarantined (%d rejected, %d dropped samples)",
-						nd.SensorRejected(), nd.SensorDropped()))
-			} else {
-				s.tel.Emit(s.clock, telemetry.EventDegradedRecovered, nd.ID(),
-					"sensor chain trusted again")
-			}
+	for i, nd := range s.nodes {
+		suspect := nd.MetricsSuspect()
+		if suspect == s.degraded[i] {
+			continue
+		}
+		s.degraded[i] = suspect
+		s.telDegraded.Inc()
+		if suspect {
+			s.tel.Emit(s.clock, telemetry.EventDegradedMode, nd.ID(),
+				fmt.Sprintf("metrics quarantined (%d rejected, %d dropped samples)",
+					nd.SensorRejected(), nd.SensorDropped()))
+		} else {
+			s.tel.Emit(s.clock, telemetry.EventDegradedRecovered, nd.ID(),
+				"sensor chain trusted again")
 		}
 	}
 }

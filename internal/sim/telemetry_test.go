@@ -152,7 +152,7 @@ func TestTelemetryEngineCounters(t *testing.T) {
 // TestFleetGaugesMatchNodes pins the min-health, mean-SoC and suspect
 // gauges to a direct node-order scan of the fleet after a 12-node chaos
 // day, and requires the same bits from a two-node-shard parallel layout:
-// the gauges read the nodes, not the shard summaries.
+// the gauges read the nodes, not the shard tallies.
 func TestFleetGaugesMatchNodes(t *testing.T) {
 	chaos, err := faults.Profile("chaos", 0)
 	if err != nil {

@@ -6,17 +6,18 @@
 #      to an existing file or directory (anchors and external URLs are
 #      out of scope);
 #   3. every internal/<pkg>, cmd/<name> and examples/<name> directory named
-#      in README.md, DESIGN.md or docs/*.md exists, so a deleted package
-#      cannot linger in the docs. ROADMAP.md, CHANGES.md and EXPERIMENTS.md
-#      narrate history and are not checked;
+#      in README.md, DESIGN.md, PAPER.md or docs/*.md exists, so a deleted
+#      package cannot linger in the docs. ROADMAP.md, CHANGES.md and
+#      EXPERIMENTS.md narrate history and are not checked;
 #   4. docs/OBSERVABILITY.md and the telemetry catalogue agree both ways:
 #      every canonical metric in internal/telemetry/names.go and every
 #      event type in internal/telemetry/tracer.go is documented there, and
 #      every baat_* metric the document names exists in names.go;
-#   5. every backticked `pkg.Ident` in README.md, DESIGN.md or docs/*.md
-#      whose pkg is an internal/<pkg> package names an identifier that
-#      package declares (exported or not), so a deleted symbol cannot
-#      linger in the docs either. `go doc -u` resolves each in ~30 ms.
+#   5. every backticked `pkg.Ident` in README.md, DESIGN.md, PAPER.md or
+#      docs/*.md whose pkg is an internal/<pkg> package names an
+#      identifier that package declares (exported or not), so a deleted
+#      symbol cannot linger in the docs either. `go doc -u` resolves each
+#      in ~30 ms.
 # Usage: ./scripts/docs_check.sh  (from the repository root)
 set -eu
 
@@ -48,7 +49,7 @@ for md in README.md docs/*.md; do
     done
 done
 
-for md in README.md DESIGN.md docs/*.md; do
+for md in README.md DESIGN.md PAPER.md docs/*.md; do
     dirs=$(grep -oE '(internal|cmd|examples)/[A-Za-z0-9_-]+' "$md" | sort -u) || true
     for d in $dirs; do
         if [ ! -d "$d" ]; then
@@ -74,7 +75,7 @@ for name in $(grep -oE 'baat_[a-z0-9_]+' "$obs" | sort -u); do
     fi
 done
 
-for md in README.md DESIGN.md docs/*.md; do
+for md in README.md DESIGN.md PAPER.md docs/*.md; do
     refs=$(grep -oE '`[a-z][a-z0-9]*\.[A-Za-z_][A-Za-z0-9_]*' "$md" | tr -d '`' | sort -u) || true
     for ref in $refs; do
         pkg=${ref%%.*}

@@ -9,7 +9,10 @@
 #   2. direct construction of a concrete policy type outside internal/core
 #      (which would bypass option validation and the Stateful wiring);
 #   3. a hand-rolled policy-name table outside the registry (switch/map on
-#      literal policy names decides behavior the registry should own).
+#      literal policy names decides behavior the registry should own);
+#   4. internal/core depending on the engine: policies see nodes, so
+#      `go list -deps ./internal/core` must list neither internal/fleet
+#      nor internal/sim.
 # Usage: ./scripts/policy_registry_check.sh  (from the repository root)
 set -eu
 
@@ -38,6 +41,15 @@ fi
 # that is data, not dispatch, and does not match these patterns.)
 if echo "$files" | xargs grep -nE 'case "(ebuff|e-buff|baat-s|baat-h|baat-f|baats|baath|baatf)"' /dev/null; then
     echo "policy-registry-check: switch on literal policy names outside internal/core (use core.Normalize/core.Build)" >&2
+    fail=1
+fi
+
+# 4. Policies act on nodes, not on the engine's execution layout. A
+# dependency on internal/fleet or internal/sim would let a policy read
+# shard state, or see different inputs at different worker counts.
+deps=$(${GO:-go} list -deps ./internal/core)
+if echo "$deps" | grep -E '/internal/(fleet|sim)$'; then
+    echo "policy-registry-check: internal/core depends on the engine (internal/fleet or internal/sim)" >&2
     fail=1
 fi
 
