@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt fmt-check vet build test test-race bench-test bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke docs-check policy-registry-check golden-update
+.PHONY: check fmt fmt-check vet build test test-race bench-test bench bench-smoke bench-regression bench-baseline bench-trend profile conformance fuzz-smoke chaos-smoke checkpoint-smoke serve-smoke bitexact docs-check policy-registry-check golden-update
 
 # The gate's steps run one at a time, in the order check lists them, even
 # under -j: each later step assumes the earlier ones passed.
@@ -86,6 +86,11 @@ checkpoint-smoke: ## checkpoint a baatsim run mid-flight, resume it, diff the re
 
 serve-smoke: ## start the baatsim serve daemon, fork a run over the API, diff the results
 	./scripts/serve_smoke.sh
+
+# Not part of check: it compares the working tree with the last commit, and
+# in CI the two are the same tree.
+bitexact: ## four checkpointed baatsim runs, byte-compared between HEAD and the working tree
+	./scripts/bitexact_check.sh
 
 docs-check: ## docs linked from README, links resolve, named dirs exist, telemetry catalogue documented
 	./scripts/docs_check.sh

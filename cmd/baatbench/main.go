@@ -39,7 +39,7 @@ func run() error {
 	var (
 		quick    = flag.Bool("quick", false, "reduced sweeps and horizons")
 		seed     = flag.Int64("seed", 42, "random seed")
-		workers  = flag.Int("workers", 1, "node-stepping workers per simulator (1 = serial, -1 = all CPUs; never changes results)")
+		workers  = flag.Int("workers", 1, "variant runs of one experiment run concurrently (1 = serial, -1 = all CPUs; never changes results)")
 		accel    = flag.Float64("accel", 10, "battery aging acceleration factor")
 		markdown = flag.Bool("markdown", false, "emit markdown tables")
 		list     = flag.Bool("list", false, "list experiment IDs and exit")

@@ -179,59 +179,26 @@ func (d Degradation) Health() float64 {
 // longer suitable for mission-critical backup (§II-B).
 const EndOfLifeHealth = 0.8
 
-// Pack is a single battery unit with live electrical state. Pack is not safe
+// Pack is the electrochemical tier (lead-acid and LFP): a single battery
+// unit whose terminal voltage follows its chemistry's OCV curve and IR
+// drop, whose capacity shrinks at high rates (Peukert), and whose case
+// temperature follows a lumped thermal model. The charge bookkeeping it
+// shares with every tier lives in the embedded ledger. Pack is not safe
 // for concurrent use; in the simulator each node owns its pack.
 type Pack struct {
-	spec Spec
+	ledger
 
-	// kind is the normalized chemistry; curve and curveRef are the OCV
-	// table for that chemistry and the pack voltage it is tabulated at,
-	// both fixed at construction.
-	kind     Kind
+	// curve and curveRef are the chemistry's OCV table and the pack
+	// voltage it is tabulated at, both fixed at construction.
 	curve    *units.Interpolator
 	curveRef float64
 
-	// Manufacturing variation (§IV-B): multiplier on capacity and
-	// resistance fixed at construction.
-	capacityScale   float64
-	resistanceScale float64
-
-	soc  float64
-	temp units.Celsius
-	deg  Degradation
-
-	// Cumulative counters feeding the aging metrics.
-	ahOut     units.AmpereHour // total discharge throughput
-	ahIn      units.AmpereHour // total charge throughput (gross, at terminals)
-	whOut     units.WattHour
-	whIn      units.WattHour
-	operating time.Duration
-	cycles    float64 // equivalent full cycles (throughput-based)
-
-	// Telemetry handles, captured once at construction so the per-step
-	// cost is one nil check plus an atomic add. All are nil (and no-ops)
-	// unless WithRecorder was supplied.
-	telDischarge *telemetry.Counter
-	telCharge    *telemetry.Counter
-	telRest      *telemetry.Counter
-	telCutoff    *telemetry.Counter
-
 	// thermalTau is ThermalCapacity×ThermalResistance, hoisted at
-	// construction. restDt/restFactor and heatDt/heatAlpha memoize the two
-	// per-step transcendentals, keyed by the only input that varies (dt);
-	// a hit returns the identical float the cold path would compute, so
-	// results are bit-for-bit unchanged. The simulator steps every pack
-	// with one fixed tick, so these hit on every step after the first.
+	// construction. heatDt/heatAlpha memoize the thermal step's
+	// transcendental on the ledger's bit-identical terms (keyed by dt).
 	thermalTau float64
-	restDt     time.Duration
-	restFactor float64
 	heatDt     time.Duration
 	heatAlpha  float64
-
-	// hrDt/hrVal memoize dt.Hours() for the charge-integration steps on
-	// the same bit-identical terms as the transcendental caches above.
-	hrDt  time.Duration
-	hrVal float64
 
 	// ocvSoC/ocvVal memoize the open-circuit voltage keyed by the state of
 	// charge — the only varying input: the curve, nominal voltage, and
@@ -244,15 +211,6 @@ type Pack struct {
 	ocvOk  bool
 }
 
-// hours returns dt.Hours() memoized on dt. Callers validate dt > 0 first
-// (checkStep), so the zero-valued cache never aliases a real step.
-func (p *Pack) hours(dt time.Duration) float64 {
-	if dt != p.hrDt {
-		p.hrDt, p.hrVal = dt, dt.Hours()
-	}
-	return p.hrVal
-}
-
 // settings collects the construction-time options shared by every model
 // tier, so one Option type configures Pack and Linear alike.
 type settings struct {
@@ -260,24 +218,6 @@ type settings struct {
 	resScale float64
 	soc      float64
 	rec      *telemetry.Recorder
-}
-
-func defaultSettings() settings {
-	return settings{capScale: 1, resScale: 1, soc: 1}
-}
-
-// initialTemperature is every new pack's case temperature: room
-// temperature, until the thermal model moves it.
-const initialTemperature units.Celsius = 25
-
-// counters resolves the telemetry handles once at construction so the
-// per-step cost is one nil check plus an atomic add. A nil recorder
-// yields nil (no-op) handles.
-func (s settings) counters() (discharge, charge, rest, cutoff *telemetry.Counter) {
-	return s.rec.Counter(telemetry.MetricBatteryDischargeSteps),
-		s.rec.Counter(telemetry.MetricBatteryChargeSteps),
-		s.rec.Counter(telemetry.MetricBatteryRestSteps),
-		s.rec.Counter(telemetry.MetricBatteryCutoffs)
 }
 
 // Option customizes a battery model at construction.
@@ -332,61 +272,10 @@ func NewInto(p *Pack, spec Spec, opts ...Option) error {
 	if kind == KindLinear {
 		return errors.New("battery: the linear tier is a Linear, not a Pack (use NewModel)")
 	}
-	st := defaultSettings()
-	for _, opt := range opts {
-		opt(&st)
-	}
 	curve, ref := chemCurve(kind)
-	*p = Pack{
-		spec:            spec,
-		kind:            kind,
-		curve:           curve,
-		curveRef:        ref,
-		capacityScale:   st.capScale,
-		resistanceScale: st.resScale,
-		soc:             st.soc,
-		temp:            initialTemperature,
-	}
-	p.telDischarge, p.telCharge, p.telRest, p.telCutoff = st.counters()
-	p.thermalTau = spec.ThermalCapacity * spec.ThermalResistance
+	*p = Pack{curve: curve, curveRef: ref, thermalTau: spec.ThermalCapacity * spec.ThermalResistance}
+	p.ledger.init(spec, opts)
 	return nil
-}
-
-// Kind identifies the model tier simulating this pack.
-func (p *Pack) Kind() Kind { return p.kind }
-
-// Spec returns the nameplate specification.
-func (p *Pack) Spec() Spec { return p.spec }
-
-// SoC returns the current state of charge in [0, 1].
-func (p *Pack) SoC() float64 { return p.soc }
-
-// Temperature returns the current case temperature.
-func (p *Pack) Temperature() units.Celsius { return p.temp }
-
-// Degradation returns the wear applied so far.
-func (p *Pack) Degradation() Degradation { return p.deg }
-
-// Health returns remaining capacity as a fraction of initial capacity.
-func (p *Pack) Health() float64 { return p.deg.Health() }
-
-// ApplyDegradation replaces the pack's wear state. The aging model calls
-// this after integrating damage for a control period. Values are clamped to
-// physical ranges.
-func (p *Pack) ApplyDegradation(d Degradation) {
-	d.CapacityFade = units.Clamp01(d.CapacityFade)
-	// A resistance beyond ~20× nameplate is a failed battery; clamping
-	// keeps deeply-degraded packs numerically stable.
-	d.ResistanceGrowth = units.Clamp(d.ResistanceGrowth, 0, 20)
-	d.EfficiencyLoss = units.Clamp(d.EfficiencyLoss, 0, p.spec.CoulombicEfficiency-0.05)
-	p.deg = d
-}
-
-// EffectiveCapacity returns the capacity currently deliverable at the
-// reference (20-hour) rate, accounting for manufacturing variation and
-// capacity fade.
-func (p *Pack) EffectiveCapacity() units.AmpereHour {
-	return units.AmpereHour(float64(p.spec.NominalCapacity) * p.capacityScale * p.deg.Health())
 }
 
 // referenceCurrent is the 20-hour discharge rate the capacity is rated at.
@@ -410,17 +299,17 @@ func (p *Pack) capacityAt(i units.Ampere) units.AmpereHour {
 // internalResistance returns the present internal resistance including
 // manufacturing variation and corrosion growth.
 func (p *Pack) internalResistance() float64 {
-	return p.spec.InternalResistance * p.resistanceScale * (1 + p.deg.ResistanceGrowth)
+	return p.spec.InternalResistance * p.st.ResistanceScale * (1 + p.st.Degradation.ResistanceGrowth)
 }
 
 // ocv returns the open-circuit voltage at the present SoC, scaled from the
 // chemistry's reference curve to the pack's nominal voltage.
 func (p *Pack) ocv() units.Volt {
-	if p.ocvOk && p.soc == p.ocvSoC {
+	if p.ocvOk && p.st.SoC == p.ocvSoC {
 		return p.ocvVal
 	}
-	v := p.curve.At(p.soc)
-	p.ocvSoC = p.soc
+	v := p.curve.At(p.st.SoC)
+	p.ocvSoC = p.st.SoC
 	p.ocvVal = units.Volt(v * float64(p.spec.NominalVoltage) / p.curveRef)
 	p.ocvOk = true
 	return p.ocvVal
@@ -478,21 +367,16 @@ func (p *Pack) MaxDischargePower() units.Watt {
 // Zero when full. The charger-side request adds conversion losses on top
 // (the node divides by its charger efficiency).
 func (p *Pack) MaxChargePower() units.Watt {
-	if p.soc >= 1 {
+	if p.st.SoC >= 1 {
 		return 0
 	}
-	v := float64(p.ocv())
-	maxI := float64(p.spec.MaxChargeCurrent)
-	if p.soc > 0.9 {
-		maxI *= units.Clamp((1-p.soc)/0.1, 0.05, 1)
-	}
-	return units.Watt(v * maxI)
+	return units.Watt(float64(p.ocv()) * p.chargeLimit())
 }
 
 // CutOff reports whether the battery has reached the protection threshold:
 // either empty or unable to hold the cutoff voltage at the reference rate.
 func (p *Pack) CutOff() bool {
-	if p.soc <= 0.02 {
+	if p.st.SoC <= 0.02 {
 		return true
 	}
 	return p.TerminalVoltage(p.referenceCurrent()) < p.spec.CutoffVoltage
@@ -519,11 +403,11 @@ func finite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }
 
-// checkStep validates the inputs every step method shares. Rejecting
-// non-finite values here is what keeps a poisoned sensor reading or a
-// fuzzer-crafted NaN from flowing through Clamp (which passes NaN) into
-// the state of charge.
-func checkStep(pw units.Watt, dt time.Duration, amb units.Celsius) error {
+// checkStep validates the inputs every step method shares: op names the
+// step in the error for a negative power. Rejecting non-finite values here
+// is what keeps a poisoned sensor reading or a fuzzer-crafted NaN from
+// flowing through Clamp (which passes NaN) into the state of charge.
+func checkStep(op string, pw units.Watt, dt time.Duration, amb units.Celsius) error {
 	if !finite(float64(pw)) {
 		return fmt.Errorf("battery: non-finite power %v", pw)
 	}
@@ -533,6 +417,9 @@ func checkStep(pw units.Watt, dt time.Duration, amb units.Celsius) error {
 	if !finite(float64(amb)) {
 		return fmt.Errorf("battery: non-finite ambient temperature %v", amb)
 	}
+	if pw < 0 {
+		return fmt.Errorf("battery: negative %s power %v", op, pw)
+	}
 	return nil
 }
 
@@ -540,20 +427,12 @@ func checkStep(pw units.Watt, dt time.Duration, amb units.Celsius) error {
 // ambient temperature amb. The realized energy may be lower than requested
 // if the pack trips its cutoff mid-step.
 func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepResult, error) {
-	if err := checkStep(pw, dt, amb); err != nil {
+	if err := checkStep("discharge", pw, dt, amb); err != nil {
 		return StepResult{}, err
-	}
-	if pw < 0 {
-		return StepResult{}, fmt.Errorf("battery: negative discharge power %v", pw)
 	}
 	if pw == 0 || p.CutOff() {
 		p.rest(dt, amb)
-		res := StepResult{Voltage: p.ocv(), CutOff: p.CutOff()}
-		p.telRest.Inc()
-		if res.CutOff {
-			p.telCutoff.Inc()
-		}
-		return res, nil
+		return p.idle(p.ocv(), p.CutOff()), nil
 	}
 	i, err := p.CurrentForPower(pw)
 	if err != nil {
@@ -561,45 +440,15 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 		// more than the chemistry can give, which in the prototype trips
 		// the under-voltage disconnect.
 		p.rest(dt, amb)
-		p.telCutoff.Inc()
-		return StepResult{Voltage: p.ocv(), CutOff: true}, nil
+		return p.trip(p.ocv()), nil
 	}
 	v := p.TerminalVoltage(i)
 	if v < p.spec.CutoffVoltage {
 		p.rest(dt, amb)
-		p.telCutoff.Inc()
-		return StepResult{Voltage: v, CutOff: true}, nil
+		return p.trip(v), nil
 	}
-
-	cap := p.capacityAt(i)
-	dq := units.AmpereHour(float64(i) * p.hours(dt)) // units.ChargeOver, memoized hours
-	avail := units.AmpereHour(p.soc * float64(cap))
-	res := StepResult{Current: i, Voltage: v}
-	if dq >= avail {
-		// Truncate: the pack empties partway through the step.
-		frac := 0.0
-		if dq > 0 {
-			frac = float64(avail) / float64(dq)
-		}
-		dq = avail
-		dt = time.Duration(float64(dt) * frac)
-		res.CutOff = true
-	}
-	if float64(cap) > 0 {
-		p.soc = units.Clamp01(p.soc - float64(dq)/float64(cap))
-	}
-	res.Charge = dq
-	// Energy at the terminals is v × i × hours = v × dq.
-	res.Energy = units.WattHour(float64(v) * float64(dq))
-	p.ahOut += dq
-	p.whOut += res.Energy
-	p.cycles += float64(dq) / math.Max(float64(p.spec.NominalCapacity), 1e-9)
-	p.heat(i, dt, amb)
-	p.operating += dt
-	p.telDischarge.Inc()
-	if res.CutOff {
-		p.telCutoff.Inc()
-	}
+	res, flowed := p.discharge(i, v, p.capacityAt(i), dt)
+	p.heat(i, flowed, amb)
 	return res, nil
 }
 
@@ -608,80 +457,44 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 // It returns the power actually accepted, which lets the power bus route
 // surplus solar elsewhere.
 func (p *Pack) Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepResult, error) {
-	if err := checkStep(pw, dt, amb); err != nil {
+	if err := checkStep("charge", pw, dt, amb); err != nil {
 		return StepResult{}, err
 	}
-	if pw < 0 {
-		return StepResult{}, fmt.Errorf("battery: negative charge power %v", pw)
-	}
-	if pw == 0 || p.soc >= 1 {
+	if pw == 0 || p.st.SoC >= 1 {
 		p.rest(dt, amb)
-		p.telRest.Inc()
-		return StepResult{Voltage: p.ocv()}, nil
+		return p.idle(p.ocv(), false), nil
 	}
 	v := float64(p.ocv())
 	r := p.internalResistance()
 	// Charging terminal voltage: v + I·r; current from pw = (v + I·r)·I.
 	disc := v*v + 4*r*float64(pw)
 	i := (-v + math.Sqrt(disc)) / (2 * r)
-	maxI := float64(p.spec.MaxChargeCurrent)
-	// Taper: above 90 % SoC the acceptance current falls off linearly.
-	if p.soc > 0.9 {
-		maxI *= units.Clamp((1-p.soc)/0.1, 0.05, 1)
-	}
-	if i > maxI {
+	if maxI := p.chargeLimit(); i > maxI {
 		i = maxI
 	}
-	vt := units.Volt(v + i*r)
-	eff := p.spec.CoulombicEfficiency - p.deg.EfficiencyLoss
-	cap := p.EffectiveCapacity()
-	dq := units.AmpereHour(i * p.hours(dt)) // units.ChargeOver, memoized hours
-	need := units.AmpereHour((1 - p.soc) * float64(cap) / math.Max(eff, 1e-6))
-	if dq > need {
-		dq = need
-	}
-	if float64(cap) > 0 {
-		p.soc = units.Clamp01(p.soc + float64(dq)*eff/float64(cap))
-	}
-	res := StepResult{
-		Current: units.Ampere(-i),
-		Voltage: vt,
-		Energy:  units.WattHour(-float64(vt) * float64(dq)),
-		Charge:  units.AmpereHour(-dq),
-	}
-	p.ahIn += dq
-	p.whIn += units.WattHour(float64(vt) * float64(dq))
+	res := p.charge(i, units.Volt(v+i*r), dt)
 	p.heat(units.Ampere(i), dt, amb)
-	p.operating += dt
-	p.telCharge.Inc()
 	return res, nil
 }
 
 // Rest advances time with no terminal current: self-discharge plus thermal
 // relaxation toward ambient.
 func (p *Pack) Rest(dt time.Duration, amb units.Celsius) error {
-	if err := checkStep(0, dt, amb); err != nil {
+	if err := checkStep("rest", 0, dt, amb); err != nil {
 		return err
 	}
 	p.rest(dt, amb)
-	p.operating += dt
-	p.telRest.Inc()
+	p.rested(dt)
 	return nil
 }
 
 func (p *Pack) rest(dt time.Duration, amb units.Celsius) {
-	if dt != p.restDt {
-		days := dt.Hours() / 24
-		p.restFactor = math.Pow(1-p.spec.SelfDischargeFraction, days)
-		p.restDt = dt
-	}
-	p.soc = units.Clamp01(p.soc * p.restFactor)
+	p.selfDischarge(dt)
 	p.heat(0, dt, amb)
 }
 
 // heat advances the lumped thermal model: I²R generation against a single
-// case-to-ambient resistance. The temperature is clamped to a physical
-// envelope so that an extremely degraded pack cannot destabilize the model.
+// case-to-ambient resistance.
 func (p *Pack) heat(i units.Ampere, dt time.Duration, amb units.Celsius) {
 	gen := 0.0
 	if i != 0 {
@@ -697,37 +510,6 @@ func (p *Pack) heat(i units.Ampere, dt time.Duration, amb units.Celsius) {
 	}
 	steady := float64(amb) + gen*p.spec.ThermalResistance
 	alpha := p.heatAlpha
-	t := float64(p.temp) + (steady-float64(p.temp))*alpha
-	p.temp = units.Celsius(units.Clamp(t, -20, 90))
-}
-
-// Counters returns the cumulative usage counters the sensor table logs
-// (Table 2) and the aging metrics consume.
-type Counters struct {
-	AhOut         units.AmpereHour
-	AhIn          units.AmpereHour
-	WhOut         units.WattHour
-	WhIn          units.WattHour
-	OperatingTime time.Duration
-	// EquivalentFullCycles is throughput-based cycle count:
-	// Σ discharge Ah / nominal capacity.
-	EquivalentFullCycles float64
-}
-
-// Counters returns a snapshot of the cumulative usage counters.
-func (p *Pack) Counters() Counters {
-	return Counters{
-		AhOut:                p.ahOut,
-		AhIn:                 p.ahIn,
-		WhOut:                p.whOut,
-		WhIn:                 p.whIn,
-		OperatingTime:        p.operating,
-		EquivalentFullCycles: p.cycles,
-	}
-}
-
-// StoredEnergy estimates the energy currently stored and deliverable at the
-// reference rate.
-func (p *Pack) StoredEnergy() units.WattHour {
-	return units.WattHour(p.soc * float64(p.EffectiveCapacity()) * float64(p.spec.NominalVoltage))
+	t := float64(p.st.Temperature) + (steady-float64(p.st.Temperature))*alpha
+	p.setTemperature(t)
 }

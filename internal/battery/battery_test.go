@@ -71,7 +71,7 @@ func TestOCVMonotoneInSoC(t *testing.T) {
 	p := newPack(t)
 	prev := units.Volt(0)
 	for soc := 0.0; soc <= 1.0; soc += 0.05 {
-		p.soc = soc
+		p.st.SoC = soc
 		v := p.OpenCircuitVoltage()
 		if v <= prev {
 			t.Fatalf("OCV not increasing at SoC %.2f: %v <= %v", soc, v, prev)
@@ -79,7 +79,7 @@ func TestOCVMonotoneInSoC(t *testing.T) {
 		prev = v
 	}
 	// A full 12V lead-acid battery rests around 12.7 V.
-	p.soc = 1
+	p.st.SoC = 1
 	if v := p.OpenCircuitVoltage(); v < 12.6 || v > 12.9 {
 		t.Errorf("full OCV = %v, want ~12.7V", v)
 	}

@@ -8,10 +8,10 @@ import (
 	"github.com/green-dc/baat/internal/units"
 )
 
-// State is the serializable state of a Pack: live electrical state, the
-// fixed manufacturing variation, applied wear, and the cumulative usage
-// counters. The Spec is construction-time input, not state — a snapshot
-// restores only onto a pack built from the same spec.
+// State is the serializable state of a battery model: live electrical
+// state, the fixed manufacturing variation, applied wear, and the
+// cumulative usage counters. The Spec is construction-time input, not
+// state — a snapshot restores only onto a model built from the same spec.
 type State struct {
 	CapacityScale   float64          `json:"capacity_scale"`
 	ResistanceScale float64          `json:"resistance_scale"`
@@ -24,45 +24,6 @@ type State struct {
 	WhIn            units.WattHour   `json:"wh_in"`
 	Operating       time.Duration    `json:"operating"`
 	Cycles          float64          `json:"cycles"`
-}
-
-// Snapshot captures the pack's state.
-func (p *Pack) Snapshot() State {
-	return State{
-		CapacityScale:   p.capacityScale,
-		ResistanceScale: p.resistanceScale,
-		SoC:             p.soc,
-		Temperature:     p.temp,
-		Degradation:     p.deg,
-		AhOut:           p.ahOut,
-		AhIn:            p.ahIn,
-		WhOut:           p.whOut,
-		WhIn:            p.whIn,
-		Operating:       p.operating,
-		Cycles:          p.cycles,
-	}
-}
-
-// Restore overwrites the pack's state from a snapshot. The state is
-// validated against the pack's spec first and rejected wholesale on any
-// out-of-range or non-finite field, so a corrupt checkpoint fails loudly
-// instead of producing silent physics.
-func (p *Pack) Restore(st State) error {
-	if err := st.validate(p.spec); err != nil {
-		return err
-	}
-	p.capacityScale = st.CapacityScale
-	p.resistanceScale = st.ResistanceScale
-	p.soc = st.SoC
-	p.temp = st.Temperature
-	p.deg = st.Degradation
-	p.ahOut = st.AhOut
-	p.ahIn = st.AhIn
-	p.whOut = st.WhOut
-	p.whIn = st.WhIn
-	p.operating = st.Operating
-	p.cycles = st.Cycles
-	return nil
 }
 
 func (st State) validate(spec Spec) error {

@@ -100,11 +100,10 @@ type Config struct {
 	Quick bool
 	// Workers caps how many of an experiment's independent variant runs
 	// (policy kinds, ablation variants, sweep points) execute concurrently.
-	// 0/1 run everything serially, negative resolves to all CPUs. The
-	// variant pool has priority over per-simulator node stepping: when the
-	// sweep is parallel, each simulator steps its six-node fleet serially —
-	// prototype fleets gain nothing from a per-tick fan-out, and nested
-	// pools would oversubscribe the host. Worker count never changes
+	// 0/1 run everything serially, negative resolves to all CPUs. Each
+	// variant's simulator steps its fleet serially: no harness fleet has
+	// more than six nodes, far below sim.DefaultParallelThreshold, so the
+	// engine would ignore a node-stepping width. Worker count never changes
 	// experiment output, only wall time: every variant writes into its own
 	// pre-indexed result slot and tables are assembled in index order, so
 	// parallel sweeps render byte-identically to serial ones (enforced by
@@ -213,16 +212,6 @@ func (c Config) sweepWorkers() int {
 	return w
 }
 
-// simWorkers resolves the node-stepping width for simulators built inside
-// a variant sweep: serial whenever the sweep itself is parallel, the raw
-// setting otherwise.
-func (c Config) simWorkers() int {
-	if c.sweepWorkers() > 1 {
-		return 1
-	}
-	return c.Workers
-}
-
 // runSweep executes n independent variant runs across a pool of at most
 // workers goroutines. Each run must write only into its own pre-indexed
 // result slot — no shared mutable state — so assembling the output in index
@@ -304,7 +293,6 @@ func prototypeSimWithScale(cfg Config, spec core.PolicySpec, scale float64, twea
 	scfg.JobsPerDay = 2
 	scfg.Solar.Scale = scale
 	scfg.Telemetry = cfg.Telemetry
-	scfg.Workers = cfg.simWorkers()
 	scfg.Faults = cfg.Faults
 	for _, tweak := range tweaks {
 		tweak(&scfg)

@@ -10,7 +10,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 )
 
@@ -56,29 +55,6 @@ func TestSweepSerialParallelEquivalence(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSimWorkersYieldToSweep pins the pool-priority rule: a parallel
-// variant sweep steps each simulator serially, while a serial sweep passes
-// the setting through to the node fan-out.
-func TestSimWorkersYieldToSweep(t *testing.T) {
-	// Workers=-1 resolves to the CPU count, so whether the sweep goes
-	// parallel (and the sim must yield) depends on the host.
-	wantAuto := -1
-	if runtime.GOMAXPROCS(0) > 1 {
-		wantAuto = 1
-	}
-	tests := []struct {
-		workers int
-		want    int
-	}{
-		{0, 0}, {1, 1}, {2, 1}, {8, 1}, {-1, wantAuto},
-	}
-	for _, tt := range tests {
-		if got := (Config{Workers: tt.workers}).simWorkers(); got != tt.want {
-			t.Errorf("Config{Workers: %d}.simWorkers() = %d, want %d", tt.workers, got, tt.want)
-		}
 	}
 }
 

@@ -1,8 +1,8 @@
-// Package stats_test pins fleet.SoCBins, the seven-bin state-of-charge
-// histogram of Fig 19, to the rule of the general fixed-bin histogram it
-// replaced. That rule is kept here as the reference; the directory holds
-// tests only.
-package stats_test
+package fleet_test
+
+// These tests pin fleet.SoCBins, the seven-bin state-of-charge histogram
+// of Fig 19, to the rule of the general fixed-bin histogram it replaced.
+// That rule is kept here as the reference.
 
 import (
 	"math"

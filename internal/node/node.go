@@ -188,7 +188,6 @@ func (l Losses) Validate() error {
 // goroutines is race-free and produces results identical to serial order.
 type Node struct {
 	id      string
-	cfg     Config
 	srv     *server.Server
 	batt    battery.Model
 	tracker *aging.Tracker
@@ -203,6 +202,11 @@ type Node struct {
 	// way.
 	pack *battery.Pack
 	lin  *battery.Linear
+
+	// The parts of the Config the node reads after construction.
+	losses        Losses
+	ambient       units.Celsius
+	utilityBackup bool
 
 	clock    time.Duration
 	socFloor float64
@@ -327,13 +331,15 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 	}
 	*n = Node{
 		id:            id,
-		cfg:           cfg,
 		srv:           srv,
 		batt:          batt,
 		pack:          cpack,
 		lin:           clin,
 		tracker:       tracker,
 		model:         model,
+		losses:        cfg.Losses,
+		ambient:       cfg.Ambient,
+		utilityBackup: cfg.UtilityBackup,
 		socFloor:      cfg.SoCFloor,
 		quarantine:    quarantine,
 		telDark:       cfg.Telemetry.Counter(telemetry.MetricNodeDarkTicks),
@@ -481,7 +487,7 @@ func (n *Node) SetUtilityAvailable(available bool) { n.utilityDown = !available 
 
 // UtilityAvailable reports whether the grid-backup path is currently
 // usable (Config.UtilityBackup set and no brownout in effect).
-func (n *Node) UtilityAvailable() bool { return n.cfg.UtilityBackup && !n.utilityDown }
+func (n *Node) UtilityAvailable() bool { return n.utilityBackup && !n.utilityDown }
 
 // InjectBatteryWear books sudden, irreversible battery damage — a cell
 // failure, not gradual wear — through the aging model so the pack and the
@@ -530,7 +536,7 @@ func (n *Node) ChargeRequest() units.Watt {
 	if mcp == 0 {
 		return 0
 	}
-	return units.Watt(float64(mcp) / n.cfg.Losses.ChargerEfficiency)
+	return units.Watt(float64(mcp) / n.losses.ChargerEfficiency)
 }
 
 // hours returns dt.Hours() memoized on dt.
@@ -573,7 +579,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 	n.srv.SetPowered(true)
 	demand := n.srv.Power()
 
-	solarDeliverable := units.Watt(float64(solarForLoad) * n.cfg.Losses.SolarDirectEfficiency)
+	solarDeliverable := units.Watt(float64(solarForLoad) * n.losses.SolarDirectEfficiency)
 	deficit := demand - solarDeliverable
 	canRecover := !wasDown || solarDeliverable >= demand || n.SoC() > n.socFloor+0.05
 
@@ -581,7 +587,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 	var batteryNeed, utility units.Watt
 	if deficit > 0 {
 		// Battery must bridge deficit through the inverter.
-		batteryNeed = units.Watt(float64(deficit) / n.cfg.Losses.InverterEfficiency)
+		batteryNeed = units.Watt(float64(deficit) / n.losses.InverterEfficiency)
 		if !canRecover || !n.batteryAvailable() || n.battMaxDischargePower() < batteryNeed {
 			if n.UtilityAvailable() {
 				utility = deficit
@@ -605,10 +611,10 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 		if demand > 0 && solarDeliverable >= demand {
 			// Solar alone carries the load; excess granted for the load is
 			// returned (only what was needed is counted).
-			solarUsed = units.Watt(float64(demand) / n.cfg.Losses.SolarDirectEfficiency)
+			solarUsed = units.Watt(float64(demand) / n.losses.SolarDirectEfficiency)
 		}
 		if batteryNeed > 0 {
-			sr, err = n.battDischarge(batteryNeed, dt, n.cfg.Ambient)
+			sr, err = n.battDischarge(batteryNeed, dt, n.ambient)
 			if err != nil {
 				return err
 			}
@@ -636,7 +642,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 		charged, err = n.charge(solarForCharge, dt, &sr)
 		solarUsed += charged
 	} else if batteryPower == 0 {
-		err = n.battRest(dt, n.cfg.Ambient)
+		err = n.battRest(dt, n.ambient)
 	}
 	if err != nil {
 		return err
@@ -670,7 +676,7 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 	if solarForCharge > 0 {
 		solarUsed, err = n.charge(solarForCharge, dt, &sr)
 	} else {
-		err = n.battRest(dt, n.cfg.Ambient)
+		err = n.battRest(dt, n.ambient)
 	}
 	if err != nil {
 		return err
@@ -685,13 +691,13 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 // bus solar the pack accepted; when the pack took any charge it also
 // replaces *sr with the charge step, the sample the aging books observe.
 func (n *Node) charge(solar units.Watt, dt time.Duration, sr *battery.StepResult) (units.Watt, error) {
-	cr, err := n.battCharge(units.Watt(float64(solar)*n.cfg.Losses.ChargerEfficiency), dt, n.cfg.Ambient)
+	cr, err := n.battCharge(units.Watt(float64(solar)*n.losses.ChargerEfficiency), dt, n.ambient)
 	if err != nil || cr.Charge == 0 {
 		return 0, err
 	}
 	*sr = cr
 	accepted := -float64(cr.Energy) / n.hours(dt) // battery-side watts
-	return units.Watt(accepted / n.cfg.Losses.ChargerEfficiency), nil
+	return units.Watt(accepted / n.losses.ChargerEfficiency), nil
 }
 
 // observe closes out a step: the true battery sample feeds the damage

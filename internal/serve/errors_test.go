@@ -150,6 +150,15 @@ func TestErrorContract(t *testing.T) {
 			wantField:  "jobs_per_day",
 		},
 		{
+			name: "create with too many workers",
+			setup: func(t *testing.T, c *testClient) (string, string, string) {
+				return "POST", "/runs", `{"workers": 1000000}`
+			},
+			wantStatus: http.StatusBadRequest,
+			wantCode:   CodeBadRequest,
+			wantField:  "workers",
+		},
+		{
 			name: "create with invalid sunshine",
 			setup: func(t *testing.T, c *testClient) (string, string, string) {
 				return "POST", "/runs", `{"sunshine": 1.5}`
@@ -335,5 +344,22 @@ func TestErrorContract(t *testing.T) {
 				t.Fatalf("%s %s: error message %q does not name %q", method, path, apiErr.Message, tc.wantField)
 			}
 		})
+	}
+}
+
+// TestWorkersBound pins both edges of the workers bound: -1 (all CPUs)
+// and maxWorkers normalize, and one step past either edge is rejected
+// with an error naming the field.
+func TestWorkersBound(t *testing.T) {
+	for _, w := range []int{-1, maxWorkers} {
+		if _, err := (RunSpec{Workers: w}).normalize(); err != nil {
+			t.Errorf("workers %d rejected: %v", w, err)
+		}
+	}
+	for _, w := range []int{-2, maxWorkers + 1} {
+		_, err := (RunSpec{Workers: w}).normalize()
+		if err == nil || !strings.Contains(err.Error(), "workers") {
+			t.Errorf("workers %d: error %v, want one naming workers", w, err)
+		}
 	}
 }

@@ -28,9 +28,10 @@ func FuzzRunSpec(f *testing.F) {
 	}
 	f.Add(equiv)
 	f.Add([]byte(`{"checkpoint_every": -1}`))
-	// The largest fleet and morning batch a run may ask for.
+	// The largest fleet, morning batch and worker count a run may ask for.
 	f.Add([]byte(`{"nodes": 65536}`))
 	f.Add([]byte(`{"jobs_per_day": 65536}`))
+	f.Add([]byte(`{"workers": 64}`))
 
 	// asJSON renders a spec for failure messages (%+v would print the
 	// optional fields as pointers).

@@ -31,6 +31,13 @@ const maxNodes = 65536
 // for 307), so 65,536 leaves two orders of magnitude of headroom.
 const maxJobsPerDay = 65536
 
+// maxWorkers bounds one run's node-stepping workers. Each simulated day
+// the engine starts one pool goroutine per worker, trimmed only to the
+// fleet's shard count (1,024 at maxNodes), and the daemon hosts many runs
+// at once. A run gains nothing from more workers than its host has CPUs,
+// so 64 leaves room for large hosts; -1 (all CPUs) stays accepted.
+const maxWorkers = 64
+
 // RunSpec is the JSON body of POST /runs: everything needed to construct
 // one simulation, mirroring the cmd/baatsim flags so a served run with a
 // given spec reproduces the CLI run with the same settings (identical
@@ -71,7 +78,7 @@ type RunSpec struct {
 	// Accel is the battery aging acceleration factor (default 1).
 	Accel *float64 `json:"accel,omitempty"`
 	// Workers is the node-stepping worker count (default 1; -1 = all
-	// CPUs; never changes results).
+	// CPUs; max 64; never changes results).
 	Workers int `json:"workers,omitempty"`
 	// Faults names a fault-injection profile: none | sensor | battery |
 	// power | chaos (default none).
@@ -161,6 +168,9 @@ func (sp RunSpec) normalize() (RunSpec, error) {
 	}
 	if sp.Nodes < 0 || sp.Nodes > maxNodes {
 		return sp, fmt.Errorf("nodes must be in [1, %d], got %d", maxNodes, sp.Nodes)
+	}
+	if sp.Workers < -1 || sp.Workers > maxWorkers {
+		return sp, fmt.Errorf("workers must be in [-1, %d], got %d", maxWorkers, sp.Workers)
 	}
 	switch sp.Weather {
 	case "sunny", "cloudy", "rainy":
