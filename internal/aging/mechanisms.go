@@ -217,14 +217,12 @@ func DefaultModelConfigFor(k battery.Kind) (ModelConfig, error) {
 // stream and renders the result as battery.Degradation. The zero value is
 // unusable; construct with NewModel.
 type Model struct {
-	cfg       ModelConfig
-	capNom    units.AmpereHour
-	byMech    [NumMechanisms]float64 // raw accumulated stress per mechanism
-	resGrow   float64
-	capFade   float64
-	effLoss   float64
-	sinceFull float64 // Ah discharged since the last full recharge
-	hours     float64 // accelerated hours observed (the LFP √t calendar clock)
+	cfg    ModelConfig
+	capNom units.AmpereHour
+
+	// st holds the accumulated damage in its checkpoint shape: Snapshot
+	// returns it, and Restore validates a snapshot and assigns it.
+	st ModelState
 
 	// chem is cfg.Chemistry.Normalize() hoisted to an integer tag at
 	// construction so the per-sample Observe dispatch is a jump, not a
@@ -380,12 +378,12 @@ func (m *Model) observeLeadAcid(s Sample) {
 	}
 	// The feedback term is clamped so a failed battery's runaway corrosion
 	// stays finite (the pack clamps applied resistance growth anyway).
-	feedback := 1 + m.cfg.CorrosionFeedback*units.Clamp(m.resGrow, 0, 20)
+	feedback := 1 + m.cfg.CorrosionFeedback*units.Clamp(m.st.ResGrowth, 0, 20)
 	dCorr := a * m.cfg.CorrosionPerHour * hours * tf * polarization * feedback
-	m.byMech[Corrosion-1] += dCorr
-	m.resGrow += dCorr
+	m.st.ByMechanism[Corrosion-1] += dCorr
+	m.st.ResGrowth += dCorr
 	// Corrosion also strands a little active material.
-	m.capFade += 0.01 * dCorr
+	m.st.CapFade += 0.01 * dCorr
 
 	if s.Current > 0 { // discharging
 		ah := float64(s.Current) * hours
@@ -400,17 +398,17 @@ func (m *Model) observeLeadAcid(s Sample) {
 			rateStress = math.Sqrt(float64(s.Current) / ref)
 		}
 		dShed := a * m.cfg.SheddingPerFullCycle * cycles * lowSoCStress(soc) * rateStress * tf
-		m.byMech[Shedding-1] += dShed
-		m.capFade += dShed
-		m.resGrow += 0.3 * dShed
+		m.st.ByMechanism[Shedding-1] += dShed
+		m.st.CapFade += dShed
+		m.st.ResGrowth += 0.3 * dShed
 
 		// 5) Stratification: partial cycling that never reaches a full
 		//    recharge lets acid stratify; damage scales with Ah cycled
 		//    since the last full charge.
-		m.sinceFull += ah
-		dStrat := a * m.cfg.StratificationPerPartialAh * ah * tf * units.Clamp(m.sinceFull/float64(m.capNom), 0, 3)
-		m.byMech[Stratification-1] += dStrat
-		m.capFade += dStrat
+		m.st.SinceFull += ah
+		dStrat := a * m.cfg.StratificationPerPartialAh * ah * tf * units.Clamp(m.st.SinceFull/float64(m.capNom), 0, 3)
+		m.st.ByMechanism[Stratification-1] += dStrat
+		m.st.CapFade += dStrat
 	}
 
 	if s.Current < 0 { // charging
@@ -418,15 +416,15 @@ func (m *Model) observeLeadAcid(s Sample) {
 		// 4) Water loss: overcharge gassing near full, thermally driven.
 		if soc > 0.95 {
 			dWater := a * m.cfg.WaterLossPerOverchargeAh * ah * tf
-			m.byMech[WaterLoss-1] += dWater
-			m.effLoss += dWater
-			m.resGrow += 0.2 * dWater
+			m.st.ByMechanism[WaterLoss-1] += dWater
+			m.st.EffLoss += dWater
+			m.st.ResGrowth += 0.2 * dWater
 		}
 		if soc >= 0.99 {
 			// Full recharge dissolves fresh sulphate and remixes the
 			// electrolyte going forward (the already-booked damage is
 			// irreversible).
-			m.sinceFull = 0
+			m.st.SinceFull = 0
 		}
 	}
 
@@ -435,9 +433,9 @@ func (m *Model) observeLeadAcid(s Sample) {
 	//    solubility, which rises with temperature (§II-B-3).
 	if soc < DeepDischargeSoC {
 		dSul := a * m.cfg.SulphationPerHourDeep * hours * lowSoCStress(soc) * tf
-		m.byMech[Sulphation-1] += dSul
-		m.capFade += dSul
-		m.resGrow += 0.5 * dSul
+		m.st.ByMechanism[Sulphation-1] += dSul
+		m.st.CapFade += dSul
+		m.st.ResGrowth += 0.5 * dSul
 	}
 }
 
@@ -459,13 +457,13 @@ func (m *Model) observeLFP(s Sample) {
 	// simulating T hours at acceleration a equals fade after a·T real
 	// hours — where scaling the increment instead would overstate √t fade
 	// a-fold.
-	prev := m.hours
-	m.hours += a * hours
+	prev := m.st.Hours
+	m.st.Hours += a * hours
 	socStress := 1 + m.cfg.HighSoCStress*math.Max(0, soc-0.5)/0.5
-	dCal := m.cfg.CalendarFadePerSqrtHour * (math.Sqrt(m.hours) - math.Sqrt(prev)) * tf * socStress
-	m.byMech[Corrosion-1] += dCal
-	m.capFade += dCal
-	m.resGrow += 0.1 * dCal
+	dCal := m.cfg.CalendarFadePerSqrtHour * (math.Sqrt(m.st.Hours) - math.Sqrt(prev)) * tf * socStress
+	m.st.ByMechanism[Corrosion-1] += dCal
+	m.st.CapFade += dCal
+	m.st.ResGrowth += 0.1 * dCal
 
 	if s.Current > 0 { // discharging
 		ah := float64(s.Current) * hours
@@ -478,9 +476,9 @@ func (m *Model) observeLFP(s Sample) {
 			stress = 1 + d*d
 		}
 		dCyc := a * m.cfg.CycleFadePerEFC * cycles * stress * tf
-		m.byMech[Shedding-1] += dCyc
-		m.capFade += dCyc
-		m.resGrow += 0.2 * dCyc
+		m.st.ByMechanism[Shedding-1] += dCyc
+		m.st.CapFade += dCyc
+		m.st.ResGrowth += 0.2 * dCyc
 	}
 }
 
@@ -493,8 +491,8 @@ func (m *Model) observeLinear(s Sample) {
 	}
 	ah := float64(s.Current) * m.hoursOf(s.Dt)
 	dCyc := m.cfg.AccelFactor * m.cfg.CycleFadePerEFC * ah / float64(m.capNom)
-	m.byMech[Shedding-1] += dCyc
-	m.capFade += dCyc
+	m.st.ByMechanism[Shedding-1] += dCyc
+	m.st.CapFade += dCyc
 }
 
 // InjectDamage books externally caused, irreversible damage on top of the
@@ -506,13 +504,13 @@ func (m *Model) observeLinear(s Sample) {
 // injection the per-mechanism stresses no longer sum to the totals.
 func (m *Model) InjectDamage(capFade, resGrowth, effLoss float64) {
 	if capFade > 0 {
-		m.capFade += capFade
+		m.st.CapFade += capFade
 	}
 	if resGrowth > 0 {
-		m.resGrow += resGrowth
+		m.st.ResGrowth += resGrowth
 	}
 	if effLoss > 0 {
-		m.effLoss += effLoss
+		m.st.EffLoss += effLoss
 	}
 }
 
@@ -520,29 +518,23 @@ func (m *Model) InjectDamage(capFade, resGrowth, effLoss float64) {
 // vocabulary so it can be applied to a Pack.
 func (m *Model) Degradation() battery.Degradation {
 	return battery.Degradation{
-		CapacityFade:     units.Clamp01(m.capFade),
-		ResistanceGrowth: m.resGrow,
-		EfficiencyLoss:   m.effLoss,
+		CapacityFade:     units.Clamp01(m.st.CapFade),
+		ResistanceGrowth: m.st.ResGrowth,
+		EfficiencyLoss:   m.st.EffLoss,
 	}
 }
 
 // Health returns the remaining-capacity fraction implied by the damage.
-func (m *Model) Health() float64 { return 1 - units.Clamp01(m.capFade) }
+func (m *Model) Health() float64 { return 1 - units.Clamp01(m.st.CapFade) }
 
 // ByMechanism returns the raw accumulated stress attributed to each
 // mechanism — the decomposition Fig 6 correlates with the metrics.
 func (m *Model) ByMechanism() map[Mechanism]float64 {
 	out := make(map[Mechanism]float64, NumMechanisms)
 	for i := 0; i < NumMechanisms; i++ {
-		out[Mechanism(i+1)] = m.byMech[i]
+		out[Mechanism(i+1)] = m.st.ByMechanism[i]
 	}
 	return out
-}
-
-// AhSinceFullRecharge reports the discharge throughput since the battery
-// last reached full charge (the stratification driver).
-func (m *Model) AhSinceFullRecharge() units.AmpereHour {
-	return units.AmpereHour(m.sinceFull)
 }
 
 // EstimateLifetime extrapolates time to end-of-life (health = 0.8) assuming
@@ -557,11 +549,11 @@ func (m *Model) EstimateLifetime(elapsed time.Duration) time.Duration {
 	if m.Health() <= battery.EndOfLifeHealth {
 		return elapsed
 	}
-	if m.capFade <= 0 {
+	if m.st.CapFade <= 0 {
 		return time.Duration(math.MaxInt64)
 	}
-	rate := m.capFade / elapsed.Hours() // fade per hour
-	remaining := (1 - battery.EndOfLifeHealth) - m.capFade
+	rate := m.st.CapFade / elapsed.Hours() // fade per hour
+	remaining := (1 - battery.EndOfLifeHealth) - m.st.CapFade
 	h := remaining / rate
 	return elapsed + time.Duration(h*float64(time.Hour))
 }

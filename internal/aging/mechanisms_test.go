@@ -148,15 +148,15 @@ func TestFullRechargeResetsStratificationDriver(t *testing.T) {
 	if err := m.Observe(Sample{Dt: 2 * time.Hour, Current: 5, SoC: 0.6, Temperature: 25}); err != nil {
 		t.Fatal(err)
 	}
-	if m.AhSinceFullRecharge() != 10 {
-		t.Fatalf("AhSinceFullRecharge = %v, want 10", m.AhSinceFullRecharge())
+	if got := m.Snapshot().SinceFull; got != 10 {
+		t.Fatalf("SinceFull = %v, want 10", got)
 	}
 	// Charging at 99 %+ SoC marks a full recharge.
 	if err := m.Observe(Sample{Dt: time.Hour, Current: -2, SoC: 0.99, Temperature: 25}); err != nil {
 		t.Fatal(err)
 	}
-	if m.AhSinceFullRecharge() != 0 {
-		t.Errorf("AhSinceFullRecharge after full recharge = %v, want 0", m.AhSinceFullRecharge())
+	if got := m.Snapshot().SinceFull; got != 0 {
+		t.Errorf("SinceFull after full recharge = %v, want 0", got)
 	}
 }
 

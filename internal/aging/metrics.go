@@ -61,16 +61,17 @@ const DeepDischargeSoC = 0.40
 
 // Sample is one sensor reading interval: what the battery did for Dt.
 // It mirrors the power-table row of Table 2 (current, voltage, temperature,
-// time) with SoC derived from voltage by the sensor layer.
+// time) with SoC derived from voltage by the sensor layer. A node
+// checkpoints the last sample its tracker accepted in this form.
 type Sample struct {
 	// Dt is the sampling interval.
-	Dt time.Duration
+	Dt time.Duration `json:"dt"`
 	// Current is terminal current; positive discharges, negative charges.
-	Current units.Ampere
+	Current units.Ampere `json:"current"`
 	// SoC is the state of charge during the interval.
-	SoC float64
+	SoC float64 `json:"soc"`
 	// Temperature is the battery case temperature.
-	Temperature units.Celsius
+	Temperature units.Celsius `json:"temperature"`
 }
 
 // Metrics is a snapshot of the five aging metrics of §III.
@@ -115,15 +116,9 @@ type Metrics struct {
 type Tracker struct {
 	lifetime units.AmpereHour
 
-	ahOut     float64 // Ah
-	ahIn      float64
-	ahByRange [4]float64 // discharge Ah per SoC band (A..D)
-
-	total   time.Duration
-	deep    time.Duration
-	disTime time.Duration
-	lowTime time.Duration
-	drPeak  float64
+	// st holds every accumulated quantity in its checkpoint shape:
+	// Snapshot returns it, and Restore validates a snapshot and assigns it.
+	st TrackerState
 
 	// dtLast/dtHours memoize Sample.Dt.Hours() exactly as aging.Model does:
 	// the tick width is constant within a run, and the cached value is the
@@ -187,23 +182,23 @@ func (t *Tracker) Observe(s Sample) error {
 		t.dtLast, t.dtHours = s.Dt, s.Dt.Hours()
 	}
 	hours := t.dtHours
-	t.total += s.Dt
+	t.st.Total += s.Dt
 	if soc < DeepDischargeSoC {
-		t.deep += s.Dt
+		t.st.Deep += s.Dt
 	}
 	if s.Current > 0 { // discharging
 		ah := float64(s.Current) * hours
-		t.ahOut += ah
-		t.ahByRange[RangeOf(soc)-RangeA] += ah
-		t.disTime += s.Dt
-		if float64(s.Current) > t.drPeak {
-			t.drPeak = float64(s.Current)
+		t.st.AhOut += ah
+		t.st.AhByRange[RangeOf(soc)-RangeA] += ah
+		t.st.DisTime += s.Dt
+		if float64(s.Current) > t.st.DRPeak {
+			t.st.DRPeak = float64(s.Current)
 		}
 		if soc < DeepDischargeSoC {
-			t.lowTime += s.Dt
+			t.st.LowTime += s.Dt
 		}
 	} else if s.Current < 0 { // charging
-		t.ahIn += -float64(s.Current) * hours
+		t.st.AhIn += -float64(s.Current) * hours
 	}
 	return nil
 }
@@ -211,38 +206,38 @@ func (t *Tracker) Observe(s Sample) error {
 // Metrics returns the current snapshot.
 func (t *Tracker) Metrics() Metrics {
 	m := Metrics{
-		NAT: t.ahOut / float64(t.lifetime),
+		NAT: t.st.AhOut / float64(t.lifetime),
 	}
-	if t.ahOut > minMeasurableAh {
-		m.CF = t.ahIn / t.ahOut
+	if t.st.AhOut > minMeasurableAh {
+		m.CF = t.st.AhIn / t.st.AhOut
 		// Healthy-high orientation: band A weight 4 … band D weight 1,
 		// normalized by 4 so the value lives in [0.25, 1].
-		m.PC = (t.ahByRange[0]*4 + t.ahByRange[1]*3 + t.ahByRange[2]*2 + t.ahByRange[3]*1) / (4 * t.ahOut)
+		m.PC = (t.st.AhByRange[0]*4 + t.st.AhByRange[1]*3 + t.st.AhByRange[2]*2 + t.st.AhByRange[3]*1) / (4 * t.st.AhOut)
 	}
-	if t.total > 0 {
-		m.DDT = float64(t.deep) / float64(t.total)
+	if t.st.Total > 0 {
+		m.DDT = float64(t.st.Deep) / float64(t.st.Total)
 	}
-	// Every discharge Ah is booked in ahOut, and band D is exactly the
+	// Every discharge Ah is booked in AhOut, and band D is exactly the
 	// deep-discharge test, so these are the mean rates over discharge time
 	// and over deep-discharge time.
-	if h := t.disTime.Hours(); h > 0 {
-		m.DR = t.ahOut / h
+	if h := t.st.DisTime.Hours(); h > 0 {
+		m.DR = t.st.AhOut / h
 	}
-	if h := t.lowTime.Hours(); h > 0 {
-		m.DRLowSoC = t.ahByRange[RangeD-RangeA] / h
+	if h := t.st.LowTime.Hours(); h > 0 {
+		m.DRLowSoC = t.st.AhByRange[RangeD-RangeA] / h
 	}
-	m.DRPeak = t.drPeak
+	m.DRPeak = t.st.DRPeak
 	return m
 }
 
 // Totals returns cumulative Ah flow (out, in) — the raw quantities behind
 // NAT and CF, needed by the planned-aging calculator (Eq 7).
 func (t *Tracker) Totals() (out, in units.AmpereHour) {
-	return units.AmpereHour(t.ahOut), units.AmpereHour(t.ahIn)
+	return units.AmpereHour(t.st.AhOut), units.AmpereHour(t.st.AhIn)
 }
 
 // ElapsedTime returns the total observed wall time.
-func (t *Tracker) ElapsedTime() time.Duration { return t.total }
+func (t *Tracker) ElapsedTime() time.Duration { return t.st.Total }
 
 // Reset clears the accumulated state, e.g. at the start of an evaluation
 // window, while keeping the lifetime denominator.

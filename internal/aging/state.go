@@ -7,12 +7,13 @@ import (
 )
 
 // TrackerState is the serializable state of a Tracker: every accumulated
-// quantity behind the five metrics. The lifetime denominator is
-// construction-time input and is revalidated on restore.
+// quantity behind the five metrics. A Tracker holds it live, so Snapshot
+// returns it as is. The lifetime denominator is construction-time input
+// and is revalidated on restore.
 type TrackerState struct {
 	AhOut     float64    `json:"ah_out"`
 	AhIn      float64    `json:"ah_in"`
-	AhByRange [4]float64 `json:"ah_by_range"`
+	AhByRange [4]float64 `json:"ah_by_range"` // discharge Ah per SoC band (A..D)
 
 	Total   time.Duration `json:"total"`
 	Deep    time.Duration `json:"deep"`
@@ -23,18 +24,7 @@ type TrackerState struct {
 }
 
 // Snapshot captures the tracker's accumulated state.
-func (t *Tracker) Snapshot() TrackerState {
-	return TrackerState{
-		AhOut:     t.ahOut,
-		AhIn:      t.ahIn,
-		AhByRange: t.ahByRange,
-		Total:     t.total,
-		Deep:      t.deep,
-		DisTime:   t.disTime,
-		LowTime:   t.lowTime,
-		DRPeak:    t.drPeak,
-	}
-}
+func (t *Tracker) Snapshot() TrackerState { return t.st }
 
 // Restore overwrites the tracker's accumulated state from a snapshot,
 // keeping its lifetime denominator. Non-finite or negative quantities are
@@ -93,14 +83,7 @@ func (t *Tracker) Restore(st TrackerState) error {
 		return fmt.Errorf("aging: restore tracker: ah by range[%d] %v exceeds dr peak %v A over low time %v",
 			RangeD-RangeA, d, st.DRPeak, st.LowTime)
 	}
-	t.ahOut = st.AhOut
-	t.ahIn = st.AhIn
-	t.ahByRange = st.AhByRange
-	t.total = st.Total
-	t.deep = st.Deep
-	t.disTime = st.DisTime
-	t.lowTime = st.LowTime
-	t.drPeak = st.DRPeak
+	t.st = st
 	return nil
 }
 
@@ -119,14 +102,15 @@ func nonNeg(v float64) bool {
 
 // ModelState is the serializable state of a damage Model: accumulated
 // per-mechanism stress, the rendered damage totals, and the
-// stratification driver. Rate constants and the capacity normalizer are
-// construction-time input.
+// stratification driver. A Model holds it live, so Snapshot returns it as
+// is. Rate constants and the capacity normalizer are construction-time
+// input.
 type ModelState struct {
-	ByMechanism [NumMechanisms]float64 `json:"by_mechanism"`
+	ByMechanism [NumMechanisms]float64 `json:"by_mechanism"` // raw accumulated stress per mechanism
 	ResGrowth   float64                `json:"res_growth"`
 	CapFade     float64                `json:"cap_fade"`
 	EffLoss     float64                `json:"eff_loss"`
-	SinceFull   float64                `json:"since_full"`
+	SinceFull   float64                `json:"since_full"` // Ah discharged since the last full recharge
 	// Hours is the accelerated-time clock behind the LFP √t calendar
 	// fade; zero (and omitted) for the chemistries that don't use it, so
 	// pre-existing lead-acid checkpoints parse unchanged.
@@ -134,16 +118,7 @@ type ModelState struct {
 }
 
 // Snapshot captures the model's accumulated damage.
-func (m *Model) Snapshot() ModelState {
-	return ModelState{
-		ByMechanism: m.byMech,
-		ResGrowth:   m.resGrow,
-		CapFade:     m.capFade,
-		EffLoss:     m.effLoss,
-		SinceFull:   m.sinceFull,
-		Hours:       m.hours,
-	}
-}
+func (m *Model) Snapshot() ModelState { return m.st }
 
 // Restore overwrites the model's accumulated damage from a snapshot.
 // Damage is cumulative and irreversible, so every field must be finite
@@ -171,11 +146,6 @@ func (m *Model) Restore(st ModelState) error {
 			return bad(Mechanism(i+1).String()+" stress", v)
 		}
 	}
-	m.byMech = st.ByMechanism
-	m.resGrow = st.ResGrowth
-	m.capFade = st.CapFade
-	m.effLoss = st.EffLoss
-	m.sinceFull = st.SinceFull
-	m.hours = st.Hours
+	m.st = st
 	return nil
 }

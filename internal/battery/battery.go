@@ -432,7 +432,7 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 	}
 	if pw == 0 || p.CutOff() {
 		p.rest(dt, amb)
-		return p.idle(p.ocv(), p.CutOff()), nil
+		return p.idle(p.ocv(), p.CutOff(), dt), nil
 	}
 	i, err := p.CurrentForPower(pw)
 	if err != nil {
@@ -440,12 +440,12 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 		// more than the chemistry can give, which in the prototype trips
 		// the under-voltage disconnect.
 		p.rest(dt, amb)
-		return p.trip(p.ocv()), nil
+		return p.trip(p.ocv(), dt), nil
 	}
 	v := p.TerminalVoltage(i)
 	if v < p.spec.CutoffVoltage {
 		p.rest(dt, amb)
-		return p.trip(v), nil
+		return p.trip(v, dt), nil
 	}
 	res, flowed := p.discharge(i, v, p.capacityAt(i), dt)
 	p.heat(i, flowed, amb)
@@ -462,7 +462,7 @@ func (p *Pack) Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepR
 	}
 	if pw == 0 || p.st.SoC >= 1 {
 		p.rest(dt, amb)
-		return p.idle(p.ocv(), false), nil
+		return p.idle(p.ocv(), false, dt), nil
 	}
 	v := float64(p.ocv())
 	r := p.internalResistance()

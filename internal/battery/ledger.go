@@ -190,19 +190,20 @@ func (l *ledger) setSelfDischarge(dt time.Duration) {
 	l.sdDt = dt
 }
 
-// idle books a step that moved no charge at terminal voltage v, counting a
-// cut-off trip when the tier reports one.
-func (l *ledger) idle(v units.Volt, cutOff bool) StepResult {
-	l.telRest.Inc()
+// idle books a step of dt that moved no charge at terminal voltage v, as
+// a rest, counting a cut-off trip when the tier reports one.
+func (l *ledger) idle(v units.Volt, cutOff bool, dt time.Duration) StepResult {
+	l.rested(dt)
 	if cutOff {
 		l.telCutoff.Inc()
 	}
 	return StepResult{Voltage: v, CutOff: cutOff}
 }
 
-// trip books a discharge the tier's protection refused at terminal
+// trip books a discharge of dt the tier's protection refused at terminal
 // voltage v: no charge moves and the cut-off trips.
-func (l *ledger) trip(v units.Volt) StepResult {
+func (l *ledger) trip(v units.Volt, dt time.Duration) StepResult {
+	l.st.Operating += dt
 	l.telCutoff.Inc()
 	return StepResult{Voltage: v, CutOff: true}
 }

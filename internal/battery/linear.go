@@ -89,13 +89,13 @@ func (l *Linear) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (
 	v := l.spec.NominalVoltage
 	if pw == 0 || l.CutOff() {
 		l.selfDischarge(dt)
-		return l.idle(v, l.CutOff()), nil
+		return l.idle(v, l.CutOff(), dt), nil
 	}
 	if pw > l.MaxDischargePower() {
 		// Beyond the C-rate cap the protection trips, as the reference
 		// tier's quadratic limit does.
 		l.selfDischarge(dt)
-		return l.trip(v), nil
+		return l.trip(v, dt), nil
 	}
 	i := units.Ampere(float64(pw) / float64(v))
 	res, _ := l.discharge(i, v, l.EffectiveCapacity(), dt)
@@ -113,7 +113,7 @@ func (l *Linear) Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (Ste
 	v := l.spec.NominalVoltage
 	if pw == 0 || l.st.SoC >= 1 {
 		l.selfDischarge(dt)
-		return l.idle(v, false), nil
+		return l.idle(v, false, dt), nil
 	}
 	i := float64(pw) / float64(v)
 	if maxI := l.chargeLimit(); i > maxI {

@@ -12,6 +12,9 @@
 //     rises on its own during stepping.
 //   - Every step balances energy at the terminals: Energy = Voltage ×
 //     Charge, with discharge positive and charge negative.
+//   - Every step books its duration as operating time, whether or not
+//     charge moved; a discharge truncated at empty books the time current
+//     flowed.
 //   - Snapshot/Restore is an identity: a restored model replays a schedule
 //     bit-identically to the original, and snapshotting is read-only.
 //   - Corrupt snapshots are rejected wholesale without mutating the target.
@@ -41,6 +44,7 @@ func Run(t *testing.T, name string, factory Factory) {
 	t.Run(name, func(t *testing.T) {
 		t.Run("SoCBounds", func(t *testing.T) { runSoCBounds(t, factory) })
 		t.Run("EnergyBalance", func(t *testing.T) { runEnergyBalance(t, factory) })
+		t.Run("OperatingTime", func(t *testing.T) { runOperatingTime(t, factory) })
 		t.Run("HealthMonotone", func(t *testing.T) { runHealthMonotone(t, factory) })
 		t.Run("SnapshotRestoreIdentity", func(t *testing.T) { runSnapshotRestore(t, factory) })
 		t.Run("CorruptStateRejected", func(t *testing.T) { runCorruptState(t, factory) })
@@ -144,6 +148,43 @@ func runEnergyBalance(t *testing.T, factory Factory) {
 			if res.Current > 0 || res.Charge > 0 || res.Energy > 0 {
 				t.Fatalf("step %d: charge produced positive flow: %+v", i, res)
 			}
+		}
+	}
+}
+
+func runOperatingTime(t *testing.T, factory Factory) {
+	m := factory(t)
+	// From a fresh (full) model, the fixed steps reach the paths that move
+	// no charge and the truncated discharge: a charge offered to a full
+	// model, a zero-power discharge, a discharge beyond the power limit, a
+	// long discharge that runs empty partway through, and a discharge at
+	// the cut-off. The random schedule then mixes them with ordinary steps.
+	ops := append([]op{
+		{kind: 1, pw: 50, dt: time.Minute, amb: 25},
+		{kind: 0, pw: 0, dt: time.Minute, amb: 25},
+		{kind: 0, pw: 1e5, dt: time.Minute, amb: 25},
+		{kind: 0, pw: 100, dt: 48 * time.Hour, amb: 25},
+		{kind: 0, pw: 100, dt: time.Minute, amb: 25},
+	}, schedule(13, 400)...)
+	for i, o := range ops {
+		before := m.Counters().OperatingTime
+		res, err := apply(m, o)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		got := m.Counters().OperatingTime - before
+		if o.kind == 0 && res.CutOff && res.Charge > 0 {
+			// Truncated at empty: current flowed for Charge/Current hours.
+			flowed := time.Duration(float64(res.Charge) / float64(res.Current) * float64(time.Hour))
+			if d := got - flowed; d < -time.Microsecond || d > time.Microsecond || got > o.dt {
+				t.Fatalf("step %d (kind %d, %v for %v, result %+v): truncated discharge booked %v, want %v",
+					i, o.kind, o.pw, o.dt, res, got, flowed)
+			}
+			continue
+		}
+		if got != o.dt {
+			t.Fatalf("step %d (kind %d, %v for %v, result %+v): operating time advanced %v, want %v",
+				i, o.kind, o.pw, o.dt, res, got, o.dt)
 		}
 	}
 }

@@ -120,7 +120,7 @@ func TestAsRacksDrawsLikeItsServers(t *testing.T) {
 		s.SetPowered(true)
 	}
 	for tick := 0; tick < 8*60; tick += 37 {
-		for idx := 0; idx <= rackSrv.TopFrequencyIndex(); idx++ {
+		for idx := 0; idx < len(rackSrv.Spec().FreqLevels); idx++ {
 			var sum float64
 			for _, s := range all {
 				if err := s.SetFrequencyIndex(idx); err != nil {

@@ -239,15 +239,16 @@ func (m SensorMode) String() string {
 // SensorFault is the per-tick sensor corruption applied to one node. The
 // zero value means a healthy sensor chain. Noise values are drawn by the
 // injector (serially, before the parallel node fan-out) so applying the
-// fault inside a worker goroutine stays deterministic.
+// fault inside a worker goroutine stays deterministic. A node checkpoints
+// the fault in effect in this form.
 type SensorFault struct {
 	// Mode selects the corruption.
-	Mode SensorMode
+	Mode SensorMode `json:"mode"`
 	// Sigma is the relative noise amplitude (ModeNoise).
-	Sigma float64
+	Sigma float64 `json:"sigma"`
 	// Noise holds the pre-drawn standard-normal values perturbing
 	// (current, SoC, temperature) under ModeNoise.
-	Noise [3]float64
+	Noise [3]float64 `json:"noise"`
 }
 
 // NodeFault is the resolved fault state of one node for one tick.

@@ -26,16 +26,8 @@ type ruleState struct {
 	rule Rule
 	mag  float64
 	// targets expand Rule.Node: one entry per attacked node, or a single
-	// node==-1 entry for fleet-wide kinds.
-	targets []targetState
-}
-
-// targetState tracks one (rule, node) activation.
-type targetState struct {
-	node  int
-	until time.Duration // absolute clock the current activation holds to
-	open  bool          // a window is currently held open
-	fired bool          // scheduled one-shot already delivered
+	// Node == -1 entry for fleet-wide kinds.
+	targets []TargetState
 }
 
 // NewInjector compiles a fault plan for a fleet of the given size. The
@@ -55,16 +47,16 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 		rs := ruleState{rule: r, mag: r.magnitude()}
 		switch {
 		case kindInfo[r.Kind].fleetWide:
-			rs.targets = []targetState{{node: -1}}
+			rs.targets = []TargetState{{Node: -1}}
 		case r.Node >= 0:
 			if r.Node >= nodes {
 				return nil, fmt.Errorf("faults: %s targets node %d but the fleet has %d nodes", r.Kind, r.Node, nodes)
 			}
-			rs.targets = []targetState{{node: r.Node}}
+			rs.targets = []TargetState{{Node: r.Node}}
 		default: // Node == -1: every node, each with independent state
-			rs.targets = make([]targetState, nodes)
+			rs.targets = make([]TargetState, nodes)
 			for i := range rs.targets {
-				rs.targets[i].node = i
+				rs.targets[i].Node = i
 			}
 		}
 		inj.rules = append(inj.rules, rs)
@@ -132,35 +124,35 @@ func (inj *Injector) Tick(clock, tick time.Duration) *TickState {
 			if r.Day > 0 { // scheduled
 				start := r.start()
 				if oneShot {
-					if !t.fired && clock >= start {
-						t.fired = true
-						inj.applyOneShot(r.Kind, rs.mag, t.node)
+					if !t.Fired && clock >= start {
+						t.Fired = true
+						inj.applyOneShot(r.Kind, rs.mag, t.Node)
 						st.Injected = append(st.Injected, Injected{
-							Kind: r.Kind, Node: t.node, At: clock, Until: clock, Magnitude: rs.mag,
+							Kind: r.Kind, Node: t.Node, At: clock, Until: clock, Magnitude: rs.mag,
 						})
 					}
 					continue
 				}
 				end := start + r.Duration
 				active := clock >= start && clock < end
-				if active && !t.open {
-					t.open = true
+				if active && !t.Open {
+					t.Open = true
 					st.Injected = append(st.Injected, Injected{
-						Kind: r.Kind, Node: t.node, At: clock, Until: end, Magnitude: rs.mag,
+						Kind: r.Kind, Node: t.Node, At: clock, Until: end, Magnitude: rs.mag,
 					})
 				} else if !active {
-					t.open = false
+					t.Open = false
 				}
 				if active {
-					inj.applyWindow(r.Kind, rs.mag, t.node)
+					inj.applyWindow(r.Kind, rs.mag, t.Node)
 				}
 				continue
 			}
 
 			// Probabilistic: while a window holds, no new trigger is drawn.
-			if clock < t.until {
+			if clock < t.Until {
 				if !oneShot {
-					inj.applyWindow(r.Kind, rs.mag, t.node)
+					inj.applyWindow(r.Kind, rs.mag, t.Node)
 				}
 				continue
 			}
@@ -171,14 +163,14 @@ func (inj *Injector) Tick(clock, tick time.Duration) *TickState {
 			if hold < tick {
 				hold = tick // a zero-duration activation covers this tick
 			}
-			t.until = clock + hold
+			t.Until = clock + hold
 			st.Injected = append(st.Injected, Injected{
-				Kind: r.Kind, Node: t.node, At: clock, Until: t.until, Magnitude: rs.mag,
+				Kind: r.Kind, Node: t.Node, At: clock, Until: t.Until, Magnitude: rs.mag,
 			})
 			if oneShot {
-				inj.applyOneShot(r.Kind, rs.mag, t.node)
+				inj.applyOneShot(r.Kind, rs.mag, t.Node)
 			} else {
-				inj.applyWindow(r.Kind, rs.mag, t.node)
+				inj.applyWindow(r.Kind, rs.mag, t.Node)
 			}
 		}
 	}

@@ -2,16 +2,17 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
-// TargetState is the serialized activation bookkeeping of one
-// (rule, node) pair.
+// TargetState is the activation bookkeeping of one (rule, node) pair, the
+// form the injector both tracks and serializes.
 type TargetState struct {
 	Node  int           `json:"node"`
-	Until time.Duration `json:"until"`
-	Open  bool          `json:"open"`
-	Fired bool          `json:"fired"`
+	Until time.Duration `json:"until"` // absolute clock the current activation holds to
+	Open  bool          `json:"open"`  // a window is currently held open
+	Fired bool          `json:"fired"` // scheduled one-shot already delivered
 }
 
 // RuleState is the serialized activation state of one rule across its
@@ -33,11 +34,7 @@ func (inj *Injector) Snapshot() InjectorState {
 	b, _ := inj.rng.MarshalBinary() // never fails for PCG sources
 	st := InjectorState{RNG: b, Rules: make([]RuleState, len(inj.rules))}
 	for i, rs := range inj.rules {
-		ts := make([]TargetState, len(rs.targets))
-		for j, t := range rs.targets {
-			ts[j] = TargetState{Node: t.node, Until: t.until, Open: t.open, Fired: t.fired}
-		}
-		st.Rules[i] = RuleState{Targets: ts}
+		st.Rules[i] = RuleState{Targets: slices.Clone(rs.targets)}
 	}
 	return st
 }
@@ -61,9 +58,9 @@ func (inj *Injector) Restore(st InjectorState) error {
 				i, len(rs.Targets), len(have))
 		}
 		for j, t := range rs.Targets {
-			if t.Node != have[j].node {
+			if t.Node != have[j].Node {
 				return fmt.Errorf("faults: restore: rule %d target %d is node %d, plan has node %d",
-					i, j, t.Node, have[j].node)
+					i, j, t.Node, have[j].Node)
 			}
 			if t.Until < 0 {
 				return fmt.Errorf("faults: restore: rule %d target %d has negative hold %v", i, j, t.Until)
@@ -73,11 +70,8 @@ func (inj *Injector) Restore(st InjectorState) error {
 	if err := inj.rng.UnmarshalBinary(st.RNG); err != nil {
 		return fmt.Errorf("faults: restore: %w", err)
 	}
-	for i := range inj.rules {
-		for j := range inj.rules[i].targets {
-			t := st.Rules[i].Targets[j]
-			inj.rules[i].targets[j] = targetState{node: t.Node, until: t.Until, open: t.Open, fired: t.Fired}
-		}
+	for i, rs := range inj.rules {
+		copy(rs.targets, st.Rules[i].Targets)
 	}
 	return nil
 }

@@ -208,34 +208,21 @@ type Node struct {
 	ambient       units.Celsius
 	utilityBackup bool
 
-	clock    time.Duration
-	socFloor float64
-
-	utilityWh units.WattHour
-	solarWh   units.WattHour
-
 	// hrDt/hrVal memoize dt.Hours() for the per-tick energy integration
 	// (Step validates dt > 0 first). A hit returns the identical division
-	// result, so accumulated energies are bit-for-bit unchanged.
+	// result, so accumulated energies are bit-for-bit unchanged. They sit
+	// ahead of st so that an ordinary tick reads only the node's first
+	// four cache lines: the fifth holds the fault, quarantine and
+	// telemetry fields.
 	hrDt  time.Duration
 	hrVal float64
 
-	// Sensor-chain fault state: the corruption applied to the *reported*
-	// battery sample this tick (the aging model always observes the
-	// truth), the last sample the tracker accepted (replayed by a stuck
-	// sensor), and the suspect/quarantine bookkeeping that tells the
-	// controller when to stop trusting the metrics.
-	sensor       faults.SensorFault
-	lastSample   aging.Sample
-	haveSample   bool
-	missed       int // consecutive samples the tracker never received
-	rejected     int // total samples rejected as implausible
-	dropped      int // total samples lost outright
-	suspectUntil time.Duration
-	quarantine   time.Duration
+	// st is the node's own state in its checkpoint shape: Snapshot copies
+	// it out, and Restore validates a snapshot and assigns it.
+	st own
 
-	// utilityDown gates the UtilityBackup path (injected brownouts).
-	utilityDown bool
+	// quarantine is how long a sensor fault keeps the metrics suspect.
+	quarantine time.Duration
 
 	// Telemetry handles (nil no-ops unless Config.Telemetry was set).
 	telDark       *telemetry.Counter
@@ -340,7 +327,7 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 		losses:        cfg.Losses,
 		ambient:       cfg.Ambient,
 		utilityBackup: cfg.UtilityBackup,
-		socFloor:      cfg.SoCFloor,
+		st:            own{SoCFloor: cfg.SoCFloor},
 		quarantine:    quarantine,
 		telDark:       cfg.Telemetry.Counter(telemetry.MetricNodeDarkTicks),
 		telUtility:    cfg.Telemetry.Counter(telemetry.MetricNodeUtilityTicks),
@@ -453,10 +440,10 @@ func (n *Node) ResetMetrics() { n.tracker.Reset() }
 func (n *Node) AgingModel() *aging.Model { return n.model }
 
 // Clock returns accumulated simulated time.
-func (n *Node) Clock() time.Duration { return n.clock }
+func (n *Node) Clock() time.Duration { return n.st.Clock }
 
 // SoCFloor returns the discharge floor currently enforced.
-func (n *Node) SoCFloor() float64 { return n.socFloor }
+func (n *Node) SoCFloor() float64 { return n.st.SoCFloor }
 
 // SetSoCFloor adjusts the discharge floor; planned aging sets it to
 // 1 − DoD_goal (§IV-D).
@@ -464,7 +451,7 @@ func (n *Node) SetSoCFloor(f float64) error {
 	if !(f >= 0 && f < 1) {
 		return fmt.Errorf("node %s: SoC floor must be in [0, 1), got %v", n.id, f)
 	}
-	n.socFloor = f
+	n.st.SoCFloor = f
 	return nil
 }
 
@@ -474,20 +461,20 @@ func (n *Node) SetSoCFloor(f float64) error {
 // DAQ). The zero value restores a healthy sensor chain. The simulator
 // resolves the fault deterministically before the parallel fan-out, so
 // calling this from inside a step worker is not allowed.
-func (n *Node) SetSensorFault(f faults.SensorFault) { n.sensor = f }
+func (n *Node) SetSensorFault(f faults.SensorFault) { n.st.Sensor = f }
 
 // SensorFault returns the sensor-chain corruption currently applied (the
 // zero value for a healthy chain).
-func (n *Node) SensorFault() faults.SensorFault { return n.sensor }
+func (n *Node) SensorFault() faults.SensorFault { return n.st.Sensor }
 
 // SetUtilityAvailable gates the UtilityBackup path at runtime: during an
 // injected utility brownout the node cannot fall back to grid power even
 // when Config.UtilityBackup is set.
-func (n *Node) SetUtilityAvailable(available bool) { n.utilityDown = !available }
+func (n *Node) SetUtilityAvailable(available bool) { n.st.UtilityDown = !available }
 
 // UtilityAvailable reports whether the grid-backup path is currently
 // usable (Config.UtilityBackup set and no brownout in effect).
-func (n *Node) UtilityAvailable() bool { return n.utilityBackup && !n.utilityDown }
+func (n *Node) UtilityAvailable() bool { return n.utilityBackup && !n.st.UtilityDown }
 
 // InjectBatteryWear books sudden, irreversible battery damage — a cell
 // failure, not gradual wear — through the aging model so the pack and the
@@ -501,15 +488,15 @@ func (n *Node) InjectBatteryWear(capFade, resGrowth, effLoss float64) {
 // quarantined: the sensor chain recently delivered implausible samples or
 // went stale, so DDT/DR/NAT readings may be garbage and the controller
 // should fall back to conservative decisions.
-func (n *Node) MetricsSuspect() bool { return n.clock < n.suspectUntil }
+func (n *Node) MetricsSuspect() bool { return n.st.Clock < n.st.SuspectUntil }
 
 // SensorRejected returns how many samples the tracker rejected as
 // implausible over the node's lifetime.
-func (n *Node) SensorRejected() int { return n.rejected }
+func (n *Node) SensorRejected() int { return n.st.Rejected }
 
 // SensorDropped returns how many samples were lost before reaching the
 // tracker over the node's lifetime.
-func (n *Node) SensorDropped() int { return n.dropped }
+func (n *Node) SensorDropped() int { return n.st.Dropped }
 
 // Demand returns the power the node's server wants right now if powered
 // (used by the bus allocator before Step). A node with no active VMs is
@@ -549,7 +536,7 @@ func (n *Node) hours(dt time.Duration) float64 {
 
 // batteryAvailable reports whether discharging is currently permitted.
 func (n *Node) batteryAvailable() bool {
-	return !n.battCutOff() && n.SoC() > n.socFloor
+	return !n.battCutOff() && n.SoC() > n.st.SoCFloor
 }
 
 // Step advances the node by dt. solarForLoad is bus solar power granted for
@@ -581,7 +568,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 
 	solarDeliverable := units.Watt(float64(solarForLoad) * n.losses.SolarDirectEfficiency)
 	deficit := demand - solarDeliverable
-	canRecover := !wasDown || solarDeliverable >= demand || n.SoC() > n.socFloor+0.05
+	canRecover := !wasDown || solarDeliverable >= demand || n.SoC() > n.st.SoCFloor+0.05
 
 	run := true
 	var batteryNeed, utility units.Watt
@@ -650,10 +637,10 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 
 	// Advance compute and bookkeeping.
 	n.srv.Step(dt)
-	n.clock += dt
+	n.st.Clock += dt
 	hrs := n.hours(dt)
-	n.solarWh += units.WattHour(float64(solarUsed) * hrs) // units.EnergyOver, memoized hours
-	n.utilityWh += units.WattHour(float64(utility) * hrs)
+	n.st.SolarWh += units.WattHour(float64(solarUsed) * hrs) // units.EnergyOver, memoized hours
+	n.st.UtilityWh += units.WattHour(float64(utility) * hrs)
 	return n.observe(dt, sr)
 }
 
@@ -682,8 +669,8 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 		return err
 	}
 
-	n.clock += dt
-	n.solarWh += units.WattHour(float64(solarUsed) * n.hours(dt)) // units.EnergyOver, memoized hours
+	n.st.Clock += dt
+	n.st.SolarWh += units.WattHour(float64(solarUsed) * n.hours(dt)) // units.EnergyOver, memoized hours
 	return n.observe(dt, sr)
 }
 
@@ -716,23 +703,23 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult) error {
 
 	reported, delivered := n.applySensor(truth)
 	if !delivered {
-		n.dropped++
-		n.missed++
+		n.st.Dropped++
+		n.st.Missed++
 		n.telSensorLost.Inc()
-		if n.missed >= DefaultStaleAfter {
-			n.suspectUntil = n.clock + n.quarantine
+		if n.st.Missed >= DefaultStaleAfter {
+			n.st.SuspectUntil = n.st.Clock + n.quarantine
 		}
 	} else if err := n.tracker.Observe(reported); err != nil {
 		// The tracker's input hardening caught an implausible sample:
 		// immediate quarantine.
-		n.rejected++
-		n.missed++
+		n.st.Rejected++
+		n.st.Missed++
 		n.telSensorBad.Inc()
-		n.suspectUntil = n.clock + n.quarantine
+		n.st.SuspectUntil = n.st.Clock + n.quarantine
 	} else {
-		n.missed = 0
-		n.lastSample = reported
-		n.haveSample = true
+		n.st.Missed = 0
+		n.st.LastSample = reported
+		n.st.HaveSample = true
 	}
 
 	if err := n.model.Observe(truth); err != nil {
@@ -745,7 +732,7 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult) error {
 // applySensor corrupts the true sample per the installed sensor fault and
 // reports whether a reading was delivered at all.
 func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool) {
-	switch n.sensor.Mode {
+	switch n.st.Sensor.Mode {
 	case faults.ModeDrop:
 		return aging.Sample{}, false
 	case faults.ModeNaN:
@@ -753,8 +740,8 @@ func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool) {
 		s.Current = units.Ampere(math.NaN())
 		return s, true
 	case faults.ModeStuck:
-		if n.haveSample {
-			s := n.lastSample
+		if n.st.HaveSample {
+			s := n.st.LastSample
 			s.Dt = truth.Dt
 			return s, true
 		}
@@ -771,9 +758,9 @@ func (n *Node) applySensor(truth aging.Sample) (aging.Sample, bool) {
 		if base < 1 {
 			base = 1
 		}
-		s.Current += units.Ampere(n.sensor.Sigma * n.sensor.Noise[0] * base)
-		s.SoC = units.Clamp01(s.SoC + 0.1*n.sensor.Sigma*n.sensor.Noise[1])
-		s.Temperature += units.Celsius(10 * n.sensor.Sigma * n.sensor.Noise[2])
+		s.Current += units.Ampere(n.st.Sensor.Sigma * n.st.Sensor.Noise[0] * base)
+		s.SoC = units.Clamp01(s.SoC + 0.1*n.st.Sensor.Sigma*n.st.Sensor.Noise[1])
+		s.Temperature += units.Celsius(10 * n.st.Sensor.Sigma * n.st.Sensor.Noise[2])
 		return s, true
 	default:
 		return truth, true
@@ -793,8 +780,8 @@ type Stats struct {
 // Stats returns the node's accumulated accounting.
 func (n *Node) Stats() Stats {
 	return Stats{
-		SolarEnergy:   n.solarWh,
-		UtilityEnergy: n.utilityWh,
+		SolarEnergy:   n.st.SolarWh,
+		UtilityEnergy: n.st.UtilityWh,
 		Throughput:    n.srv.Throughput(),
 		Downtime:      n.srv.Downtime(),
 		Health:        n.Health(),

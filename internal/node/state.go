@@ -12,50 +12,48 @@ import (
 	"github.com/green-dc/baat/internal/units"
 )
 
-// SampleState is the serialized form of the last sensor sample a stuck
-// sensor would replay.
-type SampleState struct {
-	Dt          time.Duration `json:"dt"`
-	Current     units.Ampere  `json:"current"`
-	SoC         float64       `json:"soc"`
-	Temperature units.Celsius `json:"temperature"`
-}
-
-// SensorFaultState is the serialized form of the sensor corruption in
-// effect at snapshot time. The injector re-resolves it every tick, but a
-// node can also carry a manually installed fault that must survive resume.
-type SensorFaultState struct {
-	Mode  int        `json:"mode"`
-	Sigma float64    `json:"sigma"`
-	Noise [3]float64 `json:"noise"`
-}
-
 // State is the serializable state of a Node: the composed states of its
 // battery pack, aging tracker, damage model and server, plus the node's
-// own clock, accounting, and sensor-chain bookkeeping. The Config (specs, losses, quarantine policy) is
-// construction-time input and is not serialized; a snapshot restores only
-// onto a node built from the same Config.
+// own clock, accounting, and sensor-chain bookkeeping. The Config (specs,
+// losses, quarantine policy) is construction-time input and is not
+// serialized; a snapshot restores only onto a node built from the same
+// Config.
 type State struct {
 	ID      string             `json:"id"`
 	Pack    battery.State      `json:"pack"`
 	Tracker aging.TrackerState `json:"tracker"`
 	Model   aging.ModelState   `json:"model"`
 	Server  server.State       `json:"server"`
+	own
+}
 
+// own is the part of State a Node holds live; its battery, tracker, model
+// and server hold the rest.
+type own struct {
 	Clock    time.Duration `json:"clock"`
 	SoCFloor float64       `json:"soc_floor"`
 
 	UtilityWh units.WattHour `json:"utility_wh"`
 	SolarWh   units.WattHour `json:"solar_wh"`
 
-	Sensor       SensorFaultState `json:"sensor"`
-	LastSample   SampleState      `json:"last_sample"`
-	HaveSample   bool             `json:"have_sample"`
-	Missed       int              `json:"missed"`
-	Rejected     int              `json:"rejected"`
-	Dropped      int              `json:"dropped"`
-	SuspectUntil time.Duration    `json:"suspect_until"`
-	UtilityDown  bool             `json:"utility_down"`
+	// Sensor is the corruption applied to the *reported* battery sample
+	// this tick (the aging model always observes the truth). The injector
+	// re-resolves it every tick, but a node can also carry a manually
+	// installed fault that must survive resume.
+	Sensor faults.SensorFault `json:"sensor"`
+	// LastSample is the last sample the tracker accepted, which a stuck
+	// sensor replays.
+	LastSample aging.Sample `json:"last_sample"`
+	HaveSample bool         `json:"have_sample"`
+	// The suspect/quarantine bookkeeping that tells the controller when to
+	// stop trusting the metrics.
+	Missed       int           `json:"missed"`   // consecutive samples the tracker never received
+	Rejected     int           `json:"rejected"` // total samples rejected as implausible
+	Dropped      int           `json:"dropped"`  // total samples lost outright
+	SuspectUntil time.Duration `json:"suspect_until"`
+
+	// UtilityDown gates the UtilityBackup path (injected brownouts).
+	UtilityDown bool `json:"utility_down"`
 }
 
 // Snapshot captures the node's full state.
@@ -66,30 +64,7 @@ func (n *Node) Snapshot() State {
 		Tracker: n.tracker.Snapshot(),
 		Model:   n.model.Snapshot(),
 		Server:  n.srv.Snapshot(),
-
-		Clock:    n.clock,
-		SoCFloor: n.socFloor,
-
-		UtilityWh: n.utilityWh,
-		SolarWh:   n.solarWh,
-
-		Sensor: SensorFaultState{
-			Mode:  int(n.sensor.Mode),
-			Sigma: n.sensor.Sigma,
-			Noise: n.sensor.Noise,
-		},
-		LastSample: SampleState{
-			Dt:          n.lastSample.Dt,
-			Current:     n.lastSample.Current,
-			SoC:         n.lastSample.SoC,
-			Temperature: n.lastSample.Temperature,
-		},
-		HaveSample:   n.haveSample,
-		Missed:       n.missed,
-		Rejected:     n.rejected,
-		Dropped:      n.dropped,
-		SuspectUntil: n.suspectUntil,
-		UtilityDown:  n.utilityDown,
+		own:     n.st,
 	}
 }
 
@@ -123,7 +98,7 @@ func (n *Node) Restore(st State) error {
 	if st.SuspectUntil < 0 {
 		return fmt.Errorf("node %s: restore: negative quarantine deadline %v", n.id, st.SuspectUntil)
 	}
-	if m := faults.SensorMode(st.Sensor.Mode); m < faults.SensorOK || m > faults.ModeDrop {
+	if m := st.Sensor.Mode; m < faults.SensorOK || m > faults.ModeDrop {
 		return fmt.Errorf("node %s: restore: unknown sensor mode %d", n.id, st.Sensor.Mode)
 	}
 
@@ -163,27 +138,6 @@ func (n *Node) Restore(st State) error {
 	*n.tracker = tracker
 	*n.model = model
 
-	n.clock = st.Clock
-	n.socFloor = st.SoCFloor
-	n.utilityWh = st.UtilityWh
-	n.solarWh = st.SolarWh
-
-	n.sensor = faults.SensorFault{
-		Mode:  faults.SensorMode(st.Sensor.Mode),
-		Sigma: st.Sensor.Sigma,
-		Noise: st.Sensor.Noise,
-	}
-	n.lastSample = aging.Sample{
-		Dt:          st.LastSample.Dt,
-		Current:     st.LastSample.Current,
-		SoC:         st.LastSample.SoC,
-		Temperature: st.LastSample.Temperature,
-	}
-	n.haveSample = st.HaveSample
-	n.missed = st.Missed
-	n.rejected = st.Rejected
-	n.dropped = st.Dropped
-	n.suspectUntil = st.SuspectUntil
-	n.utilityDown = st.UtilityDown
+	n.st = st.own
 	return nil
 }

@@ -64,18 +64,16 @@ func (s Spec) Validate() error {
 
 // Server is one compute node. Not safe for concurrent use.
 type Server struct {
-	id      string
-	spec    Spec
-	freqIdx int
-	powered bool
-	vms     []*vm.VM
+	id   string
+	spec Spec
+	// st is the server's own state in its checkpoint shape: Snapshot
+	// copies it out, and Restore validates a snapshot and assigns it.
+	st  own
+	vms []*vm.VM
 	// reserved is the peak utilization held by the hosted VMs that have
 	// not completed. Whatever changes the VM list, or completes a VM on
 	// it, must call refreshReserved.
 	reserved float64
-
-	throughput float64 // accumulated work units (Fig 20's metric)
-	downtime   time.Duration
 }
 
 // New constructs a powered-on server at full frequency.
@@ -99,10 +97,9 @@ func NewInto(s *Server, id string, spec Spec) error {
 		return err
 	}
 	*s = Server{
-		id:      id,
-		spec:    spec,
-		freqIdx: len(spec.FreqLevels) - 1,
-		powered: true,
+		id:   id,
+		spec: spec,
+		st:   own{FreqIdx: len(spec.FreqLevels) - 1, Powered: true},
 	}
 	return nil
 }
@@ -114,17 +111,13 @@ func (s *Server) ID() string { return s.id }
 func (s *Server) Spec() Spec { return s.spec }
 
 // Powered reports whether the node currently has power.
-func (s *Server) Powered() bool { return s.powered }
+func (s *Server) Powered() bool { return s.st.Powered }
 
 // Frequency returns the current DVFS frequency fraction.
-func (s *Server) Frequency() float64 { return s.spec.FreqLevels[s.freqIdx] }
+func (s *Server) Frequency() float64 { return s.spec.FreqLevels[s.st.FreqIdx] }
 
 // FrequencyIndex returns the current DVFS ladder position.
-func (s *Server) FrequencyIndex() int { return s.freqIdx }
-
-// TopFrequencyIndex returns the ladder's highest position; a server is
-// frequency-capped exactly when FrequencyIndex() is below it.
-func (s *Server) TopFrequencyIndex() int { return len(s.spec.FreqLevels) - 1 }
+func (s *Server) FrequencyIndex() int { return s.st.FreqIdx }
 
 // SetFrequencyIndex moves the DVFS ladder to position idx (the software
 // driver of §IV-A: "we can dynamically set the frequency of processors").
@@ -132,27 +125,27 @@ func (s *Server) SetFrequencyIndex(idx int) error {
 	if idx < 0 || idx >= len(s.spec.FreqLevels) {
 		return fmt.Errorf("server %s: DVFS index %d out of range [0, %d)", s.id, idx, len(s.spec.FreqLevels))
 	}
-	s.freqIdx = idx
+	s.st.FreqIdx = idx
 	return nil
 }
 
 // StepDownFrequency lowers frequency one notch; it reports whether a lower
 // level existed.
 func (s *Server) StepDownFrequency() bool {
-	if s.freqIdx == 0 {
+	if s.st.FreqIdx == 0 {
 		return false
 	}
-	s.freqIdx--
+	s.st.FreqIdx--
 	return true
 }
 
 // StepUpFrequency raises frequency one notch; it reports whether a higher
 // level existed.
 func (s *Server) StepUpFrequency() bool {
-	if s.freqIdx == len(s.spec.FreqLevels)-1 {
+	if s.st.FreqIdx == len(s.spec.FreqLevels)-1 {
 		return false
 	}
-	s.freqIdx++
+	s.st.FreqIdx++
 	return true
 }
 
@@ -283,7 +276,7 @@ func (s *Server) Detach(id string) (*vm.VM, error) {
 // idle plus a dynamic part scaling with utilization and the cube of
 // frequency (voltage tracks frequency, P ∝ f·V²).
 func (s *Server) Power() units.Watt {
-	if !s.powered {
+	if !s.st.Powered {
 		return 0
 	}
 	f := s.Frequency()
@@ -297,10 +290,10 @@ func (s *Server) Power() units.Watt {
 // state is checked first because Pause and Resume build an error for them,
 // and the engine's demand probe toggles dark servers every tick.
 func (s *Server) SetPowered(on bool) {
-	if s.powered == on {
+	if s.st.Powered == on {
 		return
 	}
-	s.powered = on
+	s.st.Powered = on
 	for _, v := range s.vms {
 		switch st := v.State(); {
 		case on && st == vm.Paused:
@@ -318,9 +311,9 @@ func (s *Server) Step(dt time.Duration) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	if !s.powered {
+	if !s.st.Powered {
 		// At speed 0 no VM completes, so the reservation holds.
-		s.downtime += dt
+		s.st.Downtime += dt
 		for _, v := range s.vms {
 			v.Advance(dt, 0)
 		}
@@ -337,13 +330,13 @@ func (s *Server) Step(dt time.Duration) float64 {
 	if completed {
 		s.refreshReserved()
 	}
-	s.throughput += done
+	s.st.Throughput += done
 	return done
 }
 
 // Throughput returns accumulated work units — the compute-throughput metric
 // of Fig 20.
-func (s *Server) Throughput() float64 { return s.throughput }
+func (s *Server) Throughput() float64 { return s.st.Throughput }
 
 // Downtime returns accumulated unpowered time.
-func (s *Server) Downtime() time.Duration { return s.downtime }
+func (s *Server) Downtime() time.Duration { return s.st.Downtime }

@@ -12,21 +12,22 @@ import (
 // accumulated work and downtime, and the full state of every hosted
 // VM. The Spec is construction-time input.
 type State struct {
+	own
+	VMs []vm.State `json:"vms"`
+}
+
+// own is the part of State a Server holds live; its hosted VMs hold the
+// rest.
+type own struct {
 	FreqIdx    int           `json:"freq_idx"`
 	Powered    bool          `json:"powered"`
-	Throughput float64       `json:"throughput"`
+	Throughput float64       `json:"throughput"` // accumulated work units (Fig 20's metric)
 	Downtime   time.Duration `json:"downtime"`
-	VMs        []vm.State    `json:"vms"`
 }
 
 // Snapshot captures the server's state, including its hosted VMs.
 func (s *Server) Snapshot() State {
-	st := State{
-		FreqIdx:    s.freqIdx,
-		Powered:    s.powered,
-		Throughput: s.throughput,
-		Downtime:   s.downtime,
-	}
+	st := State{own: s.st}
 	for _, v := range s.vms {
 		st.VMs = append(st.VMs, v.Snapshot())
 	}
@@ -56,10 +57,7 @@ func (s *Server) Restore(st State) error {
 		}
 		vms = append(vms, v)
 	}
-	s.freqIdx = st.FreqIdx
-	s.powered = st.Powered
-	s.throughput = st.Throughput
-	s.downtime = st.Downtime
+	s.st = st.own
 	s.vms = vms
 	s.refreshReserved()
 	return nil

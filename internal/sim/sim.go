@@ -329,10 +329,11 @@ type Simulator struct {
 	// stream and golden traces held.
 	forecast *signal.SolarForecaster
 
-	clock     time.Duration
-	day       int
-	vmCounter int
-	pending   []*vm.VM
+	// st is the engine's own clock and accounting in its checkpoint shape:
+	// Snapshot copies it out, and Restore validates a snapshot and assigns
+	// it.
+	st      own
+	pending []*vm.VM
 	// workers is the resolved Config.Workers: the node-physics fan-out
 	// width (1 = serial), trimmed to the shard count. parallel reports
 	// whether the fan-out is actually used (workers > 1 and the fleet
@@ -349,9 +350,7 @@ type Simulator struct {
 	inj      *faults.Injector
 	degraded []bool
 
-	socBins   fleet.SoCBins
-	eolAt     time.Duration
-	placedSvc bool
+	socBins fleet.SoCBins
 
 	// history accumulates the per-day stats of every completed day over
 	// the simulator's lifetime. It is serialized state: a resumed run can
@@ -659,16 +658,16 @@ func (s *Simulator) SetFaults(cfg faults.Config) error {
 }
 
 // Clock returns the simulated time.
-func (s *Simulator) Clock() time.Duration { return s.clock }
+func (s *Simulator) Clock() time.Duration { return s.st.Clock }
 
 // Day returns how many simulated days have completed (or started; RunDay
 // increments it on entry). A resumed run uses it to skip the weather
 // prefix already consumed before the checkpoint.
-func (s *Simulator) Day() int { return s.day }
+func (s *Simulator) Day() int { return s.st.Day }
 
 // ctx refreshes and returns the reusable policy context.
 func (s *Simulator) ctx() *core.Context {
-	s.pctx.Clock = s.clock
+	s.pctx.Clock = s.st.Clock
 	return &s.pctx
 }
 
@@ -678,8 +677,8 @@ func (s *Simulator) ctx() *core.Context {
 // not admission control.
 func (s *Simulator) submitJobs() error {
 	enqueue := func(p workload.Profile) error {
-		s.vmCounter++
-		v, err := vm.New(fmt.Sprintf("vm-%d", s.vmCounter), p)
+		s.st.VMCounter++
+		v, err := vm.New(fmt.Sprintf("vm-%d", s.st.VMCounter), p)
 		if err != nil {
 			return err
 		}
@@ -687,8 +686,8 @@ func (s *Simulator) submitJobs() error {
 		s.telJobs.Inc()
 		return nil
 	}
-	if !s.placedSvc {
-		s.placedSvc = true
+	if !s.st.PlacedSvc {
+		s.st.PlacedSvc = true
 		if len(s.cfg.Services) > 0 {
 			for _, p := range s.cfg.Services {
 				if err := enqueue(p); err != nil {
@@ -753,7 +752,7 @@ func (s *Simulator) placePending() error {
 // profile), so it must run before the first day, on a simulator whose
 // Config requested no services of its own.
 func (s *Simulator) ProvisionServices(n int) error {
-	if s.placedSvc || s.clock != 0 || s.day != 0 {
+	if s.st.PlacedSvc || s.st.Clock != 0 || s.st.Day != 0 {
 		return fmt.Errorf("sim: ProvisionServices must run once, before the first day")
 	}
 	if n < 0 || n > len(s.nodes) {
@@ -768,8 +767,8 @@ func (s *Simulator) ProvisionServices(n int) error {
 		stride = len(s.nodes) / n
 	}
 	for i := 0; i < n; i++ {
-		s.vmCounter++
-		v, err := vm.New(fmt.Sprintf("vm-%d", s.vmCounter), prof)
+		s.st.VMCounter++
+		v, err := vm.New(fmt.Sprintf("vm-%d", s.st.VMCounter), prof)
 		if err != nil {
 			return err
 		}
@@ -778,7 +777,7 @@ func (s *Simulator) ProvisionServices(n int) error {
 		}
 		s.telPlacements.Inc()
 	}
-	s.placedSvc = true
+	s.st.PlacedSvc = true
 	return nil
 }
 
@@ -797,13 +796,13 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 	if err != nil {
 		return DayStats{}, err
 	}
-	s.day++
+	s.st.Day++
 	// The morning forecast update: record today's conditions so the signal
 	// plane's lookahead (ctx.Signals.Solar) is conditioned on them. The
 	// forecaster owns its rng substream, so this read-and-redraw never
 	// shifts the weather, job, or policy streams.
 	s.forecast.ObserveDay(signal.WeatherIndex(w))
-	ds := DayStats{Day: s.day, Weather: w}
+	ds := DayStats{Day: s.st.Day, Weather: w}
 
 	if s.parallel {
 		// One pool of long-lived shard workers per simulated day: the 288
@@ -857,7 +856,7 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 			// RNG draws and node mutations happen here, in fixed order, so
 			// fault runs stay bit-identical at any worker count. Every PV
 			// dropout, scheduled or probabilistic, arrives as PVFactor.
-			fs := s.inj.Tick(s.clock, s.cfg.Tick)
+			fs := s.inj.Tick(s.st.Clock, s.cfg.Tick)
 			s.applyFaults(fs)
 			power = units.Watt(float64(power) * fs.PVFactor)
 		}
@@ -867,14 +866,14 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 		if s.inj != nil {
 			s.applyDegradedTransitions()
 		}
-		s.clock += s.cfg.Tick
+		s.st.Clock += s.cfg.Tick
 		s.telTicks.Inc()
-		if s.eolAt == 0 {
+		if s.st.EOLAt == 0 {
 			if i := s.firstEndOfLife(); i >= 0 {
 				nd := s.nodes[i]
-				s.eolAt = s.clock
+				s.st.EOLAt = s.st.Clock
 				s.telEOL.Inc()
-				s.tel.Emit(s.clock, telemetry.EventBatteryEOL, nd.ID(),
+				s.tel.Emit(s.st.Clock, telemetry.EventBatteryEOL, nd.ID(),
 					fmt.Sprintf("health %.3f below end-of-life threshold", nd.Stats().Health))
 			}
 		}
@@ -1158,7 +1157,7 @@ func (s *Simulator) applyFaults(fs *faults.TickState) {
 		if inj.Node >= 0 && inj.Node < len(s.nodes) {
 			nodeID = s.nodes[inj.Node].ID()
 		}
-		s.tel.Emit(s.clock, telemetry.EventFaultInjected, nodeID, inj.String())
+		s.tel.Emit(s.st.Clock, telemetry.EventFaultInjected, nodeID, inj.String())
 	}
 	for i, nd := range s.nodes {
 		nf := fs.Nodes[i]
@@ -1192,11 +1191,11 @@ func (s *Simulator) applyDegradedTransitions() {
 		s.degraded[i] = suspect
 		s.telDegraded.Inc()
 		if suspect {
-			s.tel.Emit(s.clock, telemetry.EventDegradedMode, nd.ID(),
+			s.tel.Emit(s.st.Clock, telemetry.EventDegradedMode, nd.ID(),
 				fmt.Sprintf("metrics quarantined (%d rejected, %d dropped samples)",
 					nd.SensorRejected(), nd.SensorDropped()))
 		} else {
-			s.tel.Emit(s.clock, telemetry.EventDegradedRecovered, nd.ID(),
+			s.tel.Emit(s.st.Clock, telemetry.EventDegradedRecovered, nd.ID(),
 				"sensor chain trusted again")
 		}
 	}
@@ -1212,7 +1211,7 @@ func (s *Simulator) updateFleetGauges() {
 	if s.tel == nil {
 		return
 	}
-	s.telClock.Set(s.clock.Seconds())
+	s.telClock.Set(s.st.Clock.Seconds())
 	minHealth, socSum, suspect := 1.0, 0.0, 0
 	for _, nd := range s.nodes {
 		minHealth = min(minHealth, nd.Health())
@@ -1275,7 +1274,7 @@ func (s *Simulator) RunUntilEndOfLife(loc solar.Location, maxDays int) (*Result,
 		}
 		res.Days = append(res.Days, ds)
 		res.Throughput += ds.Throughput
-		if s.eolAt > 0 {
+		if s.st.EOLAt > 0 {
 			break
 		}
 	}
@@ -1299,5 +1298,5 @@ func (s *Simulator) finish(res *Result) {
 		})
 	}
 	res.SoCHistogram = s.socBins
-	res.FleetLifetime = s.eolAt
+	res.FleetLifetime = s.st.EOLAt
 }

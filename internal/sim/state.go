@@ -43,11 +43,7 @@ const CheckpointFormat = 6
 // (enforced by the checkpoint envelope's config hash), which already has
 // everything New derived from it.
 type State struct {
-	Clock     time.Duration `json:"clock"`
-	Day       int           `json:"day"`
-	VMCounter int           `json:"vm_counter"`
-	PlacedSvc bool          `json:"placed_svc"`
-	EOLAt     time.Duration `json:"eol_at"`
+	own
 
 	Nodes   []node.State `json:"nodes"`
 	Pending []vm.State   `json:"pending"`
@@ -79,6 +75,17 @@ type State struct {
 	// resumed run can report the whole horizon. Its length must equal Day:
 	// exactly one entry per completed day.
 	History []DayStats `json:"history,omitempty"`
+}
+
+// own is the part of State a Simulator holds live: its clock, completed
+// days, VM counter, whether the services are placed, and when the first
+// battery reached end of life.
+type own struct {
+	Clock     time.Duration `json:"clock"`
+	Day       int           `json:"day"`
+	VMCounter int           `json:"vm_counter"`
+	PlacedSvc bool          `json:"placed_svc"`
+	EOLAt     time.Duration `json:"eol_at"`
 }
 
 // envelope wraps a State with the format version and the hash of the
@@ -123,11 +130,7 @@ func (s *Simulator) ConfigHash() (string, error) {
 // when the active policy's own Snapshot does (core.StatefulPolicy).
 func (s *Simulator) Snapshot() (State, error) {
 	st := State{
-		Clock:     s.clock,
-		Day:       s.day,
-		VMCounter: s.vmCounter,
-		PlacedSvc: s.placedSvc,
-		EOLAt:     s.eolAt,
+		own:       s.st,
 		Generator: s.gen.Snapshot(),
 		SoCHist:   s.socBins.Counts(),
 	}
@@ -251,11 +254,7 @@ func (s *Simulator) Restore(st State) error {
 		}
 	}
 
-	s.clock = st.Clock
-	s.day = st.Day
-	s.vmCounter = st.VMCounter
-	s.placedSvc = st.PlacedSvc
-	s.eolAt = st.EOLAt
+	s.st = st.own
 	s.socBins = bins
 	s.pending = pending
 	s.history = append(s.history[:0], st.History...)
@@ -336,13 +335,13 @@ func (s *Simulator) RunWithCheckpoints(weathers []solar.Weather, every int, emit
 		}
 		res.Days = append(res.Days, ds)
 		res.Throughput += ds.Throughput
-		if every > 0 && emit != nil && s.day%every == 0 {
+		if every > 0 && emit != nil && s.st.Day%every == 0 {
 			buf.Reset()
 			if err := s.Checkpoint(&buf); err != nil {
 				return nil, err
 			}
-			if err := emit(s.day, buf.Bytes()); err != nil {
-				return nil, fmt.Errorf("sim: checkpoint after day %d: %w", s.day, err)
+			if err := emit(s.st.Day, buf.Bytes()); err != nil {
+				return nil, fmt.Errorf("sim: checkpoint after day %d: %w", s.st.Day, err)
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func TestMetricsEndpoint(t *testing.T) {
 
 func TestEventsEndpoint(t *testing.T) {
 	leaktest.Check(t)
-	r := NewRecorder(WithTraceCapacity(8))
+	r := NewRecorder()
 	r.Emit(time.Minute, EventBatteryEOL, "node-3", "health 0.79")
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()

@@ -12,22 +12,10 @@ type Recorder struct {
 	tracer *Tracer
 }
 
-// RecorderOption customizes NewRecorder.
-type RecorderOption func(*Recorder)
-
-// WithTraceCapacity sizes the event ring (DefaultTraceCapacity otherwise).
-func WithTraceCapacity(n int) RecorderOption {
-	return func(r *Recorder) { r.tracer = NewTracer(n) }
-}
-
 // NewRecorder returns a live recorder with an empty registry and an event
 // ring of DefaultTraceCapacity.
-func NewRecorder(opts ...RecorderOption) *Recorder {
-	r := &Recorder{reg: NewRegistry(), tracer: NewTracer(0)}
-	for _, opt := range opts {
-		opt(r)
-	}
-	return r
+func NewRecorder() *Recorder {
+	return &Recorder{reg: NewRegistry(), tracer: NewTracer(0)}
 }
 
 // Counter returns the named counter handle (nil, and safe, on a nil

@@ -47,7 +47,7 @@ func TestNilRecorderNoOp(t *testing.T) {
 }
 
 func TestRecorderSnapshot(t *testing.T) {
-	r := NewRecorder(WithTraceCapacity(16))
+	r := NewRecorder()
 	r.Counter(MetricMigrations).Add(3)
 	r.Gauge(MetricFleetAvgSoC).Set(0.55)
 	r.Histogram(MetricSoC, LinearBounds(0, 1, 7)).Observe(0.5)

@@ -161,8 +161,5 @@ func (in *Interpolator) At(x float64) float64 {
 	return Lerp(in.ys[lo], in.ys[hi], t)
 }
 
-// Domain returns the sampled x range.
-func (in *Interpolator) Domain() (lo, hi float64) { return in.xs[0], in.xs[len(in.xs)-1] }
-
 // NearlyEqual reports whether a and b agree within absolute tolerance eps.
 func NearlyEqual(a, b, eps float64) bool { return math.Abs(a-b) <= eps }

@@ -50,13 +50,9 @@ const DefaultMigrationTime = 2 * time.Minute
 // VM is one schedulable virtual machine. Not safe for concurrent use; the
 // simulator owns all VMs and the control plane serializes commands.
 type VM struct {
-	id      string
-	profile workload.Profile
-	state   Lifecycle
-
-	progress  float64       // work units completed (batch)
-	elapsed   time.Duration // wall time while running (drives service phase)
-	migrating time.Duration // remaining migration pause
+	// st is the VM's whole state in its checkpoint shape: Snapshot returns
+	// it, and Restore validates a snapshot and assigns it.
+	st State
 }
 
 // New creates a VM hosting the given workload profile.
@@ -67,64 +63,64 @@ func New(id string, p workload.Profile) (*VM, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("vm %s: %w", id, err)
 	}
-	return &VM{id: id, profile: p, state: Running}, nil
+	return &VM{st: State{ID: id, Profile: p, Lifecycle: Running}}, nil
 }
 
 // ID returns the VM identifier.
-func (v *VM) ID() string { return v.id }
+func (v *VM) ID() string { return v.st.ID }
 
 // Profile returns the hosted workload profile.
-func (v *VM) Profile() workload.Profile { return v.profile }
+func (v *VM) Profile() workload.Profile { return v.st.Profile }
 
 // State returns the lifecycle state.
-func (v *VM) State() Lifecycle { return v.state }
+func (v *VM) State() Lifecycle { return v.st.Lifecycle }
 
 // Progress returns completed work units (batch jobs) .
-func (v *VM) Progress() float64 { return v.progress }
+func (v *VM) Progress() float64 { return v.st.Progress }
 
 // Utilization returns the CPU share the VM demands right now.
 // Completed, paused, and migrating VMs demand nothing.
 func (v *VM) Utilization() float64 {
-	if v.state != Running {
+	if v.st.Lifecycle != Running {
 		return 0
 	}
-	p := v.profile
+	p := v.st.Profile
 	if p.Service {
 		// Services walk their phase pattern by wall time, one full cycle
 		// every 8 hours (a typical diurnal request pattern).
-		pos := v.elapsed.Hours() / 8
+		pos := v.st.Elapsed.Hours() / 8
 		return p.UtilizationAt(pos)
 	}
 	if p.WorkUnits <= 0 {
 		return 0
 	}
-	return p.UtilizationAt(v.progress / p.WorkUnits)
+	return p.UtilizationAt(v.st.Progress / p.WorkUnits)
 }
 
 // Pause checkpoints the VM (the prototype saves VM state when solar power
 // disappears, §V-B).
 func (v *VM) Pause() error {
-	switch v.state {
+	switch v.st.Lifecycle {
 	case Running:
-		v.state = Paused
+		v.st.Lifecycle = Paused
 		return nil
 	case Paused:
 		return nil
 	default:
-		return fmt.Errorf("vm %s: cannot pause while %v", v.id, v.state)
+		return fmt.Errorf("vm %s: cannot pause while %v", v.st.ID, v.st.Lifecycle)
 	}
 }
 
 // Resume restarts a paused VM.
 func (v *VM) Resume() error {
-	switch v.state {
+	switch v.st.Lifecycle {
 	case Paused:
-		v.state = Running
+		v.st.Lifecycle = Running
 		return nil
 	case Running:
 		return nil
 	default:
-		return fmt.Errorf("vm %s: cannot resume while %v", v.id, v.state)
+		return fmt.Errorf("vm %s: cannot resume while %v", v.st.ID, v.st.Lifecycle)
 	}
 }
 
@@ -132,13 +128,13 @@ func (v *VM) Resume() error {
 // DefaultMigrationTime when in doubt).
 func (v *VM) BeginMigration(transfer time.Duration) error {
 	if transfer <= 0 {
-		return fmt.Errorf("vm %s: migration transfer time must be positive", v.id)
+		return fmt.Errorf("vm %s: migration transfer time must be positive", v.st.ID)
 	}
-	if v.state != Running && v.state != Paused {
-		return fmt.Errorf("vm %s: cannot migrate while %v", v.id, v.state)
+	if v.st.Lifecycle != Running && v.st.Lifecycle != Paused {
+		return fmt.Errorf("vm %s: cannot migrate while %v", v.st.ID, v.st.Lifecycle)
 	}
-	v.state = Migrating
-	v.migrating = transfer
+	v.st.Lifecycle = Migrating
+	v.st.Migrating = transfer
 	return nil
 }
 
@@ -150,12 +146,12 @@ func (v *VM) Advance(dt time.Duration, speed float64) float64 {
 	if dt <= 0 {
 		return 0
 	}
-	switch v.state {
+	switch v.st.Lifecycle {
 	case Migrating:
-		v.migrating -= dt
-		if v.migrating <= 0 {
-			v.migrating = 0
-			v.state = Running
+		v.st.Migrating -= dt
+		if v.st.Migrating <= 0 {
+			v.st.Migrating = 0
+			v.st.Lifecycle = Running
 		}
 		return 0
 	case Paused, Completed:
@@ -164,18 +160,18 @@ func (v *VM) Advance(dt time.Duration, speed float64) float64 {
 	if speed <= 0 {
 		return 0
 	}
-	v.elapsed += dt
+	v.st.Elapsed += dt
 	util := v.Utilization()
 	done := util * speed * dt.Hours()
-	if v.profile.Service {
+	if v.st.Profile.Service {
 		return done
 	}
-	if remaining := v.profile.WorkUnits - v.progress; done >= remaining {
+	if remaining := v.st.Profile.WorkUnits - v.st.Progress; done >= remaining {
 		done = remaining
-		v.progress = v.profile.WorkUnits
-		v.state = Completed
+		v.st.Progress = v.st.Profile.WorkUnits
+		v.st.Lifecycle = Completed
 		return done
 	}
-	v.progress += done
+	v.st.Progress += done
 	return done
 }

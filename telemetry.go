@@ -23,9 +23,7 @@ type TelemetryEvent = telemetry.Event
 type TelemetryServer = telemetry.Server
 
 // NewRecorder builds an empty telemetry recorder.
-func NewRecorder(opts ...telemetry.RecorderOption) *Recorder {
-	return telemetry.NewRecorder(opts...)
-}
+func NewRecorder() *Recorder { return telemetry.NewRecorder() }
 
 // ServeTelemetry exposes the recorder on addr: Prometheus text at /metrics,
 // the traced event ring as JSON at /events, and net/http/pprof under
