@@ -23,8 +23,9 @@ type (
 	Celsius = units.Celsius
 )
 
-// Battery is a valve-regulated lead-acid pack with live electrical state
-// and aging feedback.
+// Battery is a battery pack of any model tier (lead-acid by default) with
+// live electrical state and aging feedback; see docs/BATTERY_MODELS.md for
+// the contract every tier honors and the conformance suite.
 type Battery = battery.Pack
 
 // BatterySpec describes a battery product as the manufacturer rates it.
@@ -51,7 +52,8 @@ func DefaultBatterySpec() BatterySpec { return battery.DefaultSpec() }
 // (the prototype pairs two per server).
 func ParallelBatterySpec(spec BatterySpec, n int) BatterySpec { return battery.Parallel(spec, n) }
 
-// NewBattery constructs a battery pack.
+// NewBattery constructs a battery pack of the tier the spec's Chemistry
+// selects.
 func NewBattery(spec BatterySpec, opts ...BatteryOption) (*Battery, error) {
 	return battery.New(spec, opts...)
 }
@@ -82,13 +84,6 @@ const (
 	BatteryLFP = battery.KindLFP
 )
 
-// BatteryModel is the narrow interface every battery tier implements; see
-// docs/BATTERY_MODELS.md for the contract and the conformance suite.
-type BatteryModel = battery.Model
-
-// LinearBattery is the linear coulomb-counting tier's concrete type.
-type LinearBattery = battery.Linear
-
 // BatteryKinds lists the selectable battery model tiers.
 func BatteryKinds() []BatteryKind { return battery.Kinds() }
 
@@ -103,12 +98,6 @@ func DefaultBatterySpecFor(k BatteryKind) (BatterySpec, error) { return battery.
 // DefaultLFPBatterySpec returns the LFP retrofit unit: 12.8 V 70 Ah
 // LiFePO4 with a flat OCV plateau.
 func DefaultLFPBatterySpec() BatterySpec { return battery.DefaultLFPSpec() }
-
-// NewBatteryModel constructs a battery model of the tier the spec's
-// Chemistry selects.
-func NewBatteryModel(spec BatterySpec, opts ...BatteryOption) (BatteryModel, error) {
-	return battery.NewModel(spec, opts...)
-}
 
 // Metrics is a snapshot of the five aging metrics of §III: NAT, CF, PC,
 // DDT, and DR.

@@ -135,9 +135,6 @@ func validateFlags(fs *flag.FlagSet, f *cliFlags) error {
 	if set["battery-mix"] && set["battery-model"] {
 		return errors.New("-battery-mix and -battery-model are mutually exclusive: a mixed fleet already assigns every node a model")
 	}
-	if f.resumePath != "" && set["battery-mix"] {
-		return errors.New("-resume cannot be combined with -battery-mix: mixed-fleet checkpoints are not resumable")
-	}
 	if f.resumePath != "" && f.untilEOL {
 		return errors.New("-resume cannot be combined with -until-eol: only fixed-days runs checkpoint")
 	}

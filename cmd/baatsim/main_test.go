@@ -28,11 +28,6 @@ func TestParseFlagsValidation(t *testing.T) {
 			wantErr: "mutually exclusive",
 		},
 		{
-			name:    "resume with battery mix",
-			args:    []string{"-resume", "ck.json", "-battery-mix", "lfp=1"},
-			wantErr: "-battery-mix",
-		},
-		{
 			name:    "resume with until-eol",
 			args:    []string{"-resume", "ck.json", "-until-eol"},
 			wantErr: "-until-eol",
@@ -65,6 +60,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		{name: "telemetry hold with endpoint", args: []string{"-telemetry-addr", ":0", "-telemetry-hold", "5s"}},
 		{name: "checkpointed run", args: []string{"-days", "3", "-checkpoint-every", "3", "-checkpoint", "ck.json"}},
 		{name: "resume run", args: []string{"-resume", "ck.json", "-days", "6"}},
+		{name: "resume with battery mix", args: []string{"-resume", "ck.json", "-battery-mix", "lfp=1"}},
 		{
 			name:    "stray positional argument",
 			args:    []string{"server"},

@@ -32,7 +32,7 @@ var StudyCycle = DutyCycle{{60, time.Hour, 4}, {-60, time.Hour, 6}, {0, 14 * tim
 // Drive steps pack through one pass of the cycle, feeding obs (a Model or
 // a Tracker) one Sample after every step. A rest feeds zero current.
 // Degradation is left to the caller, which applies it once per day.
-func (c DutyCycle) Drive(pack battery.Model, obs interface{ Observe(Sample) error }) error {
+func (c DutyCycle) Drive(pack *battery.Pack, obs interface{ Observe(Sample) error }) error {
 	for _, leg := range c {
 		for i := 0; i < leg.Steps; i++ {
 			var res battery.StepResult

@@ -255,8 +255,8 @@ func NewModel(cfg ModelConfig, capNom units.AmpereHour) (*Model, error) {
 }
 
 // NewModelInto initializes a damage integrator in place, overwriting *m.
-// It exists so a fleet can lay models out in one contiguous slice; the
-// resulting value is identical to one built by NewModel.
+// It exists so a node can hold its damage model by value; the resulting
+// value is identical to one built by NewModel.
 func NewModelInto(m *Model, cfg ModelConfig, capNom units.AmpereHour) error {
 	if err := cfg.Validate(); err != nil {
 		return err

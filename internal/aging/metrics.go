@@ -139,8 +139,8 @@ func NewTracker(lifetime units.AmpereHour) (*Tracker, error) {
 }
 
 // NewTrackerInto initializes a metric tracker in place, overwriting *t.
-// It exists so a fleet can lay trackers out in one contiguous slice; the
-// resulting value is identical to one built by NewTracker.
+// It exists so a node can hold its tracker by value; the resulting value
+// is identical to one built by NewTracker.
 func NewTrackerInto(t *Tracker, lifetime units.AmpereHour) error {
 	if lifetime <= 0 {
 		return fmt.Errorf("aging: lifetime throughput must be positive, got %v", lifetime)

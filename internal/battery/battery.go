@@ -1,6 +1,8 @@
 // Package battery models valve-regulated lead-acid (VRLA) battery packs of
 // the kind the BAAT prototype instruments: 12 V / 35 Ah sealed units attached
-// one-per-server (DSN'15, §V-A).
+// one-per-server (DSN'15, §V-A), plus the LFP chemistry and a fast linear
+// tier. One type, Pack, simulates every tier; Spec.Chemistry picks the
+// physics once, at construction.
 //
 // The model is electrical only. It tracks state of charge, terminal voltage
 // (open-circuit voltage minus/plus the IR drop), effective capacity under the
@@ -179,17 +181,20 @@ func (d Degradation) Health() float64 {
 // longer suitable for mission-critical backup (§II-B).
 const EndOfLifeHealth = 0.8
 
-// Pack is the electrochemical tier (lead-acid and LFP): a single battery
-// unit whose terminal voltage follows its chemistry's OCV curve and IR
-// drop, whose capacity shrinks at high rates (Peukert), and whose case
-// temperature follows a lumped thermal model. The charge bookkeeping it
-// shares with every tier lives in the embedded ledger. Pack is not safe
-// for concurrent use; in the simulator each node owns its pack.
+// Pack is a single battery unit of any tier. The charge bookkeeping every
+// tier shares lives in the embedded ledger; the physics is fixed at
+// construction by Spec.Chemistry. On the electrochemical tiers (lead-acid
+// and LFP) the terminal voltage follows the chemistry's OCV curve and IR
+// drop, capacity shrinks at high rates (Peukert), and the case temperature
+// follows a lumped thermal model. The linear tier is the coulomb-counting
+// physics of linear.go. Pack is not safe for concurrent use; in the
+// simulator each node owns its pack.
 type Pack struct {
 	ledger
 
 	// curve and curveRef are the chemistry's OCV table and the pack
-	// voltage it is tabulated at, both fixed at construction.
+	// voltage it is tabulated at, both fixed at construction. A linear
+	// pack leaves them, and the thermal and OCV memo fields below, zero.
 	curve    *units.Interpolator
 	curveRef float64
 
@@ -209,10 +214,14 @@ type Pack struct {
 	ocvSoC float64
 	ocvVal units.Volt
 	ocvOk  bool
+
+	// linear selects the linear tier's physics, fixed at construction.
+	// Each exported method whose physics differs by tier branches on it
+	// once.
+	linear bool
 }
 
-// settings collects the construction-time options shared by every model
-// tier, so one Option type configures Pack and Linear alike.
+// settings collects the construction-time options shared by every tier.
 type settings struct {
 	capScale float64
 	resScale float64
@@ -251,7 +260,7 @@ func WithRecorder(rec *telemetry.Recorder) Option {
 	return func(s *settings) { s.rec = rec }
 }
 
-// New constructs a Pack from spec.
+// New constructs a Pack of the tier spec.Chemistry selects.
 func New(spec Spec, opts ...Option) (*Pack, error) {
 	p := new(Pack)
 	if err := NewInto(p, spec, opts...); err != nil {
@@ -260,20 +269,20 @@ func New(spec Spec, opts ...Option) (*Pack, error) {
 	return p, nil
 }
 
-// NewInto initializes a Pack from spec in place, overwriting *p. It
-// exists so a fleet can lay packs out in one contiguous slice instead of
-// allocating each behind its own pointer; the resulting value is
-// identical to one built by New.
+// NewInto initializes a Pack of the tier spec.Chemistry selects in place,
+// overwriting *p. It exists so a node can hold its pack by value instead
+// of behind its own pointer; the resulting value is identical to one
+// built by New.
 func NewInto(p *Pack, spec Spec, opts ...Option) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	kind := spec.Chemistry.Normalize()
-	if kind == KindLinear {
-		return errors.New("battery: the linear tier is a Linear, not a Pack (use NewModel)")
+	*p = Pack{linear: kind == KindLinear}
+	if !p.linear {
+		p.curve, p.curveRef = chemCurve(kind)
+		p.thermalTau = spec.ThermalCapacity * spec.ThermalResistance
 	}
-	curve, ref := chemCurve(kind)
-	*p = Pack{curve: curve, curveRef: ref, thermalTau: spec.ThermalCapacity * spec.ThermalResistance}
 	p.ledger.init(spec, opts)
 	return nil
 }
@@ -316,23 +325,33 @@ func (p *Pack) ocv() units.Volt {
 }
 
 // OpenCircuitVoltage exposes the rest voltage (what the sensor module reads
-// when the battery idles).
-func (p *Pack) OpenCircuitVoltage() units.Volt { return p.ocv() }
+// when the battery idles): constant at nominal on the linear tier.
+func (p *Pack) OpenCircuitVoltage() units.Volt {
+	if p.linear {
+		return p.spec.NominalVoltage
+	}
+	return p.ocv()
+}
 
 // TerminalVoltage returns the loaded terminal voltage for discharge current
-// i (positive = discharging, negative = charging).
+// i (positive = discharging, negative = charging). The linear tier models
+// no IR drop, so its terminal voltage is constant at nominal.
 func (p *Pack) TerminalVoltage(i units.Ampere) units.Volt {
+	if p.linear {
+		return p.spec.NominalVoltage
+	}
 	return units.Volt(float64(p.ocv()) - float64(i)*p.internalResistance())
 }
 
-// ErrPowerExceedsLimit is returned by CurrentForPower when the requested
+// errPowerExceedsLimit is returned by currentForPower when the requested
 // power cannot be delivered at any current (the IR drop dominates).
-var ErrPowerExceedsLimit = errors.New("battery: requested power exceeds deliverable maximum")
+var errPowerExceedsLimit = errors.New("battery: requested power exceeds deliverable maximum")
 
-// CurrentForPower solves for the discharge current that delivers electrical
-// power pw at the terminals: pw = (OCV − I·R)·I. It returns
-// ErrPowerExceedsLimit when the quadratic has no real solution.
-func (p *Pack) CurrentForPower(pw units.Watt) (units.Ampere, error) {
+// currentForPower solves for the discharge current that delivers
+// electrical power pw at the terminals of an electrochemical pack:
+// pw = (OCV − I·R)·I. It returns errPowerExceedsLimit when the quadratic
+// has no real solution.
+func (p *Pack) currentForPower(pw units.Watt) (units.Ampere, error) {
 	if pw <= 0 {
 		return 0, nil
 	}
@@ -340,7 +359,7 @@ func (p *Pack) CurrentForPower(pw units.Watt) (units.Ampere, error) {
 	r := p.internalResistance()
 	disc := v*v - 4*r*float64(pw)
 	if disc < 0 {
-		return 0, fmt.Errorf("%w: %v at OCV %v", ErrPowerExceedsLimit, pw, p.ocv())
+		return 0, fmt.Errorf("%w: %v at OCV %v", errPowerExceedsLimit, pw, p.ocv())
 	}
 	i := (v - math.Sqrt(disc)) / (2 * r)
 	return units.Ampere(i), nil
@@ -349,8 +368,12 @@ func (p *Pack) CurrentForPower(pw units.Watt) (units.Ampere, error) {
 // MaxDischargePower returns the maximum instantaneous power deliverable
 // without the terminal voltage collapsing below the cutoff line. This is the
 // quantity behind the paper's P_threshold (Fig 9): the largest draw the pack
-// can sustain.
+// can sustain. The linear tier, with no voltage sag, caps it at a fixed
+// C-rate instead.
 func (p *Pack) MaxDischargePower() units.Watt {
+	if p.linear {
+		return p.linearMaxDischargePower()
+	}
 	v := float64(p.ocv())
 	vc := float64(p.spec.CutoffVoltage)
 	r := p.internalResistance()
@@ -370,16 +393,21 @@ func (p *Pack) MaxChargePower() units.Watt {
 	if p.st.SoC >= 1 {
 		return 0
 	}
-	return units.Watt(float64(p.ocv()) * p.chargeLimit())
+	return units.Watt(float64(p.OpenCircuitVoltage()) * p.chargeLimit())
 }
+
+// cutOffSoC is the empty threshold of every tier: at or below 2 % charge
+// the protection disconnect trips.
+const cutOffSoC = 0.02
 
 // CutOff reports whether the battery has reached the protection threshold:
 // either empty or unable to hold the cutoff voltage at the reference rate.
+// With no voltage sag, the linear tier has no under-voltage path.
 func (p *Pack) CutOff() bool {
-	if p.st.SoC <= 0.02 {
+	if p.st.SoC <= cutOffSoC {
 		return true
 	}
-	return p.TerminalVoltage(p.referenceCurrent()) < p.spec.CutoffVoltage
+	return !p.linear && p.TerminalVoltage(p.referenceCurrent()) < p.spec.CutoffVoltage
 }
 
 // StepResult reports what actually happened during a Step.
@@ -430,11 +458,31 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 	if err := checkStep("discharge", pw, dt, amb); err != nil {
 		return StepResult{}, err
 	}
+	if p.linear {
+		// The linear step sits here rather than in a method of its own:
+		// Go keeps a struct of more than four fields, like StepResult, in
+		// memory, so one more call returning it by value would add a copy
+		// to every linear step, the cheap tier's whole point.
+		v := p.spec.NominalVoltage
+		if pw == 0 || p.CutOff() {
+			p.linearRest(dt, amb)
+			return p.idle(v, p.CutOff(), dt), nil
+		}
+		if pw > p.linearMaxDischargePower() {
+			// Beyond the C-rate cap the protection trips, as the
+			// electrochemical tiers' quadratic limit does.
+			p.linearRest(dt, amb)
+			return p.trip(v, dt), nil
+		}
+		p.setTemperature(float64(amb))
+		res, _ := p.discharge(units.Ampere(float64(pw)/float64(v)), v, p.EffectiveCapacity(), dt)
+		return res, nil
+	}
 	if pw == 0 || p.CutOff() {
 		p.rest(dt, amb)
 		return p.idle(p.ocv(), p.CutOff(), dt), nil
 	}
-	i, err := p.CurrentForPower(pw)
+	i, err := p.currentForPower(pw)
 	if err != nil {
 		// Deliver the maximum instead of failing: the switcher asked for
 		// more than the chemistry can give, which in the prototype trips
@@ -460,6 +508,20 @@ func (p *Pack) Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepR
 	if err := checkStep("charge", pw, dt, amb); err != nil {
 		return StepResult{}, err
 	}
+	if p.linear {
+		// Inline for the reason given in Discharge.
+		v := p.spec.NominalVoltage
+		if pw == 0 || p.st.SoC >= 1 {
+			p.linearRest(dt, amb)
+			return p.idle(v, false, dt), nil
+		}
+		p.setTemperature(float64(amb))
+		i := float64(pw) / float64(v)
+		if maxI := p.chargeLimit(); i > maxI {
+			i = maxI
+		}
+		return p.charge(i, v, dt), nil
+	}
 	if pw == 0 || p.st.SoC >= 1 {
 		p.rest(dt, amb)
 		return p.idle(p.ocv(), false, dt), nil
@@ -478,12 +540,17 @@ func (p *Pack) Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepR
 }
 
 // Rest advances time with no terminal current: self-discharge plus thermal
-// relaxation toward ambient.
+// relaxation toward ambient (on the linear tier, the case temperature
+// simply takes the ambient).
 func (p *Pack) Rest(dt time.Duration, amb units.Celsius) error {
 	if err := checkStep("rest", 0, dt, amb); err != nil {
 		return err
 	}
-	p.rest(dt, amb)
+	if p.linear {
+		p.linearRest(dt, amb)
+	} else {
+		p.rest(dt, amb)
+	}
 	p.rested(dt)
 	return nil
 }

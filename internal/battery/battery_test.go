@@ -100,19 +100,19 @@ func TestTerminalVoltageDropsUnderLoad(t *testing.T) {
 
 func TestCurrentForPower(t *testing.T) {
 	p := newPack(t)
-	i, err := p.CurrentForPower(120)
+	i, err := p.currentForPower(120)
 	if err != nil {
-		t.Fatalf("CurrentForPower: %v", err)
+		t.Fatalf("currentForPower: %v", err)
 	}
 	// Delivered power must match the request: (OCV − I·R)·I == 120.
 	got := float64(p.TerminalVoltage(i)) * float64(i)
 	if !units.NearlyEqual(got, 120, 1e-6) {
 		t.Errorf("delivered power = %v, want 120", got)
 	}
-	if _, err := p.CurrentForPower(1e9); !errors.Is(err, ErrPowerExceedsLimit) {
-		t.Errorf("huge power error = %v, want ErrPowerExceedsLimit", err)
+	if _, err := p.currentForPower(1e9); !errors.Is(err, errPowerExceedsLimit) {
+		t.Errorf("huge power error = %v, want errPowerExceedsLimit", err)
 	}
-	if i, err := p.CurrentForPower(0); err != nil || i != 0 {
+	if i, err := p.currentForPower(0); err != nil || i != 0 {
 		t.Errorf("zero power => (%v, %v), want (0, nil)", i, err)
 	}
 }

@@ -1,7 +1,7 @@
 package battery_test
 
 // Every battery model tier must pass the shared conformance suite: the
-// interface contract (SoC bounds, health monotonicity, energy balance,
+// Pack contract (SoC bounds, health monotonicity, energy balance,
 // snapshot/restore identity, corrupt-state and bad-input rejection) is
 // chemistry-independent, so the suite runs identically against the
 // electrochemical lead-acid reference, the linear coulomb-counting tier,
@@ -18,12 +18,12 @@ import (
 func TestModelConformance(t *testing.T) {
 	for _, kind := range battery.Kinds() {
 		kind := kind
-		modeltest.Run(t, string(kind), func(t *testing.T) battery.Model {
+		modeltest.Run(t, string(kind), func(t *testing.T) *battery.Pack {
 			spec, err := battery.DefaultSpecFor(kind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := battery.NewModel(spec)
+			m, err := battery.New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

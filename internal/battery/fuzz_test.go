@@ -27,7 +27,7 @@ import (
 )
 
 // checkEnvelope fails the run if a model left its physical envelope.
-func checkEnvelope(t *testing.T, kind battery.Kind, m battery.Model) {
+func checkEnvelope(t *testing.T, kind battery.Kind, m *battery.Pack) {
 	t.Helper()
 	fin := func(name string, v float64) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -79,7 +79,7 @@ func FuzzModelStep(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := battery.NewModel(spec)
+			m, err := battery.New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func FuzzModelStep(f *testing.F) {
 
 			// Whatever the inputs did, the surviving state must round-trip.
 			snap := m.Snapshot()
-			fresh, err := battery.NewModel(spec)
+			fresh, err := battery.New(spec)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -8,12 +8,12 @@ import (
 	"github.com/green-dc/baat/internal/units"
 )
 
-// ledger is the charge bookkeeping every model tier shares: the nameplate
-// spec, the live state a checkpoint carries, the telemetry handles, and the
+// ledger is the charge bookkeeping every tier shares: the nameplate spec,
+// the live state a checkpoint carries, the telemetry handles, and the
 // coulomb counting that turns the current and terminal voltage a tier
-// chose for a step into charge moved and counters advanced. A tier embeds
-// it by value, so a fleet's slab of models stays one dense allocation, and
-// adds only its physics: voltage, rate limits, cut-off and temperature.
+// chose for a step into charge moved and counters advanced. Pack embeds it
+// by value and adds only each tier's physics: voltage, rate limits,
+// cut-off and temperature.
 type ledger struct {
 	spec Spec
 

@@ -2,7 +2,6 @@ package battery
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/green-dc/baat/internal/units"
 )
@@ -64,76 +63,6 @@ func ParseKind(s string) (Kind, error) {
 		return KindLFP, nil
 	}
 	return "", fmt.Errorf("battery: unknown model %q (want leadacid, linear, or lfp)", s)
-}
-
-// Model is the narrow contract every battery tier satisfies. It covers
-// exactly what the node, the controller, and the checkpoint layer need:
-// stepping (Discharge/Charge/Rest with validated inputs), the electrical
-// observables the sensor chain reads, the aging feedback loop
-// (Degradation in, ApplyDegradation back), and validated Snapshot/Restore.
-// Implementations are not safe for concurrent use; each node owns its
-// model, as with Pack.
-type Model interface {
-	// Kind identifies the tier.
-	Kind() Kind
-	// Spec returns the nameplate specification.
-	Spec() Spec
-
-	// SoC returns the state of charge in [0, 1].
-	SoC() float64
-	// Temperature returns the case temperature.
-	Temperature() units.Celsius
-	// Health returns remaining capacity as a fraction of initial.
-	Health() float64
-	// Degradation returns the wear applied so far.
-	Degradation() Degradation
-	// ApplyDegradation replaces the wear state (the aging model's
-	// feedback path). Values are clamped to physical ranges.
-	ApplyDegradation(Degradation)
-	// EffectiveCapacity is the reference-rate capacity currently
-	// deliverable (manufacturing variation × health).
-	EffectiveCapacity() units.AmpereHour
-
-	// OpenCircuitVoltage is the rest voltage the sensor module reads.
-	OpenCircuitVoltage() units.Volt
-	// TerminalVoltage is the loaded voltage at discharge current i.
-	TerminalVoltage(i units.Ampere) units.Volt
-	// MaxDischargePower is the largest sustainable draw (P_threshold).
-	MaxDischargePower() units.Watt
-	// MaxChargePower is the battery-side power the charger could push in
-	// this instant (taper included); zero when full.
-	MaxChargePower() units.Watt
-	// CutOff reports whether the protection threshold has tripped.
-	CutOff() bool
-
-	// Discharge draws power pw for dt at ambient amb; Charge pushes power
-	// in; Rest advances time with no terminal current. All three validate
-	// their inputs (non-finite power or ambient, non-positive duration)
-	// and leave state untouched on rejection.
-	Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepResult, error)
-	Charge(pw units.Watt, dt time.Duration, amb units.Celsius) (StepResult, error)
-	Rest(dt time.Duration, amb units.Celsius) error
-
-	// Counters returns the cumulative usage counters.
-	Counters() Counters
-	// Snapshot captures serializable state; Restore validates a snapshot
-	// wholesale and applies it only if every field passes.
-	Snapshot() State
-	Restore(State) error
-}
-
-// NewModel constructs the tier selected by spec.Chemistry. The reference
-// and LFP tiers share the electrochemical Pack (with per-chemistry OCV
-// curves); the linear tier is the coulomb-counting Linear.
-func NewModel(spec Spec, opts ...Option) (Model, error) {
-	switch spec.Chemistry.Normalize() {
-	case KindLinear:
-		return NewLinear(spec, opts...)
-	case KindLeadAcid, KindLFP:
-		return New(spec, opts...)
-	default:
-		return nil, fmt.Errorf("battery: unknown chemistry %q", spec.Chemistry)
-	}
 }
 
 // DefaultSpecFor returns the stock pack specification for a tier, sized

@@ -1,6 +1,6 @@
-// Package modeltest is the shared conformance suite every battery.Model
-// implementation must pass. The battery package runs it against all three
-// tiers (electrochemical lead-acid, linear coulomb-counting, LFP); a new
+// Package modeltest is the shared conformance suite every battery.Pack
+// tier must pass. The battery package runs it against all three tiers
+// (electrochemical lead-acid, linear coulomb-counting, LFP); a new
 // chemistry or fidelity tier earns its place in battery.Kinds() by passing
 // Run unchanged.
 //
@@ -33,9 +33,9 @@ import (
 	"github.com/green-dc/baat/internal/units"
 )
 
-// Factory builds a fresh instance of the model under test. Each subtest
-// calls it at least once; instances must be independent.
-type Factory func(t *testing.T) battery.Model
+// Factory builds a fresh pack of the tier under test. Each subtest calls
+// it at least once; instances must be independent.
+type Factory func(t *testing.T) *battery.Pack
 
 // Run executes the full conformance suite against the model the factory
 // builds, as subtests under the given name.
@@ -79,7 +79,7 @@ func schedule(seed int64, steps int) []op {
 }
 
 // apply executes one schedule op and returns its result.
-func apply(m battery.Model, o op) (battery.StepResult, error) {
+func apply(m *battery.Pack, o op) (battery.StepResult, error) {
 	switch o.kind {
 	case 0:
 		return m.Discharge(o.pw, o.dt, o.amb)

@@ -1,11 +1,11 @@
 // Package fleet owns the warehouse-scale storage layout of a battery-node
-// fleet: a struct-of-arrays arrangement where every node's server, battery
-// model, aging tracker, and damage model live in contiguous per-component
-// slabs instead of individually heap-allocated objects. The existing
-// component types (node.Node, battery.Pack, …) are kept as views into the
-// slabs — node i is &nodes[i], its pack is &packs[i] — so every API built
-// on *node.Node keeps working while the hot per-tick loops walk dense
-// memory.
+// fleet: one contiguous slice of node.Node values, each holding its server,
+// battery pack, aging tracker and damage model by value, instead of
+// individually heap-allocated objects. The views slice hands out the
+// conventional *node.Node handles into it — node i is &nodes[i] — so every
+// API built on *node.Node keeps working while the hot per-tick loops walk
+// dense memory. Which battery tier a node runs is its pack's business:
+// the fleet lays out nodes and never looks at their parts.
 //
 // The fleet is partitioned into rack-group shards (Shard), each owning a
 // contiguous index range. Shards hold no randomness of their own, so
@@ -23,10 +23,7 @@ package fleet
 import (
 	"fmt"
 
-	"github.com/green-dc/baat/internal/aging"
-	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
-	"github.com/green-dc/baat/internal/server"
 )
 
 // DefaultShardSize is the rack-group granularity when Config.ShardSize is
@@ -47,33 +44,18 @@ type Config struct {
 	// manufacturing variation drawn from a caller stream) therefore lands
 	// on the same node it always has, which golden traces rely on.
 	Node func(i int) (node.Config, error)
-	// Model declares node i's battery model tier ahead of construction so
-	// the per-tier slabs (electrochemical packs vs. linear models) can be
-	// sized exactly — Node is called once per node, so the fleet cannot
-	// pre-scan configs. It must agree with what Node(i) returns; a
-	// mismatch is a construction error. Nil declares every node
-	// electrochemical, so a node whose config selects the linear tier is
-	// such a mismatch.
-	Model func(i int) battery.Kind
 }
 
-// Fleet is the struct-of-arrays storage of a node fleet. All component
-// state lives in the contiguous slabs below; the views slice exposes the
-// conventional *node.Node handles into them.
+// Fleet is the contiguous storage of a node fleet: the node slice, its
+// view slice of *node.Node handles, and the shard partition.
 type Fleet struct {
-	nodes    []node.Node
-	views    []*node.Node
-	servers  []server.Server
-	packs    []battery.Pack   // electrochemical tiers (lead-acid, LFP)
-	linears  []battery.Linear // linear coulomb-counting tier
-	trackers []aging.Tracker
-	models   []aging.Model
-	shards   []Shard
+	nodes  []node.Node
+	views  []*node.Node
+	shards []Shard
 }
 
-// New builds a fleet: one contiguous slab per component type, every node
-// initialized in place into its slab slots, and the shard partition laid
-// over the index space.
+// New builds a fleet: one contiguous node slice, every node initialized in
+// place in its slot, and the shard partition laid over the index space.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one node, got %d", cfg.Nodes)
@@ -85,54 +67,16 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, fmt.Errorf("fleet: Config.Node must not be nil")
 	}
 	n := cfg.Nodes
-	// Size the per-tier battery slabs. With no Model declaration every
-	// node gets an electrochemical slot.
-	nLinear := 0
-	if cfg.Model != nil {
-		for i := 0; i < n; i++ {
-			if cfg.Model(i).Normalize() == battery.KindLinear {
-				nLinear++
-			}
-		}
-	}
 	f := &Fleet{
-		nodes:    make([]node.Node, n),
-		views:    make([]*node.Node, n),
-		servers:  make([]server.Server, n),
-		packs:    make([]battery.Pack, n-nLinear),
-		linears:  make([]battery.Linear, nLinear),
-		trackers: make([]aging.Tracker, n),
-		models:   make([]aging.Model, n),
+		nodes: make([]node.Node, n),
+		views: make([]*node.Node, n),
 	}
-	packCursor, linCursor := 0, 0
 	for i := 0; i < n; i++ {
 		ncfg, err := cfg.Node(i)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: node %d config: %w", i, err)
 		}
-		kind := ncfg.BatterySpec.Chemistry.Normalize()
-		if cfg.Model != nil {
-			if declared := cfg.Model(i).Normalize(); declared != kind {
-				return nil, fmt.Errorf("fleet: node %d declared battery model %q but its config selects %q",
-					i, declared, kind)
-			}
-		} else if kind == battery.KindLinear {
-			return nil, fmt.Errorf("fleet: node %d config selects %q but a nil Config.Model declares every node electrochemical",
-				i, kind)
-		}
-		parts := node.Parts{
-			Server:  &f.servers[i],
-			Tracker: &f.trackers[i],
-			Model:   &f.models[i],
-		}
-		if kind == battery.KindLinear {
-			parts.Linear = &f.linears[linCursor]
-			linCursor++
-		} else {
-			parts.Pack = &f.packs[packCursor]
-			packCursor++
-		}
-		if err := node.NewInto(&f.nodes[i], fmt.Sprintf("node-%d", i), ncfg, parts); err != nil {
+		if err := node.NewInto(&f.nodes[i], fmt.Sprintf("node-%d", i), ncfg); err != nil {
 			return nil, err
 		}
 		f.views[i] = &f.nodes[i]
@@ -142,7 +86,7 @@ func New(cfg Config) (*Fleet, error) {
 }
 
 // Views returns the conventional *node.Node handles into the fleet's
-// slabs. The slice is shared, not copied: callers must treat it as
+// node slice. The slice is shared, not copied: callers must treat it as
 // read-only (the nodes themselves are mutable through the pointers, as
 // with any fleet).
 func (f *Fleet) Views() []*node.Node { return f.views }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/node"
 	"github.com/green-dc/baat/internal/units"
 )
@@ -27,8 +26,9 @@ func defaultFleet(t *testing.T, n, shardSize int) *Fleet {
 }
 
 // TestFleetMatchesNodeNew pins the view contract: a node initialized into
-// the fleet's slabs is indistinguishable — same ID, same serialized state
-// — from one built by node.New, and stepping it produces identical state.
+// the fleet's node slice is indistinguishable — same ID, same serialized
+// state — from one built by node.New, and stepping it produces identical
+// state.
 func TestFleetMatchesNodeNew(t *testing.T) {
 	f := defaultFleet(t, 3, 0)
 	for i, view := range f.Views() {
@@ -51,7 +51,7 @@ func TestFleetMatchesNodeNew(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("node %d: slab-initialized state diverged from node.New:\n%s\nvs\n%s", i, got, want)
+			t.Errorf("node %d: in-place state diverged from node.New:\n%s\nvs\n%s", i, got, want)
 		}
 	}
 }
@@ -94,19 +94,13 @@ func TestPartition(t *testing.T) {
 	}
 }
 
-// TestFleetConfigErrors covers the constructor's validation surface,
-// including a linear-tier node under a nil Model, which declares every
-// node electrochemical.
+// TestFleetConfigErrors covers the constructor's validation surface.
 func TestFleetConfigErrors(t *testing.T) {
-	linear := func(int) (node.Config, error) {
-		return node.DefaultConfig().WithBatteryModel(battery.KindLinear)
-	}
 	bad := []Config{
 		{Nodes: 0, Node: func(int) (node.Config, error) { return node.DefaultConfig(), nil }},
 		{Nodes: 4, ShardSize: -1, Node: func(int) (node.Config, error) { return node.DefaultConfig(), nil }},
 		{Nodes: 4},
 		{Nodes: 4, Node: func(int) (node.Config, error) { return node.Config{}, nil }},
-		{Nodes: 4, Node: linear},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {

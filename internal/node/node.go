@@ -178,7 +178,9 @@ func (l Losses) Validate() error {
 	return nil
 }
 
-// Node is one server+battery unit.
+// Node is one server+battery unit. It holds its server, battery pack,
+// aging tracker and damage model by value, so a fleet of nodes is one
+// contiguous slice.
 //
 // A single Node is not safe for concurrent use, but distinct Nodes are
 // fully independent: every field a Step/StepOffline touches (pack, server,
@@ -187,21 +189,7 @@ func (l Losses) Validate() error {
 // stepping relies on this: stepping disjoint nodes from multiple
 // goroutines is race-free and produces results identical to serial order.
 type Node struct {
-	id      string
-	srv     *server.Server
-	batt    battery.Model
-	tracker *aging.Tracker
-	model   *aging.Model
-
-	// pack/lin hold the same model as batt, as a concrete typed pointer
-	// (exactly one is non-nil, fixed at construction). The per-tick paths
-	// dispatch through the batt* leaf helpers below, which nil-check these
-	// and make direct calls the compiler can inline — one devirtualized
-	// call per node per tick is a measurable win at warehouse scale. The
-	// engine's SoC order and shard tallies read SoC and Health the same
-	// way.
-	pack *battery.Pack
-	lin  *battery.Linear
+	id string
 
 	// The parts of the Config the node reads after construction.
 	losses        Losses
@@ -210,16 +198,20 @@ type Node struct {
 
 	// hrDt/hrVal memoize dt.Hours() for the per-tick energy integration
 	// (Step validates dt > 0 first). A hit returns the identical division
-	// result, so accumulated energies are bit-for-bit unchanged. They sit
-	// ahead of st so that an ordinary tick reads only the node's first
-	// four cache lines: the fifth holds the fault, quarantine and
-	// telemetry fields.
+	// result, so accumulated energies are bit-for-bit unchanged.
 	hrDt  time.Duration
 	hrVal float64
 
 	// st is the node's own state in its checkpoint shape: Snapshot copies
 	// it out, and Restore validates a snapshot and assigns it.
 	st own
+
+	// The parts, after the node's own per-tick fields so that a tick
+	// walks the node front to back.
+	srv     server.Server
+	pack    battery.Pack
+	tracker aging.Tracker
+	model   aging.Model
 
 	// quarantine is how long a sensor fault keeps the metrics suspect.
 	quarantine time.Duration
@@ -234,83 +226,21 @@ type Node struct {
 // New assembles a node.
 func New(id string, cfg Config) (*Node, error) {
 	n := new(Node)
-	if err := NewInto(n, id, cfg, Parts{}); err != nil {
+	if err := NewInto(n, id, cfg); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// Parts is caller-provided storage for a node's components. A fleet that
-// lays batteries, servers, trackers, and models out in contiguous slabs
-// passes pointers into those slabs here; NewInto initializes each
-// component in place. Any nil part is heap-allocated individually, so the
-// zero Parts reproduces New exactly.
-type Parts struct {
-	Server *server.Server
-	// Pack backs the electrochemical tiers (lead-acid, LFP); Linear backs
-	// the coulomb-counting tier. Only the one matching the config's
-	// chemistry is used; the other may stay nil.
-	Pack    *battery.Pack
-	Linear  *battery.Linear
-	Tracker *aging.Tracker
-	Model   *aging.Model
-}
-
 // NewInto assembles a node in place, overwriting *n and initializing its
-// components into the storage parts provides (allocating whatever parts
-// leaves nil). The resulting node is identical to one built by New.
-func NewInto(n *Node, id string, cfg Config, parts Parts) error {
+// parts in their fields. The resulting node is identical to one built by
+// New.
+func NewInto(n *Node, id string, cfg Config) error {
 	if id == "" {
 		return fmt.Errorf("node: id must not be empty")
 	}
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("node %s: %w", id, err)
-	}
-	srv := parts.Server
-	if srv == nil {
-		srv = new(server.Server)
-	}
-	if err := server.NewInto(srv, id+"/server", cfg.ServerSpec); err != nil {
-		return err
-	}
-	// The battery's recorder option goes first so an explicit WithRecorder
-	// in BatteryOptions can still override it.
-	packOpts := append([]battery.Option{battery.WithRecorder(cfg.Telemetry)}, cfg.BatteryOptions...)
-	var batt battery.Model
-	var cpack *battery.Pack
-	var clin *battery.Linear
-	if cfg.BatterySpec.Chemistry.Normalize() == battery.KindLinear {
-		clin = parts.Linear
-		if clin == nil {
-			clin = new(battery.Linear)
-		}
-		if err := battery.NewLinearInto(clin, cfg.BatterySpec, packOpts...); err != nil {
-			return err
-		}
-		batt = clin
-	} else {
-		cpack = parts.Pack
-		if cpack == nil {
-			cpack = new(battery.Pack)
-		}
-		if err := battery.NewInto(cpack, cfg.BatterySpec, packOpts...); err != nil {
-			return err
-		}
-		batt = cpack
-	}
-	tracker := parts.Tracker
-	if tracker == nil {
-		tracker = new(aging.Tracker)
-	}
-	if err := aging.NewTrackerInto(tracker, cfg.BatterySpec.LifetimeThroughput); err != nil {
-		return err
-	}
-	model := parts.Model
-	if model == nil {
-		model = new(aging.Model)
-	}
-	if err := aging.NewModelInto(model, cfg.AgingConfig, cfg.BatterySpec.NominalCapacity); err != nil {
-		return err
 	}
 	quarantine := cfg.SensorQuarantine
 	if quarantine == 0 {
@@ -318,12 +248,6 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 	}
 	*n = Node{
 		id:            id,
-		srv:           srv,
-		batt:          batt,
-		pack:          cpack,
-		lin:           clin,
-		tracker:       tracker,
-		model:         model,
 		losses:        cfg.Losses,
 		ambient:       cfg.Ambient,
 		utilityBackup: cfg.UtilityBackup,
@@ -334,98 +258,35 @@ func NewInto(n *Node, id string, cfg Config, parts Parts) error {
 		telSensorBad:  cfg.Telemetry.Counter(telemetry.MetricNodeSensorRejected),
 		telSensorLost: cfg.Telemetry.Counter(telemetry.MetricNodeSensorMissed),
 	}
-	return nil
+	if err := server.NewInto(&n.srv, id+"/server", cfg.ServerSpec); err != nil {
+		return err
+	}
+	// The battery's recorder option goes first so an explicit WithRecorder
+	// in BatteryOptions can still override it.
+	packOpts := append([]battery.Option{battery.WithRecorder(cfg.Telemetry)}, cfg.BatteryOptions...)
+	if err := battery.NewInto(&n.pack, cfg.BatterySpec, packOpts...); err != nil {
+		return err
+	}
+	if err := aging.NewTrackerInto(&n.tracker, cfg.BatterySpec.LifetimeThroughput); err != nil {
+		return err
+	}
+	return aging.NewModelInto(&n.model, cfg.AgingConfig, cfg.BatterySpec.NominalCapacity)
 }
 
 // ID returns the node identifier.
 func (n *Node) ID() string { return n.id }
 
 // Server exposes the compute side for VM placement and DVFS control.
-func (n *Node) Server() *server.Server { return n.srv }
+func (n *Node) Server() *server.Server { return &n.srv }
 
-// Battery exposes the battery model for read-mostly inspection.
-func (n *Node) Battery() battery.Model { return n.batt }
+// Battery exposes the battery pack for read-mostly inspection.
+func (n *Node) Battery() *battery.Pack { return &n.pack }
 
-// The batt* helpers dispatch to the concrete battery tier with a nil check
-// instead of an interface call. Each is a leaf small enough to inline, so
-// the hot tick paths pay a predictable branch rather than a virtual call
-// per node per tick.
+// SoC returns the battery's state of charge in [0, 1].
+func (n *Node) SoC() float64 { return n.pack.SoC() }
 
-// SoC returns the battery's state of charge in [0, 1] without an
-// interface call — the shard tallies read it for every node every
-// in-window tick, and the engine's SoC order whenever it is taken.
-func (n *Node) SoC() float64 {
-	if n.pack != nil {
-		return n.pack.SoC()
-	}
-	return n.lin.SoC()
-}
-
-// Health returns the battery's remaining-capacity fraction without an
-// interface call.
-func (n *Node) Health() float64 {
-	if n.pack != nil {
-		return n.pack.Health()
-	}
-	return n.lin.Health()
-}
-
-func (n *Node) battTemperature() units.Celsius {
-	if n.pack != nil {
-		return n.pack.Temperature()
-	}
-	return n.lin.Temperature()
-}
-
-func (n *Node) battCutOff() bool {
-	if n.pack != nil {
-		return n.pack.CutOff()
-	}
-	return n.lin.CutOff()
-}
-
-func (n *Node) battMaxDischargePower() units.Watt {
-	if n.pack != nil {
-		return n.pack.MaxDischargePower()
-	}
-	return n.lin.MaxDischargePower()
-}
-
-func (n *Node) battMaxChargePower() units.Watt {
-	if n.pack != nil {
-		return n.pack.MaxChargePower()
-	}
-	return n.lin.MaxChargePower()
-}
-
-func (n *Node) battDischarge(pw units.Watt, dt time.Duration, amb units.Celsius) (battery.StepResult, error) {
-	if n.pack != nil {
-		return n.pack.Discharge(pw, dt, amb)
-	}
-	return n.lin.Discharge(pw, dt, amb)
-}
-
-func (n *Node) battCharge(pw units.Watt, dt time.Duration, amb units.Celsius) (battery.StepResult, error) {
-	if n.pack != nil {
-		return n.pack.Charge(pw, dt, amb)
-	}
-	return n.lin.Charge(pw, dt, amb)
-}
-
-func (n *Node) battRest(dt time.Duration, amb units.Celsius) error {
-	if n.pack != nil {
-		return n.pack.Rest(dt, amb)
-	}
-	return n.lin.Rest(dt, amb)
-}
-
-func (n *Node) battApplyDegradation(d battery.Degradation) {
-	if n.pack != nil {
-		n.pack.ApplyDegradation(d)
-		return
-	}
-	n.lin.ApplyDegradation(d)
-}
+// Health returns the battery's remaining-capacity fraction.
+func (n *Node) Health() float64 { return n.pack.Health() }
 
 // Metrics returns the five aging metrics computed from the node's history.
 func (n *Node) Metrics() aging.Metrics { return n.tracker.Metrics() }
@@ -437,7 +298,7 @@ func (n *Node) Metrics() aging.Metrics { return n.tracker.Metrics() }
 func (n *Node) ResetMetrics() { n.tracker.Reset() }
 
 // AgingModel exposes the damage integrator (for lifetime prediction).
-func (n *Node) AgingModel() *aging.Model { return n.model }
+func (n *Node) AgingModel() *aging.Model { return &n.model }
 
 // Clock returns accumulated simulated time.
 func (n *Node) Clock() time.Duration { return n.st.Clock }
@@ -481,7 +342,7 @@ func (n *Node) UtilityAvailable() bool { return n.utilityBackup && !n.st.Utility
 // damage ledger stay consistent.
 func (n *Node) InjectBatteryWear(capFade, resGrowth, effLoss float64) {
 	n.model.InjectDamage(capFade, resGrowth, effLoss)
-	n.battApplyDegradation(n.model.Degradation())
+	n.pack.ApplyDegradation(n.model.Degradation())
 }
 
 // MetricsSuspect reports whether the node's aging metrics are currently
@@ -519,7 +380,7 @@ func (n *Node) Demand() units.Watt {
 // ChargeRequest returns the maximum solar power (at the bus, before charger
 // loss) the battery could absorb this tick.
 func (n *Node) ChargeRequest() units.Watt {
-	mcp := n.battMaxChargePower()
+	mcp := n.pack.MaxChargePower()
 	if mcp == 0 {
 		return 0
 	}
@@ -536,7 +397,7 @@ func (n *Node) hours(dt time.Duration) float64 {
 
 // batteryAvailable reports whether discharging is currently permitted.
 func (n *Node) batteryAvailable() bool {
-	return !n.battCutOff() && n.SoC() > n.st.SoCFloor
+	return !n.pack.CutOff() && n.SoC() > n.st.SoCFloor
 }
 
 // Step advances the node by dt. solarForLoad is bus solar power granted for
@@ -575,7 +436,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 	if deficit > 0 {
 		// Battery must bridge deficit through the inverter.
 		batteryNeed = units.Watt(float64(deficit) / n.losses.InverterEfficiency)
-		if !canRecover || !n.batteryAvailable() || n.battMaxDischargePower() < batteryNeed {
+		if !canRecover || !n.batteryAvailable() || n.pack.MaxDischargePower() < batteryNeed {
 			if n.UtilityAvailable() {
 				utility = deficit
 				batteryNeed = 0
@@ -601,7 +462,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 			solarUsed = units.Watt(float64(demand) / n.losses.SolarDirectEfficiency)
 		}
 		if batteryNeed > 0 {
-			sr, err = n.battDischarge(batteryNeed, dt, n.ambient)
+			sr, err = n.pack.Discharge(batteryNeed, dt, n.ambient)
 			if err != nil {
 				return err
 			}
@@ -629,7 +490,7 @@ func (n *Node) Step(dt time.Duration, solarForLoad, solarForCharge units.Watt) e
 		charged, err = n.charge(solarForCharge, dt, &sr)
 		solarUsed += charged
 	} else if batteryPower == 0 {
-		err = n.battRest(dt, n.ambient)
+		err = n.pack.Rest(dt, n.ambient)
 	}
 	if err != nil {
 		return err
@@ -663,7 +524,7 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 	if solarForCharge > 0 {
 		solarUsed, err = n.charge(solarForCharge, dt, &sr)
 	} else {
-		err = n.battRest(dt, n.ambient)
+		err = n.pack.Rest(dt, n.ambient)
 	}
 	if err != nil {
 		return err
@@ -678,7 +539,7 @@ func (n *Node) StepOffline(dt time.Duration, solarForCharge units.Watt) error {
 // bus solar the pack accepted; when the pack took any charge it also
 // replaces *sr with the charge step, the sample the aging books observe.
 func (n *Node) charge(solar units.Watt, dt time.Duration, sr *battery.StepResult) (units.Watt, error) {
-	cr, err := n.battCharge(units.Watt(float64(solar)*n.losses.ChargerEfficiency), dt, n.ambient)
+	cr, err := n.pack.Charge(units.Watt(float64(solar)*n.losses.ChargerEfficiency), dt, n.ambient)
 	if err != nil || cr.Charge == 0 {
 		return 0, err
 	}
@@ -698,7 +559,7 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult) error {
 		Dt:          dt,
 		Current:     sr.Current,
 		SoC:         n.SoC(),
-		Temperature: n.battTemperature(),
+		Temperature: n.pack.Temperature(),
 	}
 
 	reported, delivered := n.applySensor(truth)
@@ -725,7 +586,7 @@ func (n *Node) observe(dt time.Duration, sr battery.StepResult) error {
 	if err := n.model.Observe(truth); err != nil {
 		return err
 	}
-	n.battApplyDegradation(n.model.Degradation())
+	n.pack.ApplyDegradation(n.model.Degradation())
 	return nil
 }
 

@@ -60,7 +60,7 @@ type own struct {
 func (n *Node) Snapshot() State {
 	return State{
 		ID:      n.id,
-		Pack:    n.batt.Snapshot(),
+		Pack:    n.pack.Snapshot(),
 		Tracker: n.tracker.Snapshot(),
 		Model:   n.model.Snapshot(),
 		Server:  n.srv.Snapshot(),
@@ -102,31 +102,17 @@ func (n *Node) Restore(st State) error {
 		return fmt.Errorf("node %s: restore: unknown sensor mode %d", n.id, st.Sensor.Mode)
 	}
 
-	// Stage every sub-restore on scratch copies so a failure partway
-	// through leaves the live node untouched. The battery stage works on a
-	// value copy of whichever concrete tier backs the model.
-	var commitBatt func()
-	switch b := n.batt.(type) {
-	case *battery.Pack:
-		pack := *b
-		if err := pack.Restore(st.Pack); err != nil {
-			return fmt.Errorf("node %s: restore: %w", n.id, err)
-		}
-		commitBatt = func() { *b = pack }
-	case *battery.Linear:
-		lin := *b
-		if err := lin.Restore(st.Pack); err != nil {
-			return fmt.Errorf("node %s: restore: %w", n.id, err)
-		}
-		commitBatt = func() { *b = lin }
-	default:
-		return fmt.Errorf("node %s: restore: unknown battery model %T", n.id, n.batt)
+	// Stage every sub-restore on value copies so a failure partway through
+	// leaves the live node untouched.
+	pack := n.pack
+	if err := pack.Restore(st.Pack); err != nil {
+		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
-	tracker := *n.tracker
+	tracker := n.tracker
 	if err := tracker.Restore(st.Tracker); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
-	model := *n.model
+	model := n.model
 	if err := model.Restore(st.Model); err != nil {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
@@ -134,10 +120,9 @@ func (n *Node) Restore(st State) error {
 		return fmt.Errorf("node %s: restore: %w", n.id, err)
 	}
 
-	commitBatt()
-	*n.tracker = tracker
-	*n.model = model
-
+	n.pack = pack
+	n.tracker = tracker
+	n.model = model
 	n.st = st.own
 	return nil
 }

@@ -21,9 +21,10 @@ import (
 const suiteFleetNodes = 64
 
 // suiteWarehouseNodes is the warehouse-scale stepping entry: 65536 nodes
-// exercises the struct-of-arrays slab layout at the fleet sizes the
-// ROADMAP's scaling axis targets. One simulated day at this size is
-// seconds, not milliseconds, so the suite runs exactly one op of it.
+// exercises the fleet's contiguous node slice, each node holding its parts
+// by value, at the fleet sizes the ROADMAP's scaling axis targets. One
+// simulated day at this size is seconds, not milliseconds, so the suite
+// runs exactly one op of it.
 const suiteWarehouseNodes = 65536
 
 // suiteTick is the simulated tick the fleet-stepping entries use; it sets
@@ -85,7 +86,7 @@ func RunSuite() (Report, error) {
 	// (names are baseline keys — renaming them would orphan history); the
 	// /model= variants pin the same allocation budget under the other
 	// battery model tiers, so a tier can never quietly grow a heap path
-	// the lead-acid slab layout avoids.
+	// the lead-acid node layout avoids.
 	addFleet(fmt.Sprintf("fleet_step/nodes=%d/workers=1", suiteFleetNodes), true,
 		suiteFleetNodes, fleetStepBench(suiteFleetNodes, 1, battery.KindLeadAcid))
 	addFleet(fmt.Sprintf("fleet_step/nodes=%d/workers=4", suiteFleetNodes), true,
@@ -241,7 +242,7 @@ func batteryStepBench(kind battery.Kind) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := battery.NewModel(spec, battery.WithInitialSoC(0.6))
+		m, err := battery.New(spec, battery.WithInitialSoC(0.6))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -86,9 +86,9 @@ func New(id string, spec Spec) (*Server, error) {
 }
 
 // NewInto initializes a powered-on server at full frequency in place,
-// overwriting *s. It exists so a fleet can lay servers out in one
-// contiguous slice instead of allocating each behind its own pointer;
-// the resulting value is identical to one built by New.
+// overwriting *s. It exists so a node can hold its server by value
+// instead of behind its own pointer; the resulting value is identical to
+// one built by New.
 func NewInto(s *Server, id string, spec Spec) error {
 	if id == "" {
 		return fmt.Errorf("server: id must not be empty")

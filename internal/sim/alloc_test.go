@@ -73,10 +73,10 @@ func TestStepOfflineAllocFree(t *testing.T) {
 	}
 }
 
-// TestRunDayAllocBudgetMixedFleet covers the heterogeneous slab layout: a
-// half lead-acid, half LFP fleet must hit the same per-day budget as a
-// homogeneous one — the per-tier slabs are sized at construction, never
-// grown on the tick path.
+// TestRunDayAllocBudgetMixedFleet covers a mixed-tier fleet: a half
+// lead-acid, half LFP fleet must hit the same per-day budget as a
+// homogeneous one — every node holds its pack by value in the one node
+// slice built at construction, never grown on the tick path.
 func TestRunDayAllocBudgetMixedFleet(t *testing.T) {
 	s := newSim(t, "ebuff", func(c *Config) {
 		c.Nodes = 8

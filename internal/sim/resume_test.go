@@ -3,11 +3,12 @@ package sim
 // The checkpoint/resume acceptance suite. The contract under test: stepping
 // the golden scenario to day 15, checkpointing, and resuming in a *fresh*
 // Simulator must produce the remaining 15 days byte-identical to the
-// uninterrupted run — for the clean and the chaos-faulted fixture alike,
-// and independent of the resumed simulator's worker count. A checkpoint
-// that survives this is a complete serialization of the simulation state:
-// any forgotten field (an RNG position, a pending VM, a sensor fault
-// window) shows up as a trace diff here.
+// uninterrupted run — for the clean and the chaos-faulted fixture and a
+// mixed-tier fleet alike, and independent of the resumed simulator's
+// worker count. A checkpoint that survives this is a complete
+// serialization of the simulation state: any forgotten field (an RNG
+// position, a pending VM, a sensor fault window) shows up as a trace diff
+// here.
 
 import (
 	"bytes"
@@ -98,17 +99,26 @@ func fullTrace(t *testing.T, mutate func(*Config)) *goldenTrace {
 // TestResumeEquivalence is the acceptance check for the checkpoint format:
 // checkpoint at day 15, resume fresh, and the remaining trace must be
 // byte-identical to the uninterrupted run at every worker count — for both
-// golden fixtures.
+// golden fixtures, and for the golden fleet split into thirds of lead-acid,
+// linear and LFP nodes, so a restore that mixes up tiers shows.
 func TestResumeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("many 30-day replays")
 	}
+	third := 1.0 / 3
 	scenarios := []struct {
 		name   string
 		mutate func(*Config)
 	}{
 		{"clean", nil},
 		{"faulted", faultedMutate(t)},
+		{"mixed", func(c *Config) {
+			c.BatteryFleet = []BatteryShare{
+				{Model: battery.KindLeadAcid, Fraction: third},
+				{Model: battery.KindLinear, Fraction: third},
+				{Model: battery.KindLFP, Fraction: third},
+			}
+		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {

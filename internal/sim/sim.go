@@ -89,8 +89,8 @@ type Config struct {
 	// bit-identical to serial ones (enforced by this package's equivalence
 	// tests).
 	Workers int
-	// ShardSize is the rack-group partition width of the struct-of-arrays
-	// fleet layout — the unit of parallel work. Zero means
+	// ShardSize is the rack-group partition width of the fleet's node
+	// slice — the unit of parallel work. Zero means
 	// fleet.DefaultShardSize. A pure performance knob: like Workers it
 	// never changes results, and it is excluded from the checkpoint config
 	// hash.
@@ -307,10 +307,11 @@ func (r *Result) WorstNode() (NodeSummary, bool) {
 type Simulator struct {
 	cfg    Config
 	policy core.Policy
-	// fleet owns the struct-of-arrays node storage (contiguous per-
-	// component slabs sharded into rack groups); nodes is its view slice —
-	// node i is a pointer into the slab, so everything written against
-	// *node.Node keeps working while the tick loops walk dense memory.
+	// fleet owns the node storage (one contiguous slice of nodes, each
+	// holding its parts by value, sharded into rack groups); nodes is its
+	// view slice — node i is a pointer into that slice, so everything
+	// written against *node.Node keeps working while the tick loops walk
+	// dense memory.
 	fleet *fleet.Fleet
 	nodes []*node.Node
 	// wxRng drives weather and cloud patterns; policyRng feeds policy
@@ -484,21 +485,10 @@ func New(cfg Config) (*Simulator, error) {
 		s.inj = inj
 		s.degraded = make([]bool, cfg.Nodes)
 	}
-	// Resolve the per-node battery model up front so the fleet can size its
-	// per-tier slabs exactly. Homogeneous fleets declare Config.Node's own
-	// chemistry; mixed fleets (BatteryFleet) declare each block's kind.
 	kinds := cfg.batteryKinds()
-	homogeneous := cfg.Node.BatterySpec.Chemistry.Normalize()
-	modelAt := func(i int) battery.Kind {
-		if kinds != nil {
-			return kinds[i]
-		}
-		return homogeneous
-	}
 	fl, err := fleet.New(fleet.Config{
 		Nodes:     cfg.Nodes,
 		ShardSize: cfg.ShardSize,
-		Model:     modelAt,
 		Node: func(i int) (node.Config, error) {
 			ncfg := cfg.Node
 			ncfg.Telemetry = cfg.Telemetry

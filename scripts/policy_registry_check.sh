@@ -12,7 +12,12 @@
 #      literal policy names decides behavior the registry should own);
 #   4. internal/core depending on the engine: policies see nodes, so
 #      `go list -deps ./internal/core` must list neither internal/fleet
-#      nor internal/sim.
+#      nor internal/sim;
+#   5. the battery tier decided outside internal/battery: a fleet lays out
+#      nodes and a node owns its parts, so internal/fleet imports none of
+#      internal/battery, internal/aging and internal/server, and non-test
+#      Go under internal/node, internal/fleet and internal/sim names no
+#      battery.Kind constant (KindLeadAcid, KindLinear, KindLFP).
 # Usage: ./scripts/policy_registry_check.sh  (from the repository root)
 set -eu
 
@@ -50,6 +55,20 @@ fi
 deps=$(${GO:-go} list -deps ./internal/core)
 if echo "$deps" | grep -E '/internal/(fleet|sim)$'; then
     echo "policy-registry-check: internal/core depends on the engine (internal/fleet or internal/sim)" >&2
+    fail=1
+fi
+
+# 5. The tier is the pack's business. A fleet that imports a part's
+# package, or a node, fleet or engine that names a tier, has started
+# dispatching on the tier again.
+imports=$(${GO:-go} list -f '{{join .Imports "\n"}}' ./internal/fleet)
+if echo "$imports" | grep -E '/internal/(battery|aging|server)$'; then
+    echo "policy-registry-check: internal/fleet imports a node part's package (internal/battery, internal/aging or internal/server)" >&2
+    fail=1
+fi
+tiered=$(find internal/node internal/fleet internal/sim -name '*.go' -not -name '*_test.go')
+if echo "$tiered" | xargs grep -nE 'battery\.Kind(LeadAcid|Linear|LFP)\b' /dev/null; then
+    echo "policy-registry-check: internal/node, internal/fleet or internal/sim names a battery tier (the tier is decided in internal/battery)" >&2
     fail=1
 fi
 
