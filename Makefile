@@ -95,7 +95,7 @@ bitexact: ## four checkpointed baatsim runs, byte-compared between HEAD and the 
 docs-check: ## docs linked from README, links resolve, named dirs exist, telemetry catalogue documented
 	./scripts/docs_check.sh
 
-policy-registry-check: ## no core.Kind enum or policy-name dispatch outside internal/core, internal/core imports neither fleet nor sim, and no battery-tier dispatch in fleet, node or sim
+policy-registry-check: ## no core.Kind enum or policy-name dispatch outside internal/core, internal/core imports neither fleet nor sim, no battery-tier dispatch in fleet, node or sim, and no engine-config or weather assembly in cmd/baatsim
 	./scripts/policy_registry_check.sh
 
 golden-update: ## regenerate the 30-day golden trace fixtures (clean + faulted)

@@ -49,65 +49,58 @@ func main() {
 }
 
 // cliFlags holds every flag of the single-run command, so parsing,
-// validation, and execution can live in separate functions.
+// validation, and execution can live in separate functions. The scenario
+// flags fill spec, the daemon's run spec; the rest are what the daemon has
+// no field for: the battery mix, the fault seed, and how this process runs.
 type cliFlags struct {
-	policyName string
-	days       int
-	weather    string
-	sunshine   float64
-	seed       int64
-	nodes      int
-	workers    int
-	accel      float64
+	spec       baat.SimServiceRunSpec
+	policy     string
 	untilEOL   bool
 	maxDays    int
-	prototype  bool
-	jobsPerDay int
-	solarScale float64
 	csvPath    string
-	planned    float64
-	faultsName string
 	faultsSeed int64
 	ckEvery    int
 	ckPath     string
 	resumePath string
 	telAddr    string
 	telHold    time.Duration
-	battModel  string
 	battMix    string
 }
 
-// registerFlags declares the single-run flag set.
+// registerFlags declares the single-run flag set. The scenario flags start
+// at the run spec's defaults.
 func registerFlags(fs *flag.FlagSet) *cliFlags {
-	f := &cliFlags{}
-	fs.StringVar(&f.policyName, "policy", "baat", "policy spec: name[,key=value...] (see 'baatsim policies')")
-	fs.IntVar(&f.days, "days", 7, "number of days to simulate")
-	fs.StringVar(&f.weather, "weather", "mix", "weather: sunny | cloudy | rainy | mix")
-	fs.Float64Var(&f.sunshine, "sunshine", 0.5, "sunshine fraction for -weather mix")
-	fs.Int64Var(&f.seed, "seed", 1, "random seed")
-	fs.IntVar(&f.nodes, "nodes", 6, "number of battery nodes")
-	fs.IntVar(&f.workers, "workers", 1, "node-stepping workers (1 = serial, -1 = all CPUs; never changes results)")
-	fs.Float64Var(&f.accel, "accel", 1, "battery aging acceleration factor")
+	f := &cliFlags{spec: baat.SimServiceRunSpec{}.WithDefaults()}
+	sp := &f.spec
+	fs.StringVar(&f.policy, "policy", sp.Policy, "policy spec: name[,key=value...] (see 'baatsim policies')")
+	fs.IntVar(&sp.Days, "days", sp.Days, "number of days to simulate")
+	fs.StringVar(&sp.Weather, "weather", sp.Weather, "weather: sunny | cloudy | rainy | mix")
+	fs.Float64Var(sp.Sunshine, "sunshine", *sp.Sunshine, "sunshine fraction for -weather mix")
+	fs.Int64Var(&sp.Seed, "seed", sp.Seed, "random seed")
+	fs.IntVar(&sp.Nodes, "nodes", sp.Nodes, "number of battery nodes")
+	fs.IntVar(&sp.Workers, "workers", sp.Workers, "node-stepping workers (0 or 1 = serial, -1 = all CPUs; never changes results)")
+	fs.Float64Var(sp.Accel, "accel", *sp.Accel, "battery aging acceleration factor")
 	fs.BoolVar(&f.untilEOL, "until-eol", false, "run until the first battery reaches end-of-life")
 	fs.IntVar(&f.maxDays, "max-days", 365, "day cap for -until-eol")
-	fs.BoolVar(&f.prototype, "prototype-services", true, "deploy the six paper workloads as persistent services")
-	fs.IntVar(&f.jobsPerDay, "jobs", 2, "batch jobs submitted per day")
-	fs.Float64Var(&f.solarScale, "solar-scale", 1.5, "PV array scale relative to the prototype")
+	fs.BoolVar(sp.PrototypeServices, "prototype-services", *sp.PrototypeServices, "deploy the six paper workloads as persistent services")
+	fs.IntVar(sp.JobsPerDay, "jobs", *sp.JobsPerDay, "batch jobs submitted per day")
+	fs.Float64Var(sp.SolarScale, "solar-scale", *sp.SolarScale, "PV array scale relative to the prototype")
 	fs.StringVar(&f.csvPath, "csv", "", "write per-day stats to this CSV file")
-	fs.Float64Var(&f.planned, "planned-months", 0, "shorthand for the policy option planned-months=N (0 = off)")
-	fs.StringVar(&f.faultsName, "faults", "none", "fault-injection profile: "+strings.Join(baat.FaultProfileNames(), " | "))
+	fs.StringVar(&sp.Faults, "faults", sp.Faults, "fault-injection profile: "+strings.Join(baat.FaultProfileNames(), " | "))
 	fs.Int64Var(&f.faultsSeed, "faults-seed", 0, "fault injector seed (0 derives from -seed via the named fault substream)")
 	fs.IntVar(&f.ckEvery, "checkpoint-every", 0, "write a checkpoint every N simulated days (requires -checkpoint; fixed-days runs only)")
 	fs.StringVar(&f.ckPath, "checkpoint", "", "checkpoint file written by -checkpoint-every")
 	fs.StringVar(&f.resumePath, "resume", "", "resume a fixed-days run from this checkpoint; -days stays the total horizon")
 	fs.StringVar(&f.telAddr, "telemetry-addr", "", "serve /metrics, /events, and /debug/pprof on this address (e.g. :8080; empty = off)")
 	fs.DurationVar(&f.telHold, "telemetry-hold", 0, "keep the telemetry endpoint alive this long after the run (so scrapers catch the final state)")
-	fs.StringVar(&f.battModel, "battery-model", "leadacid", "battery model tier: leadacid | linear | lfp")
+	fs.StringVar(&sp.BatteryModel, "battery-model", sp.BatteryModel, "battery model tier: leadacid | linear | lfp")
 	fs.StringVar(&f.battMix, "battery-mix", "", "mixed fleet as model=fraction pairs, e.g. 'leadacid=0.5,lfp=0.5' (fractions sum to 1; exclusive with -battery-model)")
 	return f
 }
 
-// parseFlags parses and cross-validates the single-run command line.
+// parseFlags parses and cross-validates the single-run command line, and
+// normalizes its run spec: an unknown name or a bad value fails here,
+// before any simulator state (or telemetry endpoint) exists.
 func parseFlags(args []string) (*cliFlags, error) {
 	fs := flag.NewFlagSet("baatsim", flag.ContinueOnError)
 	f := registerFlags(fs)
@@ -118,6 +111,20 @@ func parseFlags(args []string) (*cliFlags, error) {
 		return nil, fmt.Errorf("unexpected argument %q (flags only; did you mean 'baatsim serve'?)", fs.Arg(0))
 	}
 	if err := validateFlags(fs, f); err != nil {
+		return nil, err
+	}
+	ps, err := baat.ParsePolicySpec(f.policy)
+	if err != nil {
+		return nil, err
+	}
+	f.spec.Policy, f.spec.PolicyOptions = ps.Name, ps.Options
+	if f.untilEOL {
+		// An end-of-life run reads neither -days nor -weather: it draws mix
+		// weather at -sunshine for up to -max-days. Pinning both checks only
+		// what the run reads.
+		f.spec.Days, f.spec.Weather = 1, "mix"
+	}
+	if f.spec, err = f.spec.Normalize(); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -150,10 +157,6 @@ func validateFlags(fs *flag.FlagSet, f *cliFlags) error {
 	if f.ckPath != "" && f.ckEvery == 0 {
 		return errors.New("-checkpoint requires -checkpoint-every (a file with no cadence would never be written)")
 	}
-	if !(f.planned >= 0) {
-		// A NaN would otherwise fail the run's "> 0" test and silently mean off.
-		return fmt.Errorf("-planned-months must be >= 0 (0 = off), got %v", f.planned)
-	}
 	if set["telemetry-hold"] && f.telAddr == "" {
 		return errors.New("-telemetry-hold requires -telemetry-addr (there is no endpoint to hold open)")
 	}
@@ -163,25 +166,6 @@ func validateFlags(fs *flag.FlagSet, f *cliFlags) error {
 func run(args []string) error {
 	f, err := parseFlags(args)
 	if err != nil {
-		return err
-	}
-	spec, err := baat.ParsePolicySpec(f.policyName)
-	if err != nil {
-		return err
-	}
-	if f.planned > 0 {
-		// The flag is sugar for the registry option; a planned-months set
-		// directly in -policy wins so the two spellings never fight.
-		if _, ok := spec.Options["planned-months"]; !ok {
-			if spec.Options == nil {
-				spec.Options = map[string]string{}
-			}
-			spec.Options["planned-months"] = strconv.FormatFloat(f.planned, 'g', -1, 64)
-		}
-	}
-	// Build once up front so a bad option value fails before any simulator
-	// state (or telemetry endpoint) exists.
-	if _, err := baat.BuildPolicy(spec); err != nil {
 		return err
 	}
 
@@ -196,44 +180,20 @@ func run(args []string) error {
 		fmt.Printf("telemetry: http://%s/metrics (events at /events, profiles at /debug/pprof/)\n", srv.Addr())
 	}
 
-	scfg := baat.DefaultSimConfig()
-	scfg.Policy = spec
-	scfg.Telemetry = rec
-	scfg.Seed = f.seed
-	scfg.Nodes = f.nodes
-	scfg.Workers = f.workers
-	scfg.JobsPerDay = f.jobsPerDay
-	scfg.Solar.Scale = f.solarScale
-	scfg.Node.AgingConfig.AccelFactor = f.accel
-	switch {
-	case f.battMix != "":
-		shares, err := parseBatteryMix(f.battMix)
-		if err != nil {
-			return err
-		}
-		scfg.BatteryFleet = shares
-	default:
-		bk, err := baat.ParseBatteryKind(f.battModel)
-		if err != nil {
-			return err
-		}
-		// The default tier reproduces DefaultSimConfig exactly (identical
-		// config hash), so checkpoints written before the flag existed
-		// still resume.
-		ncfg, err := scfg.Node.WithBatteryModel(bk)
-		if err != nil {
-			return err
-		}
-		scfg.Node = ncfg
-	}
-	if f.prototype {
-		scfg.Services = baat.PrototypeServices()
-	}
-	fcfg, err := baat.FaultProfile(f.faultsName, f.faultsSeed)
+	scfg, err := f.spec.SimConfig()
 	if err != nil {
 		return err
 	}
-	scfg.Faults = fcfg
+	scfg.Telemetry = rec
+	scfg.Faults.Seed = f.faultsSeed
+	if f.battMix != "" {
+		// The mix assigns each node its tier. The spec keeps the default
+		// tier (validateFlags rejects -battery-model with a mix), whose
+		// node config is DefaultSimConfig's own.
+		if scfg.BatteryFleet, err = parseBatteryMix(f.battMix); err != nil {
+			return err
+		}
+	}
 	s, err := baat.NewSimulator(scfg)
 	if err != nil {
 		return err
@@ -249,17 +209,14 @@ func run(args []string) error {
 
 	var res *baat.SimResult
 	if f.untilEOL {
-		res, err = s.RunUntilEndOfLife(baat.Location{SunshineFraction: f.sunshine}, f.maxDays)
+		res, err = s.RunUntilEndOfLife(baat.Location{SunshineFraction: *f.spec.Sunshine}, f.maxDays)
 	} else {
-		seq, serr := weatherSeq(f.weather, f.sunshine, f.days, f.seed)
-		if serr != nil {
-			return serr
-		}
+		seq := f.spec.WeatherSequence()
 		// A resumed run replays only the weather suffix the checkpoint has
 		// not consumed; the -days horizon counts from day one.
 		if done := s.Day(); done > 0 {
 			if done >= len(seq) {
-				return fmt.Errorf("checkpoint already covers day %d of a %d-day horizon", done, f.days)
+				return fmt.Errorf("checkpoint already covers day %d of a %d-day horizon", done, f.spec.Days)
 			}
 			seq = seq[done:]
 		}
@@ -289,8 +246,8 @@ func run(args []string) error {
 		}
 	}
 
-	printResult(res, f.accel)
-	printPredictions(s, f.accel)
+	printResult(res, *f.spec.Accel)
+	printPredictions(s, *f.spec.Accel)
 	if f.csvPath != "" {
 		if err := writeCSV(f.csvPath, res); err != nil {
 			return err
@@ -362,37 +319,6 @@ func parseBatteryMix(s string) ([]baat.BatteryShare, error) {
 		return nil, fmt.Errorf("battery mix %q contains no model=fraction pairs", s)
 	}
 	return shares, nil
-}
-
-func weatherSeq(name string, frac float64, days int, seed int64) ([]baat.Weather, error) {
-	if days <= 0 {
-		return nil, fmt.Errorf("days must be positive, got %d", days)
-	}
-	fixed := map[string]baat.Weather{
-		"sunny":  baat.Sunny,
-		"cloudy": baat.Cloudy,
-		"rainy":  baat.Rainy,
-	}
-	if w, ok := fixed[strings.ToLower(name)]; ok {
-		seq := make([]baat.Weather, days)
-		for i := range seq {
-			seq[i] = w
-		}
-		return seq, nil
-	}
-	if strings.ToLower(name) != "mix" {
-		return nil, fmt.Errorf("unknown weather %q (want sunny, cloudy, rainy, or mix)", name)
-	}
-	loc := baat.Location{SunshineFraction: frac}
-	if err := loc.Validate(); err != nil {
-		return nil, err
-	}
-	stream := baat.NewStream(seed, baat.StreamCLIWeather)
-	seq := make([]baat.Weather, days)
-	for i := range seq {
-		seq[i] = loc.DrawWeather(stream.Rand)
-	}
-	return seq, nil
 }
 
 // resumeFromFile restores a checkpoint written by -checkpoint-every.

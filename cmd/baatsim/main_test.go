@@ -3,7 +3,9 @@ package main
 // Cross-flag validation: combinations that cannot mean what the user
 // intended must die with a clear error before any simulator state exists,
 // instead of silently overriding one flag with another or failing later
-// with a config-hash mismatch.
+// with a config-hash mismatch. The scenario flags go through the run
+// spec's normalization, which keeps an explicit zero and applies none of
+// the serve daemon's size caps.
 
 import (
 	"strings"
@@ -17,6 +19,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		// wantErr is a substring of the expected error; empty means the
 		// combination is legal.
 		wantErr string
+		// check, when set, inspects the flags of a legal combination.
+		check func(t *testing.T, f *cliFlags)
 	}{
 		{name: "defaults", args: nil},
 		{name: "plain run", args: []string{"-policy", "ebuff", "-days", "3", "-weather", "cloudy"}},
@@ -62,6 +66,22 @@ func TestParseFlagsValidation(t *testing.T) {
 		{name: "resume run", args: []string{"-resume", "ck.json", "-days", "6"}},
 		{name: "resume with battery mix", args: []string{"-resume", "ck.json", "-battery-mix", "lfp=1"}},
 		{
+			name: "seed zero stays zero",
+			args: []string{"-seed", "0"},
+			check: func(t *testing.T, f *cliFlags) {
+				if f.spec.Seed != 0 {
+					t.Errorf("-seed 0 parsed as seed %d", f.spec.Seed)
+				}
+			},
+		},
+		{name: "zero days", args: []string{"-days", "0"}, wantErr: "days must be positive"},
+		{name: "zero nodes", args: []string{"-nodes", "0"}, wantErr: "nodes must be positive"},
+		{name: "beyond the daemon's caps", args: []string{"-nodes", "70000", "-workers", "128", "-days", "4000", "-jobs", "70000"}},
+		// An end-of-life run reads neither -days nor -weather, so neither
+		// is checked; the -sunshine it draws its mix weather at is.
+		{name: "until-eol ignores days and weather", args: []string{"-until-eol", "-days", "0", "-weather", "bogus"}},
+		{name: "until-eol checks sunshine", args: []string{"-until-eol", "-weather", "sunny", "-sunshine", "2"}, wantErr: "sunshine fraction"},
+		{
 			name:    "stray positional argument",
 			args:    []string{"server"},
 			wantErr: "baatsim serve",
@@ -69,10 +89,13 @@ func TestParseFlagsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := parseFlags(tc.args)
+			f, err := parseFlags(tc.args)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("parseFlags(%q) = %v, want success", tc.args, err)
+				}
+				if tc.check != nil {
+					tc.check(t, f)
 				}
 				return
 			}
@@ -95,8 +118,6 @@ func TestRunRejectsNonFinite(t *testing.T) {
 		args    []string
 		wantErr string
 	}{
-		{[]string{"-planned-months", "NaN"}, "-planned-months"},
-		{[]string{"-planned-months", "-1"}, "-planned-months"},
 		{[]string{"-battery-mix", "leadacid=NaN,lfp=NaN"}, "share 0: fraction"},
 		{[]string{"-battery-mix", "leadacid=0.5,lfp=NaN"}, "share 1: fraction"},
 		{[]string{"-weather", "mix", "-sunshine", "NaN"}, "sunshine fraction"},

@@ -1,8 +1,10 @@
 package main
 
-// serve.RunSpec documents that a run created over POST /runs reproduces
-// the baatsim run with the same settings. Both sides write their day-N
-// checkpoint here, and the two envelopes must be the same bytes.
+// baatsim fills a serve.RunSpec from its scenario flags and builds its
+// simulator and weather with the spec's own methods, so a run created over
+// POST /runs with the equivalent JSON reproduces the baatsim run. Both
+// sides write their day-N checkpoint here, and the two envelopes must be
+// the same bytes.
 
 import (
 	"bytes"
@@ -45,6 +47,14 @@ func TestServedRunMatchesCLI(t *testing.T) {
 			days: 6,
 			args: []string{"-seed", "7", "-accel", "10", "-faults", "chaos"},
 			spec: `{"days": 6, "seed": 7, "accel": 10, "faults": "chaos"}`,
+		},
+		{
+			// Both rows above draw mix weather; this one takes the
+			// fixed-weather branch, binds -workers, and runs another tier.
+			name: "fixed weather linear tier",
+			days: 3,
+			args: []string{"-weather", "cloudy", "-workers", "2", "-battery-model", "linear", "-faults", "battery"},
+			spec: `{"days": 3, "weather": "cloudy", "workers": 2, "battery_model": "linear", "faults": "battery"}`,
 		},
 	}
 	srv := serve.NewServer()

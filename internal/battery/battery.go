@@ -101,14 +101,15 @@ func DefaultSpec() Spec {
 
 // Parallel returns the spec of n identical units wired in parallel, as in
 // the prototype's two-packs-per-server arrangement (twelve 12 V 35 Ah units
-// behind six servers, Fig 11): capacity, current limits, lifetime
-// throughput, and thermal mass scale with n while resistance divides by n.
-// Values of n below 1 are treated as 1.
+// behind six servers, Fig 11). Values of n below 1 are treated as 1.
 func Parallel(s Spec, n int) Spec {
-	if n < 1 {
-		n = 1
-	}
-	f := float64(n)
+	return Scaled(s, float64(max(n, 1)))
+}
+
+// Scaled returns the spec of a bank f times the size of s, for any
+// positive f (below 1 too): capacity, current limits, lifetime throughput,
+// and thermal mass scale with f while resistance divides by f.
+func Scaled(s Spec, f float64) Spec {
 	s.NominalCapacity = units.AmpereHour(float64(s.NominalCapacity) * f)
 	s.MaxChargeCurrent = units.Ampere(float64(s.MaxChargeCurrent) * f)
 	s.LifetimeThroughput = units.AmpereHour(float64(s.LifetimeThroughput) * f)
@@ -416,14 +417,18 @@ type StepResult struct {
 	Current units.Ampere
 	// Voltage is the terminal voltage during the step.
 	Voltage units.Volt
-	// Energy is the electrical energy exchanged at the terminals
-	// (positive = delivered to the load).
-	Energy units.WattHour
 	// Charge is the charge moved at the terminals (positive = out).
 	Charge units.AmpereHour
 	// CutOff reports whether the protection threshold tripped during the
 	// step (discharge was truncated).
 	CutOff bool
+}
+
+// Energy is the electrical energy exchanged at the terminals (positive =
+// delivered to the load): the step holds the voltage constant, so it is
+// Voltage × Charge, which is also what the ledger books.
+func (r StepResult) Energy() units.WattHour {
+	return units.WattHour(float64(r.Voltage) * float64(r.Charge))
 }
 
 // finite reports whether x is a usable number (not NaN or ±Inf).
@@ -460,9 +465,8 @@ func (p *Pack) Discharge(pw units.Watt, dt time.Duration, amb units.Celsius) (St
 	}
 	if p.linear {
 		// The linear step sits here rather than in a method of its own:
-		// Go keeps a struct of more than four fields, like StepResult, in
-		// memory, so one more call returning it by value would add a copy
-		// to every linear step, the cheap tier's whole point.
+		// one more call level on every step would cost the cheap tier
+		// what it is for.
 		v := p.spec.NominalVoltage
 		if pw == 0 || p.CutOff() {
 			p.linearRest(dt, amb)

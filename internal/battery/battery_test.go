@@ -129,7 +129,7 @@ func TestDischargeReducesSoC(t *testing.T) {
 	if p.SoC() >= 1 {
 		t.Errorf("SoC after discharge = %v, want < 1", p.SoC())
 	}
-	if res.Current <= 0 || res.Energy <= 0 || res.Charge <= 0 {
+	if res.Current <= 0 || res.Energy() <= 0 || res.Charge <= 0 {
 		t.Errorf("discharge result not positive: %+v", res)
 	}
 	c := p.Counters()

@@ -118,9 +118,9 @@ func TestQuickStepBalance(t *testing.T) {
 				continue
 			}
 			if discharging {
-				// Terminal energy identity and SoC/charge balance.
-				if wantE := float64(res.Voltage) * float64(res.Charge); math.Abs(float64(res.Energy)-wantE) > tol*math.Max(1, math.Abs(wantE)) {
-					t.Logf("seed %d step %d: energy %v, want V*Q %v", seed, i, res.Energy, wantE)
+				// Terminal energy booking and SoC/charge balance.
+				if wantE := float64(res.Energy()); math.Abs(float64(counters.WhOut-countersBefore.WhOut)-wantE) > tol*math.Max(1, math.Abs(wantE)) {
+					t.Logf("seed %d step %d: WhOut counter moved %v, want V*Q %v", seed, i, counters.WhOut-countersBefore.WhOut, wantE)
 					return false
 				}
 				if d := float64(counters.AhOut-countersBefore.AhOut) - float64(res.Charge); math.Abs(d) > tol {

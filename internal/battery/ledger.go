@@ -229,16 +229,15 @@ func (l *ledger) discharge(i units.Ampere, v units.Volt, cap units.AmpereHour, d
 		l.st.SoC = units.Clamp01(l.st.SoC - float64(dq)/float64(cap))
 	}
 	// Energy at the terminals is v × i × hours = v × dq.
-	energy := units.WattHour(float64(v) * float64(dq))
 	l.st.AhOut += dq
-	l.st.WhOut += energy
+	l.st.WhOut += units.WattHour(float64(v) * float64(dq))
 	l.st.Cycles += float64(dq) / max(float64(l.spec.NominalCapacity), 1e-9)
 	l.st.Operating += dt
 	l.telDischarge.Inc()
 	if cutOff {
 		l.telCutoff.Inc()
 	}
-	return StepResult{Current: i, Voltage: v, Energy: energy, Charge: dq, CutOff: cutOff}, dt
+	return StepResult{Current: i, Voltage: v, Charge: dq, CutOff: cutOff}, dt
 }
 
 // charge books a charge at current i, already within chargeLimit, and
@@ -259,12 +258,7 @@ func (l *ledger) charge(i float64, v units.Volt, dt time.Duration) StepResult {
 	l.st.WhIn += units.WattHour(float64(v) * float64(dq))
 	l.st.Operating += dt
 	l.telCharge.Inc()
-	return StepResult{
-		Current: units.Ampere(-i),
-		Voltage: v,
-		Energy:  units.WattHour(-float64(v) * float64(dq)),
-		Charge:  units.AmpereHour(-dq),
-	}
+	return StepResult{Current: units.Ampere(-i), Voltage: v, Charge: -dq}
 }
 
 // rested books a Rest step's time and telemetry; the tier has already

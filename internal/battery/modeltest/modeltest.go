@@ -10,8 +10,9 @@
 //     arbitrary valid step schedules (property-checked via testing/quick).
 //   - Health is monotone non-increasing under growing degradation and never
 //     rises on its own during stepping.
-//   - Every step balances energy at the terminals: Energy = Voltage ×
-//     Charge, with discharge positive and charge negative.
+//   - Every step books its terminal energy, Voltage × Charge, in the
+//     counters: a discharge's in WhOut, a charge's in WhIn, with discharge
+//     flows positive and charge flows negative.
 //   - Every step books its duration as operating time, whether or not
 //     charge moved; a discharge truncated at empty books the time current
 //     flowed.
@@ -127,26 +128,33 @@ func runSoCBounds(t *testing.T, factory Factory) {
 func runEnergyBalance(t *testing.T, factory Factory) {
 	m := factory(t)
 	for i, o := range schedule(7, 400) {
+		before := m.Counters()
 		res, err := apply(m, o)
 		if err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
-		// Terminal energy must equal voltage × charge exactly (the step
-		// holds voltage constant), for both signs.
-		want := float64(res.Voltage) * float64(res.Charge)
-		got := float64(res.Energy)
-		if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
-			t.Fatalf("step %d: energy %v does not balance voltage %v × charge %v = %v",
-				i, res.Energy, res.Voltage, res.Charge, want)
+		// The ledger must book the step's terminal energy, voltage × charge
+		// (the step holds voltage constant): a discharge's into WhOut, a
+		// charge's into WhIn, a rest's into neither.
+		after := m.Counters()
+		out, in := float64(after.WhOut-before.WhOut), float64(after.WhIn-before.WhIn)
+		want := float64(res.Energy())
+		if diff := math.Abs(out - in - want); diff > 1e-9*math.Max(1, math.Abs(want)) {
+			t.Fatalf("step %d: counters booked %v Wh out and %v Wh in, want voltage %v × charge %v = %v",
+				i, out, in, res.Voltage, res.Charge, want)
 		}
 		switch o.kind {
 		case 0: // discharge: out-flows are non-negative
-			if res.Current < 0 || res.Charge < 0 || res.Energy < 0 {
-				t.Fatalf("step %d: discharge produced negative flow: %+v", i, res)
+			if res.Current < 0 || res.Charge < 0 || res.Energy() < 0 || in != 0 {
+				t.Fatalf("step %d: discharge produced negative flow: %+v, energy %v, %v Wh in", i, res, res.Energy(), in)
 			}
 		case 1: // charge: in-flows are non-positive
-			if res.Current > 0 || res.Charge > 0 || res.Energy > 0 {
-				t.Fatalf("step %d: charge produced positive flow: %+v", i, res)
+			if res.Current > 0 || res.Charge > 0 || res.Energy() > 0 || out != 0 {
+				t.Fatalf("step %d: charge produced positive flow: %+v, energy %v, %v Wh out", i, res, res.Energy(), out)
+			}
+		default:
+			if out != 0 || in != 0 {
+				t.Fatalf("step %d: rest booked %v Wh out and %v Wh in", i, out, in)
 			}
 		}
 	}

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/core"
 	"github.com/green-dc/baat/internal/sim"
 	"github.com/green-dc/baat/internal/solar"
-	"github.com/green-dc/baat/internal/units"
 )
 
 // lifetimeMaxDays bounds end-of-life searches (compressed days).
@@ -133,17 +133,9 @@ func avg(xs []float64) float64 {
 // It scales the node's own spec, so the bank stays on the tier the node
 // template runs.
 func scaleBatteryForRatio(nc *sim.Config, r float64) {
-	peak := float64(nc.Node.ServerSpec.PeakPower)
-	targetAh := peak / r
+	targetAh := float64(nc.Node.ServerSpec.PeakPower) / r
 	base := nc.Node.BatterySpec
-	factor := targetAh / float64(base.NominalCapacity)
-	spec := base
-	spec.NominalCapacity = units.AmpereHour(float64(base.NominalCapacity) * factor)
-	spec.MaxChargeCurrent = units.Ampere(float64(base.MaxChargeCurrent) * factor)
-	spec.LifetimeThroughput = units.AmpereHour(float64(base.LifetimeThroughput) * factor)
-	spec.ThermalCapacity = base.ThermalCapacity * factor
-	spec.InternalResistance = base.InternalResistance / factor
-	nc.Node.BatterySpec = spec
+	nc.Node.BatterySpec = battery.Scaled(base, targetAh/float64(base.NominalCapacity))
 }
 
 // LifetimeVsRatio reproduces Fig 15: battery lifetime as the

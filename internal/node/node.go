@@ -544,7 +544,7 @@ func (n *Node) charge(solar units.Watt, dt time.Duration, sr *battery.StepResult
 		return 0, err
 	}
 	*sr = cr
-	accepted := -float64(cr.Energy) / n.hours(dt) // battery-side watts
+	accepted := -float64(cr.Energy()) / n.hours(dt) // battery-side watts
 	return units.Watt(accepted / n.losses.ChargerEfficiency), nil
 }
 

@@ -33,8 +33,8 @@ const (
 	Policy = "policy"
 	// Faults drives the deterministic fault injector (formerly seed+4).
 	Faults = "faults"
-	// CLIWeather draws the -weather mix day sequence in cmd/baatsim and
-	// the golden-trace fixtures (formerly seed+7).
+	// CLIWeather draws a run spec's mix-weather day sequence (baatsim and
+	// the serve daemon) and the golden-trace fixtures (formerly seed+7).
 	CLIWeather = "cli-weather"
 	// ExpLowSoC draws the low-SoC-duration experiment's weather sequence
 	// (formerly seed+3 in experiments).

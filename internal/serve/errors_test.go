@@ -348,16 +348,16 @@ func TestErrorContract(t *testing.T) {
 }
 
 // TestWorkersBound pins both edges of the workers bound: -1 (all CPUs)
-// and maxWorkers normalize, and one step past either edge is rejected
+// and maxWorkers are admitted, and one step past either edge is rejected
 // with an error naming the field.
 func TestWorkersBound(t *testing.T) {
 	for _, w := range []int{-1, maxWorkers} {
-		if _, err := (RunSpec{Workers: w}).normalize(); err != nil {
+		if _, err := (RunSpec{Workers: w}).admit(); err != nil {
 			t.Errorf("workers %d rejected: %v", w, err)
 		}
 	}
 	for _, w := range []int{-2, maxWorkers + 1} {
-		_, err := (RunSpec{Workers: w}).normalize()
+		_, err := (RunSpec{Workers: w}).admit()
 		if err == nil || !strings.Contains(err.Error(), "workers") {
 			t.Errorf("workers %d: error %v, want one naming workers", w, err)
 		}

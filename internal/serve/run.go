@@ -149,7 +149,7 @@ func newRun(id string, sp RunSpec) (*Run, error) {
 		telemetry:   rec.Handler(),
 		spec:        sp,
 		s:           s,
-		weather:     weatherFor(sp),
+		weather:     sp.WeatherSequence(),
 		state:       StateCreated,
 		checkpoints: make(map[int]checkpointRecord),
 		subs:        make(map[chan struct{}]struct{}),

@@ -187,7 +187,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, req *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	norm, err := sp.normalize()
+	norm, err := sp.admit()
 	if err != nil {
 		writeErr(w, errf(http.StatusBadRequest, CodeBadRequest, "invalid run spec: %v", err))
 		return

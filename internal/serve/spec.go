@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -38,10 +39,12 @@ const maxJobsPerDay = 65536
 // so 64 leaves room for large hosts; -1 (all CPUs) stays accepted.
 const maxWorkers = 64
 
-// RunSpec is the JSON body of POST /runs: everything needed to construct
-// one simulation, mirroring the cmd/baatsim flags so a served run with a
-// given spec reproduces the CLI run with the same settings (identical
-// seeds, identical weather stream). Zero values take the CLI's defaults.
+// RunSpec is one simulation's scenario: the JSON body of POST /runs, and
+// what cmd/baatsim fills from its scenario flags. Both build the engine
+// configuration and the weather from it with the same methods (SimConfig,
+// WeatherSequence), so a served run reproduces the baatsim run with the
+// same settings. Over the API, zero or omitted fields take the defaults
+// WithDefaults fills, which are also baatsim's flag defaults.
 //
 // The spec is also the unit of mutation bookkeeping: the mutate endpoint
 // edits the live spec field-for-field, and every checkpoint snapshots the
@@ -65,8 +68,7 @@ type RunSpec struct {
 	// Seed pins all randomness (default 1).
 	Seed int64 `json:"seed,omitempty"`
 	// Weather is sunny | cloudy | rainy | mix (default mix). Mix draws
-	// the day sequence from the run seed's cli-weather stream, exactly as
-	// cmd/baatsim does.
+	// the day sequence from the run seed's cli-weather stream.
 	Weather string `json:"weather,omitempty"`
 	// Sunshine is the sunshine fraction for mix weather (default 0.5).
 	Sunshine *float64 `json:"sunshine,omitempty"`
@@ -77,8 +79,8 @@ type RunSpec struct {
 	SolarScale *float64 `json:"solar_scale,omitempty"`
 	// Accel is the battery aging acceleration factor (default 1).
 	Accel *float64 `json:"accel,omitempty"`
-	// Workers is the node-stepping worker count (default 1; -1 = all
-	// CPUs; max 64; never changes results).
+	// Workers is the node-stepping worker count (default 0, serial as 1
+	// is; -1 = all CPUs; max 64; never changes results).
 	Workers int `json:"workers,omitempty"`
 	// Faults names a fault-injection profile: none | sensor | battery |
 	// power | chaos (default none).
@@ -95,9 +97,11 @@ type RunSpec struct {
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 }
 
-// withDefaults returns the spec with every zero field replaced by its
-// default, without validating.
-func (sp RunSpec) withDefaults() RunSpec {
+// WithDefaults returns the spec with every zero field replaced by its
+// default, without validating. The daemon applies it to each POST /runs
+// body; baatsim binds its flags to a defaulted spec, so an explicit zero
+// on its command line (-seed 0) stays zero.
+func (sp RunSpec) WithDefaults() RunSpec {
 	if sp.Policy == "" {
 		sp.Policy = "baat"
 	}
@@ -113,7 +117,6 @@ func (sp RunSpec) withDefaults() RunSpec {
 	if sp.Weather == "" {
 		sp.Weather = "mix"
 	}
-	sp.Weather = strings.ToLower(sp.Weather)
 	if sp.Sunshine == nil {
 		sp.Sunshine = ptr(0.5)
 	}
@@ -129,7 +132,6 @@ func (sp RunSpec) withDefaults() RunSpec {
 	if sp.Faults == "" {
 		sp.Faults = "none"
 	}
-	sp.Faults = strings.ToLower(sp.Faults)
 	if sp.BatteryModel == "" {
 		sp.BatteryModel = "leadacid"
 	}
@@ -146,32 +148,35 @@ func (sp RunSpec) withDefaults() RunSpec {
 
 func ptr[T any](v T) *T { return &v }
 
-// normalize fills defaults and validates every field, returning the
-// canonical spec. All validation that can fail without building a
-// simulator happens here, so the API can answer 400 with a precise message
-// before any state exists.
-func (sp RunSpec) normalize() (RunSpec, error) {
-	sp = sp.withDefaults()
+// Normalize validates every field and returns the canonical spec: the
+// policy in registry form, weather and fault profile in lower case. It
+// fills no defaults, so a spec that leaves an optional field unset is
+// rejected, and it bounds a field only where the engine needs it (days and
+// nodes positive); the daemon adds its own size caps when it admits a run.
+// All validation that can fail without building a simulator happens here,
+// so the API answers 400 and baatsim exits before any run state exists.
+func (sp RunSpec) Normalize() (RunSpec, error) {
+	if sp.Sunshine == nil || sp.JobsPerDay == nil || sp.SolarScale == nil || sp.Accel == nil || sp.PrototypeServices == nil {
+		return sp, errors.New("sunshine, jobs_per_day, solar_scale, accel and prototype_services must all be set")
+	}
 	norm, err := core.Normalize(core.PolicySpec{Name: sp.Policy, Options: sp.PolicyOptions})
 	if err != nil {
 		return sp, err
 	}
 	// Build validates option *values* too (Normalize only checks keys), so
-	// a bad floor or duration fails here with a 400, not at run start.
+	// a bad floor or duration fails here, not at run start.
 	if _, err := core.Build(norm); err != nil {
 		return sp, err
 	}
 	sp.Policy = norm.Name
 	sp.PolicyOptions = norm.Options
-	if sp.Days < 0 || sp.Days > maxDays {
-		return sp, fmt.Errorf("days must be in [1, %d], got %d", maxDays, sp.Days)
+	if sp.Days < 1 {
+		return sp, fmt.Errorf("days must be positive, got %d", sp.Days)
 	}
-	if sp.Nodes < 0 || sp.Nodes > maxNodes {
-		return sp, fmt.Errorf("nodes must be in [1, %d], got %d", maxNodes, sp.Nodes)
+	if sp.Nodes < 1 {
+		return sp, fmt.Errorf("nodes must be positive, got %d", sp.Nodes)
 	}
-	if sp.Workers < -1 || sp.Workers > maxWorkers {
-		return sp, fmt.Errorf("workers must be in [-1, %d], got %d", maxWorkers, sp.Workers)
-	}
+	sp.Weather = strings.ToLower(sp.Weather)
 	switch sp.Weather {
 	case "sunny", "cloudy", "rainy":
 	case "mix":
@@ -182,8 +187,8 @@ func (sp RunSpec) normalize() (RunSpec, error) {
 	default:
 		return sp, fmt.Errorf("unknown weather %q (want sunny, cloudy, rainy, or mix)", sp.Weather)
 	}
-	if *sp.JobsPerDay < 0 || *sp.JobsPerDay > maxJobsPerDay {
-		return sp, fmt.Errorf("jobs_per_day must be in [0, %d], got %d", maxJobsPerDay, *sp.JobsPerDay)
+	if *sp.JobsPerDay < 0 {
+		return sp, fmt.Errorf("jobs_per_day must be non-negative, got %d", *sp.JobsPerDay)
 	}
 	if *sp.SolarScale <= 0 {
 		return sp, fmt.Errorf("solar_scale must be positive, got %v", *sp.SolarScale)
@@ -191,11 +196,33 @@ func (sp RunSpec) normalize() (RunSpec, error) {
 	if *sp.Accel <= 0 {
 		return sp, fmt.Errorf("accel must be positive, got %v", *sp.Accel)
 	}
+	sp.Faults = strings.ToLower(sp.Faults)
 	if _, err := faults.Profile(sp.Faults, 0); err != nil {
 		return sp, err
 	}
 	if _, err := battery.ParseKind(sp.BatteryModel); err != nil {
 		return sp, err
+	}
+	return sp, nil
+}
+
+// admit is the daemon's admission step for a POST /runs body: it fills the
+// defaults, normalizes, and holds the run to the sizes one hosted run may
+// claim.
+func (sp RunSpec) admit() (RunSpec, error) {
+	sp, err := sp.WithDefaults().Normalize()
+	if err != nil {
+		return sp, err
+	}
+	switch {
+	case sp.Days > maxDays:
+		return sp, fmt.Errorf("days must be in [1, %d], got %d", maxDays, sp.Days)
+	case sp.Nodes > maxNodes:
+		return sp, fmt.Errorf("nodes must be in [1, %d], got %d", maxNodes, sp.Nodes)
+	case sp.Workers < -1 || sp.Workers > maxWorkers:
+		return sp, fmt.Errorf("workers must be in [-1, %d], got %d", maxWorkers, sp.Workers)
+	case *sp.JobsPerDay > maxJobsPerDay:
+		return sp, fmt.Errorf("jobs_per_day must be in [0, %d], got %d", maxJobsPerDay, *sp.JobsPerDay)
 	}
 	return sp, nil
 }
@@ -207,12 +234,12 @@ func (sp RunSpec) policySpec() core.PolicySpec {
 	return core.PolicySpec{Name: sp.Policy, Options: sp.PolicyOptions}.Clone()
 }
 
-// weatherFor materializes the run's full weather sequence up front — the
-// property that makes pause, resume, and forking deterministic: the skies a
-// run will see are fixed at creation (and only change through an explicit
-// sunshine mutation, which redraws the remaining suffix from its own named
-// stream).
-func weatherFor(sp RunSpec) []solar.Weather {
+// WeatherSequence materializes a normalized spec's full weather sequence up
+// front — the property that makes pause, resume, and forking deterministic:
+// the skies a run will see are fixed at creation (and only change through
+// an explicit sunshine mutation, which redraws the remaining suffix from
+// its own named stream).
+func (sp RunSpec) WeatherSequence() []solar.Weather {
 	fixed := map[string]solar.Weather{
 		"sunny":  solar.Sunny,
 		"cloudy": solar.Cloudy,
@@ -233,8 +260,8 @@ func weatherFor(sp RunSpec) []solar.Weather {
 	return seq
 }
 
-// simConfig converts a normalized spec into the engine configuration.
-func simConfig(sp RunSpec) (sim.Config, error) {
+// SimConfig converts a normalized spec into the engine configuration.
+func (sp RunSpec) SimConfig() (sim.Config, error) {
 	cfg := sim.DefaultConfig()
 	cfg.Policy = sp.policySpec()
 	cfg.Seed = sp.Seed
@@ -267,7 +294,7 @@ func simConfig(sp RunSpec) (sim.Config, error) {
 // with the run's own telemetry recorder. The policy itself is built by the
 // engine from cfg.Policy via the registry.
 func buildSim(sp RunSpec, rec *telemetry.Recorder) (*sim.Simulator, error) {
-	cfg, err := simConfig(sp)
+	cfg, err := sp.SimConfig()
 	if err != nil {
 		return nil, err
 	}

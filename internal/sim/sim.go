@@ -443,9 +443,6 @@ func New(cfg Config) (*Simulator, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > cfg.Nodes {
-		workers = cfg.Nodes
-	}
 
 	s := &Simulator{
 		cfg:       cfg,

@@ -17,7 +17,12 @@
 #      nodes and a node owns its parts, so internal/fleet imports none of
 #      internal/battery, internal/aging and internal/server, and non-test
 #      Go under internal/node, internal/fleet and internal/sim names no
-#      battery.Kind constant (KindLeadAcid, KindLinear, KindLFP).
+#      battery.Kind constant (KindLeadAcid, KindLinear, KindLFP);
+#   6. a second scenario assembly in the CLI: baatsim fills the serve
+#      daemon's run spec and builds its engine config and weather with the
+#      spec's methods, so non-test Go under cmd/baatsim names none of
+#      baat.DefaultSimConfig, baat.NewStream, baat.FaultProfile( and
+#      WithBatteryModel.
 # Usage: ./scripts/policy_registry_check.sh  (from the repository root)
 set -eu
 
@@ -69,6 +74,15 @@ fi
 tiered=$(find internal/node internal/fleet internal/sim -name '*.go' -not -name '*_test.go')
 if echo "$tiered" | xargs grep -nE 'battery\.Kind(LeadAcid|Linear|LFP)\b' /dev/null; then
     echo "policy-registry-check: internal/node, internal/fleet or internal/sim names a battery tier (the tier is decided in internal/battery)" >&2
+    fail=1
+fi
+
+# 6. One scenario, one assembly. A CLI that builds its own engine config
+# or draws its own weather can configure a scenario differently from the
+# daemon.
+cli=$(find cmd/baatsim -name '*.go' -not -name '*_test.go')
+if echo "$cli" | xargs grep -nE 'baat\.(DefaultSimConfig|NewStream)\b|baat\.FaultProfile\(|WithBatteryModel' /dev/null; then
+    echo "policy-registry-check: cmd/baatsim assembles its own engine config or weather (fill baat.SimServiceRunSpec and call its SimConfig and WeatherSequence)" >&2
     fail=1
 fi
 

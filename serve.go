@@ -11,8 +11,10 @@ import (
 // lifecycle.
 type SimService = serve.Server
 
-// SimServiceRunSpec is the JSON body of POST /runs: one simulation's full
-// scenario, with zero values taking the CLI defaults.
+// SimServiceRunSpec is one simulation's scenario: the JSON body of POST
+// /runs, where zero values take the defaults its WithDefaults fills, and
+// what baatsim fills from its flags. Its SimConfig and WeatherSequence
+// build the engine configuration and the weather for both.
 type SimServiceRunSpec = serve.RunSpec
 
 // SimServiceMutation is the JSON body of POST /runs/{id}/mutate: a

@@ -48,10 +48,6 @@ type RandomStream = rng.Stream
 // exact position round-trips through MarshalBinary/UnmarshalBinary.
 func NewStream(seed int64, name string) *RandomStream { return rng.New(seed, name) }
 
-// StreamCLIWeather names the substream drawing mixed-weather day sequences
-// in cmd/baatsim and the golden-trace fixtures (see NewStream).
-const StreamCLIWeather = rng.CLIWeather
-
 // NewWorkloadGenerator builds a generator drawing uniformly from kinds
 // (all six when empty).
 func NewWorkloadGenerator(stream *RandomStream, kinds ...WorkloadKind) (*WorkloadGenerator, error) {
