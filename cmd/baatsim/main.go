@@ -118,12 +118,6 @@ func parseFlags(args []string) (*cliFlags, error) {
 		return nil, err
 	}
 	f.spec.Policy, f.spec.PolicyOptions = ps.Name, ps.Options
-	if f.untilEOL {
-		// An end-of-life run reads neither -days nor -weather: it draws mix
-		// weather at -sunshine for up to -max-days. Pinning both checks only
-		// what the run reads.
-		f.spec.Days, f.spec.Weather = 1, "mix"
-	}
 	if f.spec, err = f.spec.Normalize(); err != nil {
 		return nil, err
 	}
@@ -147,6 +141,9 @@ func validateFlags(fs *flag.FlagSet, f *cliFlags) error {
 	}
 	if f.untilEOL && (set["checkpoint-every"] || set["checkpoint"]) {
 		return errors.New("-until-eol cannot be combined with checkpointing: checkpoints cover fixed-days runs only")
+	}
+	if f.untilEOL && (set["days"] || set["weather"]) {
+		return errors.New("-until-eol cannot be combined with -days or -weather: an end-of-life run draws mix weather at -sunshine for up to -max-days")
 	}
 	if f.ckEvery < 0 {
 		return fmt.Errorf("-checkpoint-every must be positive, got %d", f.ckEvery)

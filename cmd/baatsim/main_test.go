@@ -77,10 +77,12 @@ func TestParseFlagsValidation(t *testing.T) {
 		{name: "zero days", args: []string{"-days", "0"}, wantErr: "days must be positive"},
 		{name: "zero nodes", args: []string{"-nodes", "0"}, wantErr: "nodes must be positive"},
 		{name: "beyond the daemon's caps", args: []string{"-nodes", "70000", "-workers", "128", "-days", "4000", "-jobs", "70000"}},
-		// An end-of-life run reads neither -days nor -weather, so neither
-		// is checked; the -sunshine it draws its mix weather at is.
-		{name: "until-eol ignores days and weather", args: []string{"-until-eol", "-days", "0", "-weather", "bogus"}},
-		{name: "until-eol checks sunshine", args: []string{"-until-eol", "-weather", "sunny", "-sunshine", "2"}, wantErr: "sunshine fraction"},
+		// An end-of-life run reads neither -days nor -weather, so setting
+		// either is refused; the -sunshine it draws its mix weather at is
+		// checked.
+		{name: "until-eol rejects days", args: []string{"-until-eol", "-days", "3"}, wantErr: "-max-days"},
+		{name: "until-eol rejects weather", args: []string{"-until-eol", "-weather", "sunny"}, wantErr: "mix weather at -sunshine"},
+		{name: "until-eol checks sunshine", args: []string{"-until-eol", "-sunshine", "2"}, wantErr: "sunshine fraction"},
 		{
 			name:    "stray positional argument",
 			args:    []string{"server"},

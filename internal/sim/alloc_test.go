@@ -10,26 +10,28 @@ package sim
 // time with exact thresholds.
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/green-dc/baat/internal/battery"
 	"github.com/green-dc/baat/internal/solar"
+	"github.com/green-dc/baat/internal/units"
 )
 
-// allocSim builds a serial-stepping fleet and runs one warm-up day so
-// service placement and scratch growth are behind us before measuring.
-func allocSim(t *testing.T) *Simulator {
-	return allocSimModel(t, battery.KindLeadAcid)
-}
-
-// allocSimModel is allocSim under a chosen battery model tier: the
-// allocation-free guarantee holds per tier, not just for the default
-// electrochemical path.
-func allocSimModel(t *testing.T, kind battery.Kind) *Simulator {
+// allocSimModel builds a fleet of the given battery model tier and worker
+// count and runs one warm-up day so service placement and scratch growth
+// are behind us before measuring: the allocation-free guarantee holds per
+// tier, not just for the default electrochemical path, and on the parallel
+// path too. The fleet is split into two-node shards and forced onto the
+// pool at this size; with more than one worker the pool is started after
+// the warm-up day, as RunDay starts it, for the rest of the test.
+func allocSimModel(t *testing.T, kind battery.Kind, workers int) *Simulator {
 	t.Helper()
 	s := newSim(t, "ebuff", func(c *Config) {
 		c.Nodes = 8
-		c.Workers = 1
+		c.Workers = workers
+		c.ShardSize = 2
+		c.ParallelThreshold = -1
 		// No batch jobs: submitJobs legitimately allocates fresh VMs, and
 		// these guards measure the steady-state stepping machinery.
 		c.JobsPerDay = 0
@@ -42,34 +44,58 @@ func allocSimModel(t *testing.T, kind battery.Kind) *Simulator {
 	if _, err := s.RunDay(solar.Sunny); err != nil {
 		t.Fatal(err)
 	}
+	if workers > 1 {
+		if !s.parallel {
+			t.Fatalf("Workers=%d did not select the parallel path", workers)
+		}
+		s.pool.Start()
+		t.Cleanup(s.pool.Stop)
+	}
 	return s
+}
+
+// stepAllocs measures step's allocations per tick. Every tick's split has
+// power to hand out, so from the second tick on the split reads the
+// columns the shard pass wrote; every fifth tick ends a control period, so
+// the shard pass reaps too.
+func stepAllocs(t *testing.T, s *Simulator, power units.Watt, inWindow bool) float64 {
+	t.Helper()
+	tick := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		tick++
+		if err := s.step(power, inWindow, inWindow && tick%5 == 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !s.colsFresh {
+		t.Fatal("the shard pass left the split's columns stale")
+	}
+	return allocs
 }
 
 func TestStepInWindowAllocFree(t *testing.T) {
 	for _, kind := range battery.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
-			s := allocSimModel(t, kind)
-			allocs := testing.AllocsPerRun(500, func() {
-				if err := s.step(500, true); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("in-window step allocates %.1f objects per tick, want 0", allocs)
+			for _, workers := range []int{1, 2} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					s := allocSimModel(t, kind, workers)
+					if allocs := stepAllocs(t, s, 500, true); allocs != 0 {
+						t.Fatalf("in-window step allocates %.1f objects per tick, want 0", allocs)
+					}
+				})
 			}
 		})
 	}
 }
 
 func TestStepOfflineAllocFree(t *testing.T) {
-	s := allocSim(t)
-	allocs := testing.AllocsPerRun(500, func() {
-		if err := s.step(300, false); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("offline step allocates %.1f objects per tick, want 0", allocs)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := allocSimModel(t, battery.KindLeadAcid, workers)
+			if allocs := stepAllocs(t, s, 300, false); allocs != 0 {
+				t.Fatalf("offline step allocates %.1f objects per tick, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -108,7 +134,7 @@ func TestRunDayAllocBudgetMixedFleet(t *testing.T) {
 func TestRunDayAllocBudget(t *testing.T) {
 	for _, kind := range battery.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
-			s := allocSimModel(t, kind)
+			s := allocSimModel(t, kind, 1)
 			allocs := testing.AllocsPerRun(5, func() {
 				if _, err := s.RunDay(solar.Cloudy); err != nil {
 					t.Fatal(err)

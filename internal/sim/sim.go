@@ -364,8 +364,8 @@ type Simulator struct {
 	// reused every step so the steady-state tick path allocates nothing
 	// (pinned by the AllocsPerRun guards in alloc_test.go). socOrder,
 	// socSnap, socKey and socTmp back bySoC: the index order is sorted
-	// against a SoC snapshot read once per call, so the sort does one pack
-	// read per node instead of O(n log n).
+	// against a SoC snapshot, so the sort does one pack read per node
+	// instead of O(n log n).
 	demands     []float64
 	loadGrant   []float64
 	chargeGrant []float64
@@ -374,10 +374,23 @@ type Simulator struct {
 	socKey      []uint64
 	socTmp      []int
 
-	// Shard-step state: stepOffline carries the current tick's path to the
-	// shard workers, and tallies holds what each shard's pass reports back
+	// The charge split's columns: when a tick's split reads requests, the
+	// shard pass that follows writes each node's next charge request into
+	// chargeReq and its SoC into socSnap right after stepping it, so the
+	// next split reads two columns instead of walking the fleet. colsFresh
+	// reports that the last shard pass wrote both for every node; nothing
+	// between a node's step and the next split changes either value.
+	chargeReq []float64
+	colsFresh bool
+
+	// Shard-step state, set before each fan-out: stepOffline selects the
+	// tick's path, stepReap has each shard detach its nodes' completed VMs
+	// (the tick ends a control period) and stepCols has it write the
+	// split's columns. tallies holds what each shard's pass reports back
 	// to the engine, one slot per shard.
 	stepOffline bool
+	stepReap    bool
+	stepCols    bool
 	tallies     []shardTally
 
 	// Per-day scratch for RunDay's start-of-day baselines.
@@ -524,6 +537,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.demands = make([]float64, n)
 	s.loadGrant = make([]float64, n)
 	s.chargeGrant = make([]float64, n)
+	s.chargeReq = make([]float64, n)
 	s.socOrder = make([]int, n)
 	s.socSnap = make([]float64, n)
 	s.socKey = make([]uint64, n)
@@ -768,9 +782,9 @@ func (s *Simulator) ProvisionServices(n int) error {
 	return nil
 }
 
-// reapCompleted removes finished VMs from their hosts. The bulk detach
-// works in place on each server's VM list, so the control-period reap no
-// longer copies every hosted VM slice just to scan it.
+// reapCompleted removes finished VMs from their hosts at the end of the
+// day. The bulk detach works in place on each server's VM list; during the
+// day the shard pass of each control tick reaps its own nodes.
 func (s *Simulator) reapCompleted() {
 	for _, n := range s.nodes {
 		n.Server().DetachCompleted()
@@ -827,6 +841,9 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 		return DayStats{}, err
 	}
 
+	// Between days anything may touch the nodes (a restore, a policy or
+	// fault swap, a harness), so the day's first split reads them.
+	s.colsFresh = false
 	var sinceControl time.Duration
 	for tod := time.Duration(0); tod < 24*time.Hour; tod += s.cfg.Tick {
 		if meter {
@@ -847,7 +864,15 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 			s.applyFaults(fs)
 			power = units.Watt(float64(power) * fs.PVFactor)
 		}
-		if err := s.step(power, inWindow); err != nil {
+		control := false
+		if inWindow {
+			sinceControl += s.cfg.Tick
+			if sinceControl >= s.cfg.ControlPeriod {
+				sinceControl = 0
+				control = true
+			}
+		}
+		if err := s.step(power, inWindow, control); err != nil {
 			return DayStats{}, err
 		}
 		if s.inj != nil {
@@ -880,10 +905,8 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 					s.telSoC.Observe(n.Battery().SoC())
 				}
 			}
-			sinceControl += s.cfg.Tick
-			if sinceControl >= s.cfg.ControlPeriod {
-				sinceControl = 0
-				s.reapCompleted()
+			if control {
+				// The shard pass has already reaped the completed VMs.
 				if err := s.placePending(); err != nil {
 					return DayStats{}, err
 				}
@@ -941,6 +964,8 @@ func (s *Simulator) History() []DayStats { return slices.Clone(s.history) }
 
 // step advances every node one tick, allocating the shared solar feed:
 // loads first (proportional water-fill), then charging (lowest SoC first).
+// control marks the tick that ends a control period: its shard pass reaps
+// completed VMs before RunDay places the pending ones.
 //
 // All grant decisions — which read cross-node state (demands, SoC ordering,
 // charge requests) — happen before any node advances, so the final physics
@@ -948,7 +973,8 @@ func (s *Simulator) History() []DayStats { return slices.Clone(s.history) }
 // The prologue writes only into the simulator's reusable scratch buffers:
 // the SoC order is computed at most once per step and shared by every pass
 // that needs it, and the steady-state path performs zero heap allocations.
-func (s *Simulator) step(power units.Watt, inWindow bool) error {
+func (s *Simulator) step(power units.Watt, inWindow, control bool) error {
+	s.stepReap = control
 	remaining := float64(power)
 
 	if !inWindow {
@@ -1000,17 +1026,29 @@ func (s *Simulator) step(power units.Watt, inWindow bool) error {
 // the power runs out before the last request, so the sort is skipped when
 // there is no power at all (most of the night, or demand ate the whole
 // feed) and when the power covers every request (see coversRequests).
+//
+// A split that reads requests has the shard pass after it write the next
+// split's columns; that split copies them when they are fresh and reads
+// the nodes otherwise (a day's first split, after a split that read
+// nothing, after a step error).
 func (s *Simulator) grantCharge(power float64) {
 	grant := s.chargeGrant
-	if !(power > 0) {
+	fresh := s.colsFresh
+	s.colsFresh = false
+	s.stepCols = power > 0
+	if !s.stepCols {
 		clear(grant)
 		return
 	}
-	for i, nd := range s.nodes {
-		grant[i] = float64(nd.ChargeRequest())
+	if fresh {
+		copy(grant, s.chargeReq)
+	} else {
+		for i, nd := range s.nodes {
+			grant[i] = float64(nd.ChargeRequest())
+		}
 	}
 	if !coversRequests(grant, power) {
-		grantBySoC(grant, s.bySoC(), power)
+		grantBySoC(grant, s.bySoC(fresh), power)
 	}
 }
 
@@ -1092,15 +1130,19 @@ func (s *Simulator) stepNodes(offline bool) error {
 			return err
 		}
 	}
+	s.colsFresh = s.stepCols
 	return nil
 }
 
 // runShard advances one shard's nodes in ascending index order and writes
-// the shard's tally. It is the pool's work unit: no shared mutable state
-// beyond the shard's own nodes and tally slot, and no allocations.
+// the shard's tally. After each node's step it reaps the node's completed
+// VMs on a control tick and writes the node's slots of the split's columns
+// when asked to. It is the pool's work unit: no shared mutable state
+// beyond the shard's own nodes, their column slots and its tally slot, and
+// no allocations.
 func (s *Simulator) runShard(si int) {
 	sh := s.fleet.Shards()[si]
-	offline := s.stepOffline
+	offline, reap, cols := s.stepOffline, s.stepReap, s.stepCols
 	t := shardTally{eol: -1}
 	for i := sh.Lo; i < sh.Hi; i++ {
 		if t.err = s.stepNode(i, offline); t.err != nil {
@@ -1110,8 +1152,15 @@ func (s *Simulator) runShard(si int) {
 		if t.eol < 0 && nd.Health() < battery.EndOfLifeHealth {
 			t.eol = i
 		}
+		if reap {
+			nd.Server().DetachCompleted()
+		}
+		soc := nd.SoC()
+		if cols {
+			s.chargeReq[i] = float64(nd.ChargeRequest())
+			s.socSnap[i] = soc
+		}
 		if !offline {
-			soc := nd.SoC()
 			t.bins.Observe(soc)
 			if soc < aging.DeepDischargeSoC {
 				// Fig 18's per-node low-SoC dwell; dayLow is indexed by
@@ -1222,16 +1271,19 @@ func controlBounds() []float64 {
 }
 
 // bySoC returns node indices sorted by ascending state of charge (ties by
-// ascending index). The SoC snapshot is read through the devirtualized
-// Node.SoC in node order, and the permutation comes from the radix order
-// in socorder.go: O(n) per call, zero allocations, and byte-identical to
-// the stable comparison sort it replaced (the order is a strict total
-// order, so any correct sort produces the same bytes). Ordering a pre-read
-// snapshot is exact: nothing mutates pack state between the snapshot and
-// the grant assignment that consumes it.
-func (s *Simulator) bySoC() []int {
-	for i, nd := range s.nodes {
-		s.socSnap[i] = nd.SoC()
+// ascending index). The SoC snapshot is the column the last shard pass
+// wrote when fresh, and is read through Node.SoC in node order otherwise;
+// the permutation comes from the radix order in socorder.go: O(n) per
+// call, zero allocations, and byte-identical to the stable comparison sort
+// it replaced (the order is a strict total order, so any correct sort
+// produces the same bytes). Ordering a pre-read snapshot is exact: nothing
+// mutates pack state between the snapshot and the grant assignment that
+// consumes it.
+func (s *Simulator) bySoC(fresh bool) []int {
+	if !fresh {
+		for i, nd := range s.nodes {
+			s.socSnap[i] = nd.SoC()
+		}
 	}
 	sortBySoC(s.socOrder, s.socTmp, s.socKey, s.socSnap)
 	return s.socOrder

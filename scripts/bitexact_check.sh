@@ -1,12 +1,15 @@
 #!/bin/sh
 # bitexact_check.sh — cross-commit bit check: build cmd/baatsim from the
 # committed tree (git archive HEAD) and from the working tree, run the same
-# four checkpointed runs with each, and fail unless every checkpoint file
+# five checkpointed runs with each, and fail unless every checkpoint file
 # and every report matches byte for byte. The reports are compared without
 # their "checkpoint after day N written to PATH" line, whose path differs
 # between the two sides. The runs cover every battery tier: lead-acid,
 # LFP and linear fleets under the chaos fault profile, and a mixed-tier
-# fleet of 300 nodes on two workers.
+# fleet of 300 nodes on two workers. A 300-node BAAT fleet with a job
+# backlog under the chaos faults runs on two workers too, with enough
+# solar that its charge splits both cover every request and fall short,
+# and completes VMs that the shard workers reap.
 # Usage: ./scripts/bitexact_check.sh  (or: make bitexact)
 set -eu
 
@@ -48,5 +51,7 @@ check lfp -policy baat -seed 5 -accel 10 -faults chaos -days 6 -checkpoint-every
 check linear -policy baat -seed 5 -accel 10 -faults chaos -days 6 -checkpoint-every 6 -battery-model linear
 check mix -policy ebuff -seed 3 -nodes 300 -workers 2 \
     -battery-mix leadacid=0.5,linear=0.25,lfp=0.25 -days 4 -checkpoint-every 4
+check parallel -policy baat -seed 11 -nodes 300 -workers 2 -accel 10 -faults chaos \
+    -days 3 -solar-scale 75 -jobs 300 -checkpoint-every 3
 
 echo "bitexact: every checkpoint and report matches HEAD"
