@@ -300,8 +300,7 @@ func TestBAATSControlCapsFrequency(t *testing.T) {
 func TestBAATSControlRestoresFrequency(t *testing.T) {
 	ctx := newCtx(t, 1)
 	n := ctx.Nodes[0]
-	if err := n.Server().SetFrequencyIndex(0); err != nil {
-		t.Fatal(err)
+	for n.Server().StepDownFrequency() {
 	}
 	p := build(t, "baat-s", nil)
 	if err := p.Control(ctx); err != nil {
@@ -314,8 +313,7 @@ func TestBAATSControlRestoresFrequency(t *testing.T) {
 
 func TestEBuffControlRestoresFullSpeed(t *testing.T) {
 	ctx := newCtx(t, 2)
-	if err := ctx.Nodes[0].Server().SetFrequencyIndex(0); err != nil {
-		t.Fatal(err)
+	for ctx.Nodes[0].Server().StepDownFrequency() {
 	}
 	p := build(t, "ebuff", nil)
 	if err := p.Control(ctx); err != nil {

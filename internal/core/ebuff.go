@@ -10,7 +10,13 @@ import (
 // battery discharge to its protection cutoff. It represents the prior-work
 // designs of [4, 7] that manage supply/demand mismatch with no awareness of
 // battery aging.
-type eBuff struct{}
+//
+// raised records that Control has brought every server to its top
+// frequency. e-Buff never lowers one, so only what happened before the
+// controller was built can have: a cap set under another policy before
+// SetPolicy, or a checkpoint restored with capped servers, and the
+// simulator builds a fresh controller for both.
+type eBuff struct{ raised bool }
 
 func init() {
 	Register("ebuff", Descriptor{
@@ -34,12 +40,17 @@ func (*eBuff) PlaceVM(ctx *Context, v *vm.VM) (*node.Node, error) {
 }
 
 // Control steps every server up to its top frequency — e-Buff always runs
-// servers flat out, spending battery as needed. A server already at the
-// top is left as it is, so the pass only undoes caps set from outside.
-func (*eBuff) Control(ctx *Context) error {
+// servers flat out, spending battery as needed. Only the first pass after
+// the controller is built walks the fleet; every later one would find each
+// server at the top.
+func (e *eBuff) Control(ctx *Context) error {
+	if e.raised {
+		return nil
+	}
 	for _, n := range ctx.Nodes {
 		for n.Server().StepUpFrequency() {
 		}
 	}
+	e.raised = true
 	return nil
 }

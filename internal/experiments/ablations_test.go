@@ -120,11 +120,19 @@ func TestAsRacksDrawsLikeItsServers(t *testing.T) {
 		s.SetPowered(true)
 	}
 	for tick := 0; tick < 8*60; tick += 37 {
+		// Walk every server down to the bottom of the ladder, then up one
+		// level at a time.
+		for _, s := range all {
+			for s.StepDownFrequency() {
+			}
+		}
 		for idx := 0; idx < len(rackSrv.Spec().FreqLevels); idx++ {
 			var sum float64
-			for _, s := range all {
-				if err := s.SetFrequencyIndex(idx); err != nil {
-					t.Fatal(err)
+			if idx > 0 {
+				for _, s := range all {
+					if !s.StepUpFrequency() {
+						t.Fatalf("%s: no DVFS level above %d", s.ID(), idx-1)
+					}
 				}
 			}
 			for _, s := range servers {

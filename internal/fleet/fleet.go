@@ -47,15 +47,18 @@ type Config struct {
 }
 
 // Fleet is the contiguous storage of a node fleet: the node slice, its
-// view slice of *node.Node handles, and the shard partition.
+// view slice of *node.Node handles, the change column and the shard
+// partition.
 type Fleet struct {
-	nodes  []node.Node
-	views  []*node.Node
-	shards []Shard
+	nodes   []node.Node
+	views   []*node.Node
+	changed []bool
+	shards  []Shard
 }
 
 // New builds a fleet: one contiguous node slice, every node initialized in
-// place in its slot, and the shard partition laid over the index space.
+// place in its slot with its server tracking changes into its slot of the
+// change column, and the shard partition laid over the index space.
 func New(cfg Config) (*Fleet, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("fleet: need at least one node, got %d", cfg.Nodes)
@@ -68,8 +71,9 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	n := cfg.Nodes
 	f := &Fleet{
-		nodes: make([]node.Node, n),
-		views: make([]*node.Node, n),
+		nodes:   make([]node.Node, n),
+		views:   make([]*node.Node, n),
+		changed: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		ncfg, err := cfg.Node(i)
@@ -79,6 +83,7 @@ func New(cfg Config) (*Fleet, error) {
 		if err := node.NewInto(&f.nodes[i], fmt.Sprintf("node-%d", i), ncfg); err != nil {
 			return nil, err
 		}
+		f.nodes[i].Server().TrackChanges(&f.changed[i])
 		f.views[i] = &f.nodes[i]
 	}
 	f.shards = partition(n, cfg.ShardSize)
@@ -90,6 +95,12 @@ func New(cfg Config) (*Fleet, error) {
 // read-only (the nodes themselves are mutable through the pointers, as
 // with any fleet).
 func (f *Fleet) Views() []*node.Node { return f.views }
+
+// Changed returns the change column: slot i is set whenever node i's
+// server may have changed its power draw (server.TrackChanges). Nothing in
+// the fleet clears a slot; the slice is shared, and its owner clears slots
+// once it has read what they flag.
+func (f *Fleet) Changed() []bool { return f.changed }
 
 // Shards returns the rack-group partition. The slice is shared; shard
 // boundaries are fixed at construction.

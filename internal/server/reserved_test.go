@@ -12,21 +12,25 @@ import (
 	"github.com/green-dc/baat/internal/workload"
 )
 
-// scratchReserved is the definition ReservedUtilization caches: the peak
-// demands of the hosted VMs that have not completed, summed in list order.
-func scratchReserved(s *Server) float64 {
+// scratchReserved is the definition ReservedUtilization and ActiveVMCount
+// cache: the peak demands of the hosted VMs that have not completed,
+// summed in list order, and how many of them there are.
+func scratchReserved(s *Server) (float64, int) {
 	var u float64
+	var n int
 	for _, v := range s.VMs() {
 		if v.State() != vm.Completed {
 			u += v.Profile().PeakUtilization
+			n++
 		}
 	}
-	return u
+	return u, n
 }
 
 // TestReservedUtilizationMatchesScratchSum drives random sequences of every
 // operation that changes the VM list or completes a VM, and checks after
-// each that the cached reservation is bit-equal to the from-scratch sum.
+// each that the cached reservation is bit-equal to the from-scratch sum
+// and the cached active count equals the from-scratch count.
 func TestReservedUtilizationMatchesScratchSum(t *testing.T) {
 	spec := DefaultSpec()
 	spec.CPUCapacity = 6 // room for a dozen VMs, so long sums are checked too
@@ -81,8 +85,13 @@ func TestReservedUtilizationMatchesScratchSum(t *testing.T) {
 				}
 				s = fresh
 			}
-			if got, want := s.ReservedUtilization(), scratchReserved(s); math.Float64bits(got) != math.Float64bits(want) {
+			want, active := scratchReserved(s)
+			if got := s.ReservedUtilization(); math.Float64bits(got) != math.Float64bits(want) {
 				t.Logf("after op %d (%d): reserved %v, scratch sum %v", step, op%7, got, want)
+				return false
+			}
+			if got := s.ActiveVMCount(); got != active {
+				t.Logf("after op %d (%d): active count %d, scratch count %d", step, op%7, got, active)
 				return false
 			}
 		}

@@ -71,9 +71,13 @@ type Server struct {
 	st  own
 	vms []*vm.VM
 	// reserved is the peak utilization held by the hosted VMs that have
-	// not completed. Whatever changes the VM list, or completes a VM on
-	// it, must call refreshReserved.
+	// not completed, and active is how many of them there are. Whatever
+	// changes the VM list, or completes a VM on it, must call
+	// refreshReserved.
 	reserved float64
+	active   int
+	// mark is the change flag TrackChanges installed, or nil.
+	mark *bool
 }
 
 // New constructs a powered-on server at full frequency.
@@ -119,23 +123,31 @@ func (s *Server) Frequency() float64 { return s.spec.FreqLevels[s.st.FreqIdx] }
 // FrequencyIndex returns the current DVFS ladder position.
 func (s *Server) FrequencyIndex() int { return s.st.FreqIdx }
 
-// SetFrequencyIndex moves the DVFS ladder to position idx (the software
-// driver of §IV-A: "we can dynamically set the frequency of processors").
-func (s *Server) SetFrequencyIndex(idx int) error {
-	if idx < 0 || idx >= len(s.spec.FreqLevels) {
-		return fmt.Errorf("server %s: DVFS index %d out of range [0, %d)", s.id, idx, len(s.spec.FreqLevels))
+// TrackChanges has the server set *flag whenever a call may change what
+// it draws (ActiveVMCount and Power) between its own steps: Attach,
+// Detach, StepDownFrequency and StepUpFrequency, each only when it moves
+// something. Nothing clears the flag; its owner does. A nil flag stops the
+// tracking. The simulator reads its demand column through these flags, so
+// a new call that changes the VM list, a VM's lifecycle or the frequency
+// outside Step must set the flag too.
+func (s *Server) TrackChanges(flag *bool) { s.mark = flag }
+
+// changed sets the tracked change flag, if any.
+func (s *Server) changed() {
+	if s.mark != nil {
+		*s.mark = true
 	}
-	s.st.FreqIdx = idx
-	return nil
 }
 
-// StepDownFrequency lowers frequency one notch; it reports whether a lower
-// level existed.
+// StepDownFrequency lowers frequency one notch (the software driver of
+// §IV-A: "we can dynamically set the frequency of processors"); it reports
+// whether a lower level existed.
 func (s *Server) StepDownFrequency() bool {
 	if s.st.FreqIdx == 0 {
 		return false
 	}
 	s.st.FreqIdx--
+	s.changed()
 	return true
 }
 
@@ -146,6 +158,7 @@ func (s *Server) StepUpFrequency() bool {
 		return false
 	}
 	s.st.FreqIdx++
+	s.changed()
 	return true
 }
 
@@ -165,15 +178,7 @@ func (s *Server) VMAt(i int) *vm.VM { return s.vms[i] }
 // ActiveVMCount returns the number of hosted VMs that still need the server
 // (anything not completed). A server with none can be scheduled off to save
 // its idle power.
-func (s *Server) ActiveVMCount() int {
-	var n int
-	for _, v := range s.vms {
-		if v.State() != vm.Completed {
-			n++
-		}
-	}
-	return n
-}
+func (s *Server) ActiveVMCount() int { return s.active }
 
 // ActiveUtilization sums the utilization demanded by hosted VMs, clamped to
 // capacity.
@@ -190,18 +195,20 @@ func (s *Server) ActiveUtilization() float64 {
 // its slot.
 func (s *Server) ReservedUtilization() float64 { return s.reserved }
 
-// refreshReserved recomputes the reservation from scratch, in VM-list
-// order. It is never updated incrementally: a running add and subtract
-// would round differently from the sum and could flip a placement that
-// sits on Fits' tolerance edge.
+// refreshReserved recomputes the reservation and the active count from
+// scratch, in VM-list order. The reservation is never updated
+// incrementally: a running add and subtract would round differently from
+// the sum and could flip a placement that sits on Fits' tolerance edge.
 func (s *Server) refreshReserved() {
 	var u float64
+	var n int
 	for _, v := range s.vms {
 		if v.State() != vm.Completed {
 			u += v.Profile().PeakUtilization
+			n++
 		}
 	}
-	s.reserved = u
+	s.reserved, s.active = u, n
 }
 
 // Fits reports whether a VM of the given peak demand fits next to the
@@ -237,13 +244,16 @@ func (s *Server) Attach(v *vm.VM) error {
 	}
 	s.vms = append(s.vms, v)
 	s.refreshReserved()
+	s.changed()
 	return nil
 }
 
 // DetachCompleted removes every completed VM in place, preserving the
 // relative order of the remaining VMs, and returns how many were removed.
 // It is the allocation-free bulk form of Detach for the simulator's
-// control-period reap pass.
+// control-period reap pass. It sets no change flag: a completed VM adds
+// +0 to the utilization Power sums and does not count as active, so
+// dropping it leaves Power as it was.
 func (s *Server) DetachCompleted() int {
 	kept := s.vms[:0]
 	for _, v := range s.vms {
@@ -266,6 +276,7 @@ func (s *Server) Detach(id string) (*vm.VM, error) {
 		if cur.ID() == id {
 			s.vms = append(s.vms[:i], s.vms[i+1:]...)
 			s.refreshReserved()
+			s.changed()
 			return cur, nil
 		}
 	}

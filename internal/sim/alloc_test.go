@@ -56,19 +56,22 @@ func allocSimModel(t *testing.T, kind battery.Kind, workers int) *Simulator {
 
 // stepAllocs measures step's allocations per tick. Every tick's split has
 // power to hand out, so from the second tick on the split reads the
-// columns the shard pass wrote; every fifth tick ends a control period, so
-// the shard pass reaps too.
+// columns the shard pass wrote; in the window the load split also reads
+// the demand column, and every fifth tick ends a control period, so the
+// shard pass reaps too.
 func stepAllocs(t *testing.T, s *Simulator, power units.Watt, inWindow bool) float64 {
 	t.Helper()
 	tick := 0
 	allocs := testing.AllocsPerRun(500, func() {
 		tick++
-		if err := s.step(power, inWindow, inWindow && tick%5 == 0); err != nil {
+		p := pass{ticks: 1, power: power, inWindow: inWindow, control: inWindow && tick%5 == 0, demand: inWindow}
+		if err := s.step(p); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if !s.colsFresh {
-		t.Fatal("the shard pass left the split's columns stale")
+	if !s.colsFresh || s.demandFresh != inWindow {
+		t.Fatalf("the shard pass left the split's columns stale (charge fresh %v, demand fresh %v)",
+			s.colsFresh, s.demandFresh)
 	}
 	return allocs
 }
@@ -94,6 +97,26 @@ func TestStepOfflineAllocFree(t *testing.T) {
 			s := allocSimModel(t, battery.KindLeadAcid, workers)
 			if allocs := stepAllocs(t, s, 300, false); allocs != 0 {
 				t.Fatalf("offline step allocates %.1f objects per tick, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestDarkStretchAllocFree pins a dark stretch, which the shard pass steps
+// through in one go and RunDay then books, at zero allocations.
+func TestDarkStretchAllocFree(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			s := allocSimModel(t, battery.KindLeadAcid, workers)
+			const ticks = 12
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := s.step(pass{ticks: ticks}); err != nil {
+					t.Fatal(err)
+				}
+				s.book(ticks)
+			})
+			if allocs != 0 {
+				t.Fatalf("a %d-tick dark stretch allocates %.1f objects, want 0", ticks, allocs)
 			}
 		})
 	}

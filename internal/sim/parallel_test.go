@@ -150,9 +150,10 @@ func TestWorkersResolution(t *testing.T) {
 // TestParallelErrorDeterministic checks the shard-ordered error reduction:
 // when several nodes fail in one fan-out, the reported error is the
 // lowest-index node's, independent of which worker hit which shard first.
-// Failures are provoked through the real step path by poisoning the load
-// grants of every node from index 3 up (a negative solar allocation is a
-// physics-contract violation node.Step rejects).
+// Failures are provoked through the real step path by poisoning the grants
+// of every node from index 3 up (a negative solar allocation is a
+// physics-contract violation the node's step rejects): the load grants of
+// an in-window tick, and the charge grants of a five-tick dark stretch.
 func TestParallelErrorDeterministic(t *testing.T) {
 	s := newSim(t, "ebuff", func(c *Config) {
 		c.Nodes = 8
@@ -165,26 +166,33 @@ func TestParallelErrorDeterministic(t *testing.T) {
 	}
 	s.pool.Start()
 	defer s.pool.Stop()
-	var got string
-	for trial := 0; trial < 20; trial++ {
-		clear(s.loadGrant)
-		clear(s.chargeGrant)
-		for i := 3; i < s.cfg.Nodes; i++ {
-			s.loadGrant[i] = -1
-		}
-		err := s.stepNodes(false)
-		if err == nil {
-			t.Fatal("stepNodes() = nil, want error")
-		}
-		if trial == 0 {
-			got = err.Error()
-			if !strings.Contains(got, "node-3") {
-				t.Fatalf("first error %q, want it from node-3 (the lowest failing index)", got)
+	for _, p := range []pass{{ticks: 1, inWindow: true}, {ticks: 5}} {
+		var got string
+		for trial := 0; trial < 20; trial++ {
+			clear(s.loadGrant)
+			clear(s.chargeGrant)
+			for i := 3; i < s.cfg.Nodes; i++ {
+				if p.inWindow {
+					s.loadGrant[i] = -1
+				} else {
+					s.chargeGrant[i] = -1
+				}
 			}
-			continue
-		}
-		if err.Error() != got {
-			t.Fatalf("error changed across runs: %q vs %q", err.Error(), got)
+			s.cur = p
+			err := s.stepNodes()
+			if err == nil {
+				t.Fatalf("%+v: stepNodes() = nil, want error", p)
+			}
+			if trial == 0 {
+				got = err.Error()
+				if !strings.Contains(got, "node-3") {
+					t.Fatalf("%+v: first error %q, want it from node-3 (the lowest failing index)", p, got)
+				}
+				continue
+			}
+			if err.Error() != got {
+				t.Fatalf("%+v: error changed across runs: %q vs %q", p, err.Error(), got)
+			}
 		}
 	}
 }

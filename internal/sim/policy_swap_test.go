@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/green-dc/baat/internal/core"
+	"github.com/green-dc/baat/internal/faults"
 	"github.com/green-dc/baat/internal/solar"
+	"github.com/green-dc/baat/internal/workload"
 )
 
 func TestSetPolicyMidRun(t *testing.T) {
@@ -101,5 +104,134 @@ func TestRunUntilEndOfLifeSameWeatherAcrossPolicies(t *testing.T) {
 			t.Fatalf("day %d weather diverged across policies: %v vs %v",
 				i, ra.Days[i].Weather, rb.Days[i].Weather)
 		}
+	}
+}
+
+// swapMutate is a small BAAT fleet short of solar, so that BAAT caps
+// frequencies before the tests below switch it to e-Buff.
+func swapMutate(t *testing.T, chaos bool) func(*Config) {
+	return func(c *Config) {
+		c.Services = workload.PrototypeServices()
+		c.JobsPerDay = 6
+		c.Node.AgingConfig.AccelFactor = 25
+		c.Solar.Scale = 0.6
+		if chaos {
+			fcfg, err := faults.Profile("chaos", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Faults = fcfg
+		}
+	}
+}
+
+// cappedToEBuff runs a BAAT day, caps every other server one more notch
+// and switches to e-Buff, so the first e-Buff pass meets capped servers.
+func cappedToEBuff(t *testing.T, s *Simulator) {
+	t.Helper()
+	if _, err := s.RunDay(solar.Rainy); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(s.nodes); i += 2 {
+		s.nodes[i].Server().StepDownFrequency()
+	}
+	if err := s.SetPolicy(core.PolicySpec{Name: "ebuff"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// belowTop counts the servers below their top DVFS level.
+func belowTop(s *Simulator) int {
+	n := 0
+	for _, nd := range s.nodes {
+		if srv := nd.Server(); srv.FrequencyIndex() != len(srv.Spec().FreqLevels)-1 {
+			n++
+		}
+	}
+	return n
+}
+
+// topCheck wraps a policy and fails the test when one of its Control
+// passes leaves a server below its top DVFS level.
+type topCheck struct {
+	core.Policy
+	t      *testing.T
+	s      *Simulator
+	passes int
+}
+
+func (c *topCheck) Control(ctx *core.Context) error {
+	if err := c.Policy.Control(ctx); err != nil {
+		return err
+	}
+	c.passes++
+	if n := belowTop(c.s); n > 0 {
+		c.t.Fatalf("control pass %d at %v left %d servers below their top DVFS level", c.passes, ctx.Clock, n)
+	}
+	return nil
+}
+
+// TestEBuffKeepsServersAtTop runs two chaos-faulted e-Buff days that start
+// from capped servers and requires every server at its top DVFS level
+// after each control pass. e-Buff walks the fleet only on its first pass,
+// so this holds only because nothing else lowers a frequency under it.
+func TestEBuffKeepsServersAtTop(t *testing.T) {
+	s := newSim(t, "baat", swapMutate(t, true))
+	cappedToEBuff(t, s)
+	if belowTop(s) == 0 {
+		t.Fatal("setup left no server capped")
+	}
+	check := &topCheck{Policy: s.policy, t: t, s: s}
+	s.policy = check
+	for _, w := range []solar.Weather{solar.Rainy, solar.Cloudy} {
+		if _, err := s.RunDay(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if check.passes < 100 {
+		t.Fatalf("%d control passes checked, want at least 100", check.passes)
+	}
+}
+
+// TestResumeInPlaceMatchesFreshResume resumes a checkpoint that holds
+// capped servers under e-Buff twice: into a new simulator, and in place
+// into the simulator that wrote it, after a day under e-Buff raised its
+// servers. Restore builds a fresh controller, as New does, so both must
+// run the next day to the same checkpoint bytes.
+func TestResumeInPlaceMatchesFreshResume(t *testing.T) {
+	mutate := swapMutate(t, false)
+	s := newSim(t, "baat", mutate)
+	cappedToEBuff(t, s)
+	if belowTop(s) == 0 {
+		t.Fatal("setup left no server capped")
+	}
+	var ck bytes.Buffer
+	if err := s.Checkpoint(&ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RunDay(solar.Sunny); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ResumeFrom(bytes.NewReader(ck.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	fresh := newSim(t, "ebuff", mutate)
+	if err := fresh.ResumeFrom(bytes.NewReader(ck.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	var out [2]bytes.Buffer
+	for i, sim := range []*Simulator{s, fresh} {
+		if _, err := sim.RunDay(solar.Cloudy); err != nil {
+			t.Fatal(err)
+		}
+		if n := belowTop(sim); n > 0 {
+			t.Errorf("resume %d: %d servers still capped after an e-Buff day", i, n)
+		}
+		if err := sim.Checkpoint(&out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(out[0].Bytes(), out[1].Bytes()) {
+		t.Error("in-place resume diverged from a resume into a new simulator")
 	}
 }

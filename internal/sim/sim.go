@@ -383,15 +383,24 @@ type Simulator struct {
 	chargeReq []float64
 	colsFresh bool
 
-	// Shard-step state, set before each fan-out: stepOffline selects the
-	// tick's path, stepReap has each shard detach its nodes' completed VMs
-	// (the tick ends a control period) and stepCols has it write the
-	// split's columns. tallies holds what each shard's pass reports back
-	// to the engine, one slot per shard.
-	stepOffline bool
-	stepReap    bool
-	stepCols    bool
-	tallies     []shardTally
+	// The load split's demand column: when the tick after a shard pass is
+	// in the window, the pass writes each node's next demand into demands
+	// right after stepping it and clears the node's slot of changed, the
+	// fleet's change column. A server sets its slot whenever a call may
+	// have changed its draw since (server.TrackChanges): a placement, a
+	// migration or a frequency step. demandFresh reports that the last
+	// shard pass wrote every slot, so the next split re-reads only the
+	// nodes whose slot is set.
+	changed     []bool
+	demandFresh bool
+
+	// Shard-pass state, set before each fan-out: cur is the pass RunDay
+	// scheduled, and stepCols has each shard write the charge split's
+	// columns. tallies holds what each shard's pass reports back to the
+	// engine, one slot per shard.
+	cur      pass
+	stepCols bool
+	tallies  []shardTally
 
 	// Per-day scratch for RunDay's start-of-day baselines.
 	dayThr   []float64
@@ -533,6 +542,7 @@ func New(cfg Config) (*Simulator, error) {
 	}
 	s.fleet = fl
 	s.nodes = fl.Views()
+	s.changed = fl.Changed()
 	n := cfg.Nodes
 	s.demands = make([]float64, n)
 	s.loadGrant = make([]float64, n)
@@ -842,53 +852,54 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 	}
 
 	// Between days anything may touch the nodes (a restore, a policy or
-	// fault swap, a harness), so the day's first split reads them.
-	s.colsFresh = false
+	// fault swap, a harness), so the day's first splits read them.
+	s.colsFresh, s.demandFresh = false, false
 	var sinceControl time.Duration
-	for tod := time.Duration(0); tod < 24*time.Hour; tod += s.cfg.Tick {
+	for tod := time.Duration(0); tod < 24*time.Hour; {
 		if meter {
-			if p := tariff.PriceAt(tod); p != utilPrice {
+			if price := tariff.PriceAt(tod); price != utilPrice {
 				u := s.fleetUtilityEnergy()
 				ds.UtilityCost += float64(u-utilMark) / 1000 * utilPrice
-				utilMark, utilPrice = u, p
+				utilMark, utilPrice = u, price
 			}
 		}
-		inWindow := tod >= s.cfg.WindowStart && tod < s.cfg.WindowEnd
-		power := day.PowerAt(tod)
+		inWindow := s.inWindow(tod)
+		p := pass{ticks: 1, power: day.PowerAt(tod), inWindow: inWindow}
 		if s.inj != nil {
 			// The injector ticks serially before the node fan-out: all its
 			// RNG draws and node mutations happen here, in fixed order, so
 			// fault runs stay bit-identical at any worker count. Every PV
 			// dropout, scheduled or probabilistic, arrives as PVFactor.
+			// It draws every tick, so a faulted run takes no dark
+			// stretches.
 			fs := s.inj.Tick(s.st.Clock, s.cfg.Tick)
 			s.applyFaults(fs)
-			power = units.Watt(float64(power) * fs.PVFactor)
+			p.power = units.Watt(float64(p.power) * fs.PVFactor)
+		} else if !inWindow && p.power == 0 {
+			// A dark tick starts a dark stretch, and one shard pass steps
+			// the fleet through all of it.
+			var metered signal.Tariff
+			if meter {
+				metered = tariff
+			}
+			p.ticks = s.darkTicks(day, tod, metered, utilPrice)
 		}
-		control := false
 		if inWindow {
 			sinceControl += s.cfg.Tick
 			if sinceControl >= s.cfg.ControlPeriod {
 				sinceControl = 0
-				control = true
+				p.control = true
 			}
 		}
-		if err := s.step(power, inWindow, control); err != nil {
+		next := tod + time.Duration(p.ticks)*s.cfg.Tick
+		p.demand = next < 24*time.Hour && s.inWindow(next)
+		if err := s.step(p); err != nil {
 			return DayStats{}, err
 		}
 		if s.inj != nil {
 			s.applyDegradedTransitions()
 		}
-		s.st.Clock += s.cfg.Tick
-		s.telTicks.Inc()
-		if s.st.EOLAt == 0 {
-			if i := s.firstEndOfLife(); i >= 0 {
-				nd := s.nodes[i]
-				s.st.EOLAt = s.st.Clock
-				s.telEOL.Inc()
-				s.tel.Emit(s.st.Clock, telemetry.EventBatteryEOL, nd.ID(),
-					fmt.Sprintf("health %.3f below end-of-life threshold", nd.Stats().Health))
-			}
-		}
+		s.book(p.ticks)
 
 		if inWindow {
 			// The shard workers already binned this tick's SoC samples
@@ -905,7 +916,7 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 					s.telSoC.Observe(n.Battery().SoC())
 				}
 			}
-			if control {
+			if p.control {
 				// The shard pass has already reaped the completed VMs.
 				if err := s.placePending(); err != nil {
 					return DayStats{}, err
@@ -923,6 +934,7 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 				s.updateFleetGauges()
 			}
 		}
+		tod = next
 	}
 
 	s.reapCompleted()
@@ -948,6 +960,53 @@ func (s *Simulator) RunDay(w solar.Weather) (DayStats, error) {
 	return ds, nil
 }
 
+// inWindow reports whether the tick starting at tod lies in the operating
+// window.
+func (s *Simulator) inWindow(tod time.Duration) bool {
+	return tod >= s.cfg.WindowStart && tod < s.cfg.WindowEnd
+}
+
+// darkTicks returns the length of the dark stretch that starts with the
+// tick at tod, which the caller found outside the window and without
+// solar: that tick and every following one, up to the day's end, that is
+// outside the window and gets no solar. On a metered fleet (a non-nil
+// tariff) the stretch also ends where the tariff leaves price, so RunDay's
+// meter check still runs at every price change. RunDay steps a dark
+// stretch in one shard pass: on each of its ticks the charge split hands
+// out nothing, nothing is placed, reaped or controlled and no node books
+// utility energy, so every node makes the same calls in the same order as
+// tick by tick, and only end of life and a step error cross nodes.
+func (s *Simulator) darkTicks(day *solar.Day, tod time.Duration, tariff signal.Tariff, price float64) int {
+	n := 1
+	for t := tod + s.cfg.Tick; t < 24*time.Hour && !s.inWindow(t) && day.PowerAt(t) == 0; t += s.cfg.Tick {
+		if tariff != nil && tariff.PriceAt(t) != price {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// book closes a shard pass over the given number of ticks: it advances the
+// clock and the tick counter past them and, until a battery has reached
+// end of life, records the first one the pass found. That battery's time is
+// the end of the tick it crossed on, and its event carries the health it
+// had then.
+func (s *Simulator) book(ticks int) {
+	start := s.st.Clock
+	s.st.Clock += time.Duration(ticks) * s.cfg.Tick
+	s.telTicks.Add(int64(ticks))
+	if s.st.EOLAt != 0 {
+		return
+	}
+	if i, tick, health := s.firstEndOfLife(); i >= 0 {
+		s.st.EOLAt = start + time.Duration(tick+1)*s.cfg.Tick
+		s.telEOL.Inc()
+		s.tel.Emit(s.st.EOLAt, telemetry.EventBatteryEOL, s.nodes[i].ID(),
+			fmt.Sprintf("health %.3f below end-of-life threshold", health))
+	}
+}
+
 // fleetUtilityEnergy sums the fleet's lifetime utility draw in node order,
 // so the total is the same at any worker count or shard size.
 func (s *Simulator) fleetUtilityEnergy() (total units.WattHour) {
@@ -962,10 +1021,25 @@ func (s *Simulator) fleetUtilityEnergy() (total units.WattHour) {
 // the Result of a resumed Run does not cover.
 func (s *Simulator) History() []DayStats { return slices.Clone(s.history) }
 
-// step advances every node one tick, allocating the shared solar feed:
-// loads first (proportional water-fill), then charging (lowest SoC first).
-// control marks the tick that ends a control period: its shard pass reaps
-// completed VMs before RunDay places the pending ones.
+// pass is one shard pass as RunDay schedules it.
+type pass struct {
+	// ticks is how many ticks the pass steps each node through: one, or
+	// the length of a dark stretch (darkTicks).
+	ticks int
+	// power is the bus power of each tick, inWindow whether the ticks lie
+	// in the operating window, and control whether the tick ends a control
+	// period, so that the shard pass reaps completed VMs before RunDay
+	// places the pending ones.
+	power    units.Watt
+	inWindow bool
+	control  bool
+	// demand reports that the tick after the pass is in the window, so
+	// that the shard pass writes the demand column for its split.
+	demand bool
+}
+
+// step runs one shard pass, allocating the shared solar feed first: loads
+// first (proportional water-fill), then charging (lowest SoC first).
 //
 // All grant decisions — which read cross-node state (demands, SoC ordering,
 // charge requests) — happen before any node advances, so the final physics
@@ -973,27 +1047,42 @@ func (s *Simulator) History() []DayStats { return slices.Clone(s.history) }
 // The prologue writes only into the simulator's reusable scratch buffers:
 // the SoC order is computed at most once per step and shared by every pass
 // that needs it, and the steady-state path performs zero heap allocations.
-func (s *Simulator) step(power units.Watt, inWindow, control bool) error {
-	s.stepReap = control
-	remaining := float64(power)
+func (s *Simulator) step(p pass) error {
+	s.cur = p
+	remaining := float64(p.power)
+	fresh := s.demandFresh
+	s.demandFresh = false
 
-	if !inWindow {
+	if !p.inWindow {
 		// Overnight: everything charges, lowest SoC first. A grant equals
 		// what the charger can absorb this tick, so no redistribution pass
 		// is needed after stepping.
 		s.grantCharge(remaining)
-		return s.stepNodes(true)
+		return s.stepNodes()
 	}
 
 	// Pass 1: load allocation proportional to demand. Demands are grossed
 	// up to bus-side power so the solar-direct conversion loss does not
-	// leave every node with a sliver of battery bridging.
+	// leave every node with a sliver of battery bridging. When the last
+	// shard pass wrote the demand column, only the nodes whose servers
+	// changed since are read again; that read also repeats the dark-server
+	// probe of Node.Demand for a VM placed there in between.
 	demands := s.demands
-	var totalDemand float64
 	eff := s.cfg.Node.Losses.SolarDirectEfficiency
-	for i, nd := range s.nodes {
-		demands[i] = float64(nd.Demand()) / eff
-		totalDemand += demands[i]
+	if fresh {
+		for i, c := range s.changed {
+			if c {
+				demands[i] = float64(s.nodes[i].Demand()) / eff
+			}
+		}
+	} else {
+		for i, nd := range s.nodes {
+			demands[i] = float64(nd.Demand()) / eff
+		}
+	}
+	var totalDemand float64
+	for _, d := range demands {
+		totalDemand += d
 	}
 	loadGrant := s.loadGrant
 	clear(loadGrant)
@@ -1017,7 +1106,7 @@ func (s *Simulator) step(power units.Watt, inWindow, control bool) error {
 
 	// Pass 2: charge allocation, lowest SoC first.
 	s.grantCharge(surplus)
-	return s.stepNodes(false)
+	return s.stepNodes()
 }
 
 // grantCharge splits power among the nodes' charge requests, lowest SoC
@@ -1096,25 +1185,30 @@ func (s *Simulator) stepNode(i int, offline bool) error {
 }
 
 // shardTally is what one shard's pass reports to the engine: the SoC
-// samples of its nodes in the operating window (Fig 19), the lowest index
-// among its nodes below end-of-life health (-1 if none) and its first step
-// error. The engine reads the tallies in shard order, which is ascending
-// node order, so every value is the one a serial scan would find.
+// samples of its nodes in the operating window (Fig 19), the first
+// (tick, node) pair, by tick and then by node, whose node was below
+// end-of-life health after that tick of the pass, with the health it had
+// then, and the step error with the smallest (tick, node). A tick equal to
+// the pass's length stands for none. The engine reads the tallies in shard
+// order, which is ascending node order, and keeps the smallest pair, so
+// every value is the one a serial scan of the ticks would find.
 type shardTally struct {
-	bins fleet.SoCBins
-	eol  int
-	err  error
+	bins      fleet.SoCBins
+	eol       int
+	eolTick   int
+	eolHealth float64
+	errTick   int
+	err       error
 }
 
-// stepNodes advances every node shard by shard. Each shard's physics
+// stepNodes runs the scheduled pass shard by shard. Each shard's physics
 // touches only state its nodes own (packs, servers, aging trackers, sensor
 // state) and its own tally, plus atomic telemetry counters, so any
 // assignment of shards to workers computes the same fleet state. Errors
-// are reduced in shard order — within a shard the walk is ascending, so
-// the first failing node by index wins — and so the reported error does
-// not depend on goroutine scheduling.
-func (s *Simulator) stepNodes(offline bool) error {
-	s.stepOffline = offline
+// are reduced by (tick, node), and shards are read in order, so the
+// reported error is the one the first failing step in tick and node order
+// returned, whatever the goroutine scheduling.
+func (s *Simulator) stepNodes() error {
 	if s.parallel {
 		// Run distributes shards across the pool's workers (or executes
 		// serially if RunDay has not started the pool — the results are
@@ -1125,40 +1219,62 @@ func (s *Simulator) stepNodes(offline bool) error {
 			s.runShard(si)
 		}
 	}
+	var err error
+	first := s.cur.ticks
 	for si := range s.tallies {
-		if err := s.tallies[si].err; err != nil {
-			return err
+		if t := &s.tallies[si]; t.err != nil && t.errTick < first {
+			err, first = t.err, t.errTick
 		}
 	}
+	if err != nil {
+		return err
+	}
 	s.colsFresh = s.stepCols
+	s.demandFresh = s.cur.demand
 	return nil
 }
 
-// runShard advances one shard's nodes in ascending index order and writes
-// the shard's tally. After each node's step it reaps the node's completed
-// VMs on a control tick and writes the node's slots of the split's columns
-// when asked to. It is the pool's work unit: no shared mutable state
-// beyond the shard's own nodes, their column slots and its tally slot, and
-// no allocations.
+// runShard steps one shard's nodes in ascending index order, each through
+// every tick of the pass before the next node, and writes the shard's
+// tally. After a node's last tick it reaps the node's completed VMs on a
+// control tick, writes the node's slots of the charge split's columns and
+// of the demand column when asked to, and bins the node's SoC in the
+// window. Once a node fails at some tick, later nodes are stepped only
+// through the ticks before it, which is all a smaller (tick, node) error
+// can need. It is the pool's work unit: no shared mutable state beyond the
+// shard's own nodes, their column slots and its tally slot, and no
+// allocations.
 func (s *Simulator) runShard(si int) {
 	sh := s.fleet.Shards()[si]
-	offline, reap, cols := s.stepOffline, s.stepReap, s.stepCols
-	t := shardTally{eol: -1}
-	for i := sh.Lo; i < sh.Hi; i++ {
-		if t.err = s.stepNode(i, offline); t.err != nil {
-			break
-		}
+	p, cols := s.cur, s.stepCols
+	offline := !p.inWindow
+	eff := s.cfg.Node.Losses.SolarDirectEfficiency
+	t := shardTally{eolTick: p.ticks, errTick: p.ticks}
+	for i := sh.Lo; i < sh.Hi && t.errTick > 0; i++ {
 		nd := s.nodes[i]
-		if t.eol < 0 && nd.Health() < battery.EndOfLifeHealth {
-			t.eol = i
+		for tick := 0; tick < t.errTick; tick++ {
+			if err := s.stepNode(i, offline); err != nil {
+				t.err, t.errTick = err, tick
+				break
+			}
+			if tick < t.eolTick && nd.Health() < battery.EndOfLifeHealth {
+				t.eol, t.eolTick, t.eolHealth = i, tick, nd.Health()
+			}
 		}
-		if reap {
+		if t.err != nil {
+			continue
+		}
+		if p.control {
 			nd.Server().DetachCompleted()
 		}
 		soc := nd.SoC()
 		if cols {
 			s.chargeReq[i] = float64(nd.ChargeRequest())
 			s.socSnap[i] = soc
+		}
+		if p.demand {
+			s.demands[i] = float64(nd.Demand()) / eff
+			s.changed[i] = false
 		}
 		if !offline {
 			t.bins.Observe(soc)
@@ -1172,15 +1288,17 @@ func (s *Simulator) runShard(si int) {
 	s.tallies[si] = t
 }
 
-// firstEndOfLife returns the lowest index among the nodes below
-// end-of-life health after this tick's step, or -1 if there is none.
-func (s *Simulator) firstEndOfLife() int {
+// firstEndOfLife returns the node index, the tick of the last pass and the
+// health of the first (tick, node) pair below end-of-life health, or index
+// -1 if the pass found none.
+func (s *Simulator) firstEndOfLife() (i, tick int, health float64) {
+	i, tick = -1, s.cur.ticks
 	for si := range s.tallies {
-		if i := s.tallies[si].eol; i >= 0 {
-			return i
+		if t := &s.tallies[si]; t.eolTick < tick {
+			i, tick, health = t.eol, t.eolTick, t.eolHealth
 		}
 	}
-	return -1
+	return i, tick, health
 }
 
 // applyFaults pushes one tick of injector output onto the fleet. It runs

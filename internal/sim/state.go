@@ -165,10 +165,10 @@ func (s *Simulator) Snapshot() (State, error) {
 }
 
 // Restore overwrites the simulator's state from a snapshot taken from a
-// simulator built with an equivalent Config. Validation is front-loaded,
-// but the layers commit one by one, so a failure partway through can leave
-// earlier layers (e.g. the first nodes) restored. ResumeFrom rolls such a
-// failure back.
+// simulator built with an equivalent Config, under a controller freshly
+// built from the policy spec. Validation is front-loaded, but the layers
+// commit one by one, so a failure partway through can leave earlier layers
+// (e.g. the first nodes) restored. ResumeFrom rolls such a failure back.
 func (s *Simulator) Restore(st State) error {
 	if st.Clock < 0 || st.EOLAt < 0 {
 		return fmt.Errorf("sim: restore: negative clock (%v) or EOL time (%v)", st.Clock, st.EOLAt)
@@ -198,18 +198,30 @@ func (s *Simulator) Restore(st State) error {
 	if len(st.History) != st.Day {
 		return fmt.Errorf("sim: restore: %d history entries for %d completed days", len(st.History), st.Day)
 	}
+	// The controller is rebuilt from the spec, as a resume into a new
+	// simulator builds it, so whatever the running controller remembers
+	// outside its checkpoint state (e-Buff's one fleet walk) starts over.
 	// Controller state and policy statefulness must agree in both
 	// directions: resuming a stateful policy without its state would
 	// silently reset mid-run hysteresis, and a state blob for a stateless
 	// policy means the snapshot came from a different controller.
-	sp, stateful := s.policy.(core.StatefulPolicy)
+	policy, err := core.Build(s.cfg.Policy)
+	if err != nil {
+		return fmt.Errorf("sim: restore: %w", err)
+	}
+	sp, stateful := policy.(core.StatefulPolicy)
 	if stateful && len(st.PolicyState) == 0 {
 		return fmt.Errorf("sim: restore: policy %s is stateful but the snapshot carries no policy state",
-			s.policy.Name())
+			policy.Name())
 	}
 	if !stateful && len(st.PolicyState) > 0 {
 		return fmt.Errorf("sim: restore: snapshot carries policy state but policy %s is stateless",
-			s.policy.Name())
+			policy.Name())
+	}
+	if stateful {
+		if err := sp.Restore(st.PolicyState); err != nil {
+			return fmt.Errorf("sim: restore: policy %s: %w", policy.Name(), err)
+		}
 	}
 
 	// Rebuild the pending queue first: vm.FromState validates each entry
@@ -240,11 +252,6 @@ func (s *Simulator) Restore(st State) error {
 	if err := s.forecast.Restore(st.Forecast); err != nil {
 		return fmt.Errorf("sim: restore: forecaster: %w", err)
 	}
-	if stateful {
-		if err := sp.Restore(st.PolicyState); err != nil {
-			return fmt.Errorf("sim: restore: policy %s: %w", s.policy.Name(), err)
-		}
-	}
 	if s.inj != nil {
 		if err := s.inj.Restore(*st.Faults); err != nil {
 			return fmt.Errorf("sim: restore: %w", err)
@@ -254,6 +261,7 @@ func (s *Simulator) Restore(st State) error {
 		}
 	}
 
+	s.policy = policy
 	s.st = st.own
 	s.socBins = bins
 	s.pending = pending

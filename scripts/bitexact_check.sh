@@ -1,7 +1,7 @@
 #!/bin/sh
 # bitexact_check.sh — cross-commit bit check: build cmd/baatsim from the
 # committed tree (git archive HEAD) and from the working tree, run the same
-# five checkpointed runs with each, and fail unless every checkpoint file
+# six checkpointed runs with each, and fail unless every checkpoint file
 # and every report matches byte for byte. The reports are compared without
 # their "checkpoint after day N written to PATH" line, whose path differs
 # between the two sides. The runs cover every battery tier: lead-acid,
@@ -9,7 +9,10 @@
 # fleet of 300 nodes on two workers. A 300-node BAAT fleet with a job
 # backlog under the chaos faults runs on two workers too, with enough
 # solar that its charge splits both cover every request and fall short,
-# and completes VMs that the shard workers reap.
+# and completes VMs that the shard workers reap. The same fleet runs once
+# more without faults, so that its nights step in dark stretches and its
+# migrations and DVFS caps flag servers whose demand the load split must
+# read again; the mixed-tier run is the only other fault-free one.
 # Usage: ./scripts/bitexact_check.sh  (or: make bitexact)
 set -eu
 
@@ -52,6 +55,8 @@ check linear -policy baat -seed 5 -accel 10 -faults chaos -days 6 -checkpoint-ev
 check mix -policy ebuff -seed 3 -nodes 300 -workers 2 \
     -battery-mix leadacid=0.5,linear=0.25,lfp=0.25 -days 4 -checkpoint-every 4
 check parallel -policy baat -seed 11 -nodes 300 -workers 2 -accel 10 -faults chaos \
+    -days 3 -solar-scale 75 -jobs 300 -checkpoint-every 3
+check clean -policy baat -seed 11 -nodes 300 -workers 2 -accel 10 \
     -days 3 -solar-scale 75 -jobs 300 -checkpoint-every 3
 
 echo "bitexact: every checkpoint and report matches HEAD"
