@@ -89,7 +89,7 @@ serve-smoke: ## start the baatsim serve daemon, fork a run over the API, diff th
 
 # Not part of check: it compares the working tree with the last commit, and
 # in CI the two are the same tree.
-bitexact: ## six checkpointed baatsim runs, byte-compared between HEAD and the working tree
+bitexact: ## seven checkpointed baatsim runs, byte-compared between HEAD and the working tree
 	./scripts/bitexact_check.sh
 
 docs-check: ## docs linked from README, links resolve, named dirs exist, telemetry catalogue documented

@@ -147,15 +147,14 @@ func (p *baat) Control(ctx *Context) error {
 	// rebalance sources — the degraded-mode posture moves load off them
 	// without pretending to know how aged they are.
 	if len(ctx.Nodes) >= 2 {
-		sens := aging.DemandSensitivity(aging.DemandClass{LargePower: true, MoreEnergy: true})
 		var sum float64
 		var trusted int
-		scores, suspect := cv.scores, cv.suspect
+		scores := cv.classScores(aging.DemandClass{LargePower: true, MoreEnergy: true})
+		suspect := cv.suspect
 		for i := range ctx.Nodes {
 			if suspect[i] {
 				continue
 			}
-			scores[i] = aging.WeightedAging(cv.metrics[i], sens)
 			sum += scores[i]
 			trusted++
 		}

@@ -25,6 +25,8 @@ type Injector struct {
 type ruleState struct {
 	rule Rule
 	mag  float64
+	// oneShot is the kind's oneShot flag, resolved once at construction.
+	oneShot bool
 	// targets expand Rule.Node: one entry per attacked node, or a single
 	// Node == -1 entry for fleet-wide kinds.
 	targets []TargetState
@@ -44,9 +46,10 @@ func NewInjector(cfg Config, nodes int) (*Injector, error) {
 	}
 	inj := &Injector{rng: rng.New(cfg.Seed, rng.Faults)}
 	for _, r := range cfg.Rules {
-		rs := ruleState{rule: r, mag: r.magnitude()}
+		info := kindInfo[r.Kind]
+		rs := ruleState{rule: r, mag: r.magnitude(), oneShot: info.oneShot}
 		switch {
-		case kindInfo[r.Kind].fleetWide:
+		case info.fleetWide:
 			rs.targets = []TargetState{{Node: -1}}
 		case r.Node >= 0:
 			if r.Node >= nodes {
@@ -117,7 +120,7 @@ func (inj *Injector) Tick(clock, tick time.Duration) *TickState {
 	for ri := range inj.rules {
 		rs := &inj.rules[ri]
 		r := rs.rule
-		oneShot := kindInfo[r.Kind].oneShot
+		oneShot := rs.oneShot
 		for ti := range rs.targets {
 			t := &rs.targets[ti]
 

@@ -1,7 +1,7 @@
 #!/bin/sh
 # bitexact_check.sh — cross-commit bit check: build cmd/baatsim from the
 # committed tree (git archive HEAD) and from the working tree, run the same
-# six checkpointed runs with each, and fail unless every checkpoint file
+# seven checkpointed runs with each, and fail unless every checkpoint file
 # and every report matches byte for byte. The reports are compared without
 # their "checkpoint after day N written to PATH" line, whose path differs
 # between the two sides. The runs cover every battery tier: lead-acid,
@@ -12,7 +12,12 @@
 # and completes VMs that the shard workers reap. The same fleet runs once
 # more without faults, so that its nights step in dark stretches and its
 # migrations and DVFS caps flag servers whose demand the load split must
-# read again; the mixed-tier run is the only other fault-free one.
+# read again; the mixed-tier run is the only other fault-free one. A
+# 256-node BAAT fleet under the chaos faults, on two workers in rainy
+# weather with little solar, sinks its batteries far enough that BAAT's
+# target pick answers from its second tier (trusted nodes below the pick's
+# state-of-charge bar) across four 64-node bitmap words, migration after
+# migration within each control pass.
 # Usage: ./scripts/bitexact_check.sh  (or: make bitexact)
 set -eu
 
@@ -58,5 +63,7 @@ check parallel -policy baat -seed 11 -nodes 300 -workers 2 -accel 10 -faults cha
     -days 3 -solar-scale 75 -jobs 300 -checkpoint-every 3
 check clean -policy baat -seed 11 -nodes 300 -workers 2 -accel 10 \
     -days 3 -solar-scale 75 -jobs 300 -checkpoint-every 3
+check stressed -policy baat -seed 11 -nodes 256 -workers 2 -accel 10 -faults chaos \
+    -days 4 -solar-scale 21 -jobs 307 -weather rainy -checkpoint-every 4
 
 echo "bitexact: every checkpoint and report matches HEAD"
